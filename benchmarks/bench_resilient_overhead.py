@@ -19,8 +19,7 @@ from repro.eval.campaign import (
     AttackSpec,
     ExperimentSpec,
     VictimConfig,
-    _init_worker,
-    _pool_execute,
+    _run_point,
 )
 from repro.eval.resilient import ResilientExecutor, default_start_method
 
@@ -40,23 +39,30 @@ def _grid():
     return [(index, run) for index, (_, run) in enumerate(spec.expand())]
 
 
+#: The legacy path's per-worker compile cache, set by its initializer.
+_LEGACY_CACHE = {}
+
+
+def _legacy_init(cache):
+    global _LEGACY_CACHE
+    _LEGACY_CACHE = cache
+
+
 def _map_task(task):
     index, run = task
-    return index, _pool_execute(run)
+    return index, _run_point(_LEGACY_CACHE, run)
 
 
 def _run_legacy(tasks, cache):
     """The pre-resilience path: a bare ``pool.map`` over the grid."""
     ctx = multiprocessing.get_context(default_start_method())
-    with ctx.Pool(processes=WORKERS, initializer=_init_worker,
+    with ctx.Pool(processes=WORKERS, initializer=_legacy_init,
                   initargs=(cache,)) as pool:
         return pool.map(_map_task, tasks)
 
 
 def _run_resilient(tasks, cache):
-    executor = ResilientExecutor(_pool_execute, workers=WORKERS,
-                                 initializer=_init_worker,
-                                 initargs=(cache,))
+    executor = ResilientExecutor(_run_point, workers=WORKERS, context=cache)
     return executor.run(tasks)
 
 

@@ -254,12 +254,7 @@ def search_isr_defense(workload: str,
         victim = adversary_victim(workload=workload, scheme=scheme,
                                   duration_s=duration_s,
                                   **victim_overrides)
-        key = victim.compile_key()
-        compiled = runner.compile_cache.get(key)
-        if compiled is None:
-            compiled = victim.compile()
-            runner.compile_cache[key] = compiled
-        space = isr_attack_space(compiled.linked, duration_s,
+        space = isr_attack_space(runner.compile(victim).linked, duration_s,
                                  vector=vector)
         search = AdversarySearch(victim, space=space, strategy=strategy,
                                  budget=budget, seed=seed, batch=batch,

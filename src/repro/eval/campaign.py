@@ -47,7 +47,7 @@ from ..obs import (
 )
 from ..runtime import IntermittentSimulator, Machine, SimResult, runtime_for
 from ..store.digest import jsonable as _jsonable
-from ..store.digest import run_digest
+from ..store.digest import content_digest, run_digest
 from .common import REMOTE_DISTANCE_M, REMOTE_TX_DBM, VictimConfig
 from .resilient import (
     ExecStats,
@@ -501,10 +501,8 @@ class CampaignResult:
         return total
 
     def metrics_fingerprint(self) -> str:
-        """sha256 over the canonical JSON of :meth:`aggregate_metrics`."""
-        canonical = json.dumps(self.aggregate_metrics(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        """Content digest of :meth:`aggregate_metrics`."""
+        return content_digest(self.aggregate_metrics())
 
     def to_dict(self) -> dict:
         return {
@@ -525,21 +523,10 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Execution: serial fast path or a resilient process pool.
 # ----------------------------------------------------------------------
-#: Per-worker compile cache, installed by the pool initializer.  The
-#: start method is explicit (:func:`default_start_method`): under
-#: ``fork`` the parent's dict is inherited for free, under ``spawn`` the
-#: initargs pickle carries it — both are tested.
-_WORKER_COMPILED: Dict[Tuple, Any] = {}
-
-
-def _init_worker(compiled: Dict[Tuple, Any]) -> None:
-    global _WORKER_COMPILED
-    _WORKER_COMPILED = compiled
-
-
-def _pool_execute(run: RunSpec) -> SimResult:
-    """The resilient executor's task function: one grid point per call."""
-    return execute_run(run, _WORKER_COMPILED[run.compile_key()])
+def _run_point(compile_cache: Dict[Tuple, Any], run: RunSpec) -> SimResult:
+    """The resilient executor's task function: one grid point per call,
+    against the compile cache the executor hands every worker."""
+    return execute_run(run, compile_cache[run.compile_key()])
 
 
 def _encode_result(result: SimResult) -> dict:
@@ -580,8 +567,8 @@ class CampaignRunner:
       the same file), so a campaign killed mid-run finishes where it left
       off with an identical :meth:`CampaignResult.metrics_fingerprint`;
     * ``start_method`` — explicit pool start method (default ``fork``
-      where available); ``spawn`` works because the compile cache travels
-      through the pool initializer's pickled initargs;
+      where available); ``spawn`` works because the compile cache is the
+      executor's worker context, pickled once per worker;
     * ``obs`` — campaign-level counters (``campaign.retries``,
       ``campaign.timeouts``, ``campaign.worker_restarts``) are recorded
       on this bundle's metrics registry.  They stay out of the per-run
@@ -627,6 +614,16 @@ class CampaignRunner:
         self.dispatcher = dispatcher
 
     # ------------------------------------------------------------------
+    def compile(self, victim: VictimConfig):
+        """``victim``'s compiled program from the compile cache, compiled
+        and cached on first request."""
+        key = victim.compile_key()
+        compiled = self.compile_cache.get(key)
+        if compiled is None:
+            compiled = victim.compile()
+            self.compile_cache[key] = compiled
+        return compiled
+
     def run(self, spec: ExperimentSpec) -> CampaignResult:
         start = time.perf_counter()
         stats = CampaignStats(workers=self.workers)
@@ -757,9 +754,8 @@ class CampaignRunner:
             journal = RunJournal(self.journal_path) if self.journal_path \
                 else None
             executor = ResilientExecutor(
-                task_fn=_pool_execute, workers=self.workers,
-                policy=self.policy, initializer=_init_worker,
-                initargs=(self.compile_cache,),
+                task_fn=_run_point, workers=self.workers,
+                policy=self.policy, context=self.compile_cache,
                 start_method=self.start_method, journal=journal,
                 resume=resume,
                 digest_fn=digest or _digest_fn("campaign"),

@@ -28,7 +28,12 @@ gracefully instead of failing wholesale:
 The executor is generic over the task function — the campaign engine
 passes its grid-point worker, the tests pass chaos fixtures — and
 :class:`ChaosSpec` provides the fault drills (raise / crash / hang on
-cue) that keep the recovery paths honest.
+cue) that keep the recovery paths honest.  Whatever every task shares
+(a compile cache, a golden trace) travels once as the executor's
+*context*: each task runs as ``task_fn(context, payload)``, pool workers
+receive the context when they start — inherited under ``fork``, pickled
+once per worker under ``spawn`` — and the serial path passes it
+directly, so it is never pickled per task.
 
 Serial execution (``workers=1``) applies the same retries, budget,
 journal, and taxonomy, but cannot preempt a hung run: wall-clock
@@ -37,7 +42,6 @@ timeouts are only enforced on the pool path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -314,25 +318,18 @@ def _default_digest(index: int, payload: Any) -> str:
     return task_digest(index, payload)
 
 
-def _legacy_repr_digest(index: int, payload: Any) -> str:
-    """The pre-store ``repr()``-based digest, kept only so journals
-    written before the canonical digest landed stay resumable (the
-    executor falls back to this key on a canonical-digest miss)."""
-    return hashlib.sha256(repr((index, payload)).encode()).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Worker-side plumbing (module-level: must pickle under ``spawn``).
 # ----------------------------------------------------------------------
-_BEACON = None  # per-worker: the start-announcement queue
+_BEACON = None   # per-worker: the start-announcement queue
+_CONTEXT = None  # per-worker: the executor's context, handed to each task
 
 
-def _install_worker(beacon, initializer, initargs) -> None:
-    """Pool initializer: wire the beacon, then run the user's own."""
-    global _BEACON
+def _install_worker(beacon, context) -> None:
+    """Pool initializer: wire the beacon and install the context."""
+    global _BEACON, _CONTEXT
     _BEACON = beacon
-    if initializer is not None:
-        initializer(*initargs)
+    _CONTEXT = context
 
 
 def _classify(exc: BaseException) -> str:
@@ -341,7 +338,7 @@ def _classify(exc: BaseException) -> str:
         else SIM_ERROR
 
 
-def _guarded_call(task_fn: Callable[[Any], Any], index: int,
+def _guarded_call(task_fn: Callable[[Any, Any], Any], index: int,
                   payload: Any) -> Tuple[bool, Any, Optional[str],
                                          Optional[str], Optional[str],
                                          float]:
@@ -353,7 +350,7 @@ def _guarded_call(task_fn: Callable[[Any], Any], index: int,
             pass  # a lost beacon degrades crash attribution, not results
     start = time.perf_counter()
     try:
-        return (True, task_fn(payload), None, None, None,
+        return (True, task_fn(_CONTEXT, payload), None, None, None,
                 time.perf_counter() - start)
     except Exception as exc:
         return (False, None, _classify(exc),
@@ -386,15 +383,15 @@ class _Flight:
 
 
 class ResilientExecutor:
-    """Runs ``(index, payload)`` tasks through ``task_fn`` with retries,
-    a timeout watchdog, crash recovery, a wall-clock budget, and journal
-    streaming/resume.  Generic over the task function so campaign
-    workers and chaos fixtures share one dispatch loop."""
+    """Runs ``(index, payload)`` tasks as ``task_fn(context, payload)``
+    with retries, a timeout watchdog, crash recovery, a wall-clock
+    budget, and journal streaming/resume.  Generic over the task function
+    so campaign workers and chaos fixtures share one dispatch loop; the
+    ``context`` is installed once per worker (see the module docstring)."""
 
-    def __init__(self, task_fn: Callable[[Any], Any], workers: int = 1,
+    def __init__(self, task_fn: Callable[[Any, Any], Any], workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
-                 initializer: Optional[Callable] = None,
-                 initargs: Sequence[Any] = (),
+                 context: Any = None,
                  start_method: Optional[str] = None,
                  journal: Optional[RunJournal] = None,
                  resume: Optional[Dict[str, dict]] = None,
@@ -405,8 +402,7 @@ class ResilientExecutor:
         self.task_fn = task_fn
         self.workers = max(1, int(workers))
         self.policy = policy if policy is not None else RetryPolicy()
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
+        self.context = context
         self.start_method = start_method if start_method is not None \
             else default_start_method()
         self.journal = journal
@@ -428,12 +424,6 @@ class ResilientExecutor:
         for index, payload in tasks:
             digest = self.digest_fn(index, payload)
             entry = self.resume.get(digest)
-            if entry is None and self.resume \
-                    and self.digest_fn is _default_digest:
-                # Compatibility read path: journals written before the
-                # canonical digest used repr() hashing.
-                entry = self.resume.get(_legacy_repr_digest(index,
-                                                            payload))
             if entry is not None:
                 results[index] = self._from_journal(index, entry)
                 self.stats.journal_skipped += 1
@@ -455,8 +445,6 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
     def _run_serial(self, todo: List[_Attempt],
                     results: Dict[int, TaskResult]) -> None:
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
         for entry in todo:
             if self._budget_exhausted():
                 self._give_up(results, entry)
@@ -468,7 +456,7 @@ class ResilientExecutor:
             entry.attempts += 1
             start = time.perf_counter()
             try:
-                value = self.task_fn(entry.payload)
+                value = self.task_fn(self.context, entry.payload)
             except Exception as exc:
                 elapsed = time.perf_counter() - start
                 error = f"{type(exc).__name__}: {exc}"
@@ -623,7 +611,7 @@ class ResilientExecutor:
     def _spawn(self, ctx, processes: int):
         beacon = ctx.Queue()
         pool = ctx.Pool(processes=processes, initializer=_install_worker,
-                        initargs=(beacon, self.initializer, self.initargs))
+                        initargs=(beacon, self.context))
         return pool, beacon, self._pool_pids(pool)
 
     @staticmethod

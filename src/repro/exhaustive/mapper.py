@@ -11,8 +11,10 @@ Orchestration of one :class:`~repro.exhaustive.space.ExhaustiveSpec`:
    byte-identical);
 3. fan the missing representatives out through
    :class:`~repro.eval.resilient.ResilientExecutor` in deterministic
-   chunks, each fork restored from the nearest golden snapshot instead
-   of re-running from reset, then store the fresh classifications;
+   chunks — every worker receives the parent's compiled program and
+   golden trace as the executor's context — each fork restored from the
+   nearest golden snapshot instead of re-running from reset, then store
+   the fresh classifications;
 4. run the time-triggered models as a deterministic-grid campaign over
    :class:`~repro.eval.campaign.CampaignRunner` (which brings its own
    store memoization and resilient fan-out);
@@ -27,8 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..eval.campaign import AttackSpec, CampaignRunner, ExperimentSpec, PathSpec
 from ..eval.resilient import ResilientExecutor, RetryPolicy
-from ..faultsim.classify import Outcome, classify
-from ..faultsim.explorer import EXCERPT_EVENTS
+from ..faultsim.classify import Outcome
+from ..faultsim.explorer import classify_outcomes
 from ..faultsim.models import FaultSimError, FaultSpec
 from ..faultsim.report import VulnerabilityMap
 from ..ir.liveness import linked_liveness
@@ -111,30 +113,14 @@ def classify_fork(linked, backend, trace: GoldenTrace, fault: FaultSpec,
 # ----------------------------------------------------------------------
 # Worker side (multiprocessing pool).
 # ----------------------------------------------------------------------
+def _simulate_chunk(context: tuple, payload: dict
+                    ) -> List[List[Optional[str]]]:
+    """Executor task: classify one chunk of representative injections.
 
-_WORKER: Dict[str, object] = {}
-
-
-def _fork_init(victim, snapshot_stride: int, from_reset: bool) -> None:
-    """Pool initializer: rebuild compile + golden trace per worker.
-
-    Everything crosses the pickle boundary as plain config; the worker
-    compiles its own artifact and re-captures the (deterministic) golden
-    trace, exactly like campaign workers rebuild their simulators.
+    ``context`` is ``(linked, backend, trace, from_reset)``, built once
+    by the parent and installed in every worker by the executor.
     """
-    compiled = victim.compile()
-    _WORKER["linked"] = compiled.linked
-    _WORKER["backend"] = backend_for(victim.backend)
-    _WORKER["trace"] = capture_trace(compiled.linked, snapshot_stride)
-    _WORKER["from_reset"] = from_reset
-
-
-def _simulate_chunk(payload: dict) -> List[List[Optional[str]]]:
-    """Executor task: classify one chunk of representative injections."""
-    linked = _WORKER["linked"]
-    backend = _WORKER["backend"]
-    trace = _WORKER["trace"]
-    from_reset = _WORKER["from_reset"]
+    linked, backend, trace, from_reset = context
     out: List[List[Optional[str]]] = []
     for data in payload["faults"]:
         outcome, error = classify_fork(linked, backend, trace,
@@ -150,7 +136,7 @@ def _simulate_chunk(payload: dict) -> List[List[Optional[str]]]:
 
 def _simulate_representatives(spec: ExhaustiveSpec,
                               reps: List[Tuple[RepKey, FaultSpec]],
-                              prog_digest: str, budget: int,
+                              linked, trace: GoldenTrace,
                               workers: int, naive: bool, store,
                               policy: Optional[RetryPolicy],
                               stats: ReductionStats
@@ -159,10 +145,15 @@ def _simulate_representatives(spec: ExhaustiveSpec,
     verdicts: Dict[RepKey, Verdict] = {}
     missing: List[Tuple[RepKey, FaultSpec]] = []
     victim = spec.victim
+    digests: Dict[RepKey, str] = {}
+    if store is not None:
+        prog_digest = program_digest(linked)
+        digests = {key: injection_digest(prog_digest, victim.scheme,
+                                         victim.workload, fault,
+                                         trace.budget)
+                   for key, fault in reps}
     for key, fault in reps:
-        digest = injection_digest(prog_digest, victim.scheme,
-                                  victim.workload, fault, budget)
-        entry = store.get(digest) if store is not None else None
+        entry = store.get(digests[key]) if store is not None else None
         if entry is not None:
             value = entry["value"]
             verdicts[key] = (value["outcome"], value.get("error"))
@@ -176,9 +167,7 @@ def _simulate_representatives(spec: ExhaustiveSpec,
               for i in range(0, len(missing), CHUNK_SIZE)]
     executor = ResilientExecutor(
         _simulate_chunk, workers=workers, policy=policy,
-        initializer=_fork_init,
-        initargs=(victim, spec.snapshot_stride, naive),
-    )
+        context=(linked, backend_for(victim.backend), trace, naive))
     tasks = [(index, {"faults": [fault.to_dict() for _, fault in chunk]})
              for index, chunk in enumerate(chunks)]
     for result in executor.run(tasks):
@@ -189,17 +178,15 @@ def _simulate_representatives(spec: ExhaustiveSpec,
         for (key, fault), (outcome, error) in zip(chunk, result.result):
             verdicts[key] = (outcome, error)
             stats.simulated += 1
-            if store is not None:
-                digest = injection_digest(prog_digest, victim.scheme,
-                                          victim.workload, fault, budget)
-                if store.put(digest, {"outcome": outcome, "error": error}):
-                    stats.store_puts += 1
+            if store is not None and store.put(
+                    digests[key], {"outcome": outcome, "error": error}):
+                stats.store_puts += 1
     return verdicts
 
 
 def _run_time_models(spec: ExhaustiveSpec, models: Tuple[str, ...],
                      runner: CampaignRunner, stats: ReductionStats
-                     ) -> Dict[str, List[Tuple[FaultSpec, str,
+                     ) -> Dict[str, List[Tuple[FaultSpec, Outcome,
                                                Optional[str], List[dict]]]]:
     """Grid-campaign the time-triggered models, classified per injection."""
     plans = {model: enumerate_time_model(spec, model) for model in models}
@@ -218,19 +205,9 @@ def _run_time_models(spec: ExhaustiveSpec, models: Tuple[str, ...],
     stats.campaign_store_hits = campaign.stats.store_hits
     stats.campaign_executed = campaign.stats.store_misses \
         if runner.store is not None else len(flat)
-    classified: Dict[FaultSpec, Tuple[str, Optional[str], List[dict]]] = {}
-    for outcome in campaign.outcomes:
-        fault = outcome.params["fault"]
-        if outcome.baseline is None:
-            raise FaultSimError(
-                f"golden reference failed: "
-                f"{campaign.baselines[0].error or 'missing baseline'}")
-        events = outcome.result.events[-EXCERPT_EVENTS:] \
-            if outcome.result is not None else []
-        verdict = classify(outcome.result, outcome.baseline, outcome.error,
-                           error_kind=outcome.error_kind)
-        classified[fault] = (verdict.value, outcome.error, events)
-    return {model: [(fault,) + classified[fault] for fault in plans[model]]
+    classified = {fault: record
+                  for fault, *record in classify_outcomes(campaign)}
+    return {model: [(fault, *classified[fault]) for fault in plans[model]]
             for model in models}
 
 
@@ -255,14 +232,8 @@ def exhaustive_map(spec: ExhaustiveSpec, workers: int = 1,
     if runner is None and time_models:
         runner = CampaignRunner(workers=workers, policy=policy, store=store)
 
-    if runner is not None:
-        key = spec.victim.compile_key()
-        compiled = runner.compile_cache.get(key)
-        if compiled is None:
-            compiled = spec.victim.compile()
-            runner.compile_cache[key] = compiled
-    else:
-        compiled = spec.victim.compile()
+    compiled = runner.compile(spec.victim) if runner is not None \
+        else spec.victim.compile()
     linked = compiled.linked
 
     stats = ReductionStats(naive=naive)
@@ -273,7 +244,6 @@ def exhaustive_map(spec: ExhaustiveSpec, workers: int = 1,
         trace = capture_trace(linked, spec.snapshot_stride)
         stats.golden_steps = trace.golden_steps
         liveness = linked_liveness(linked)
-        prog_digest = program_digest(linked)
         reps: List[Tuple[RepKey, FaultSpec]] = []
         for model in step_models:
             plan = naive_step_plan(spec, model, trace) if naive \
@@ -285,8 +255,8 @@ def exhaustive_map(spec: ExhaustiveSpec, workers: int = 1,
             reps.extend(plan.representatives.items())
         stats.representatives = len(reps)
         verdicts = _simulate_representatives(
-            spec, reps, prog_digest, trace.budget, workers, naive, store,
-            policy, stats)
+            spec, reps, linked, trace, workers, naive, store, policy,
+            stats)
 
     time_records = {}
     if time_models:
@@ -306,6 +276,5 @@ def exhaustive_map(spec: ExhaustiveSpec, workers: int = 1,
                     vmap.add(fault, Outcome(outcome), error=error)
         elif model in time_records:
             for fault, outcome, error, events in time_records[model]:
-                vmap.add(fault, Outcome(outcome), error=error,
-                         events=events)
+                vmap.add(fault, outcome, error=error, events=events)
     return ExhaustiveResult(spec=spec, map=vmap, stats=stats)

@@ -21,10 +21,9 @@ turns that sweep into campaign data:
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..eval.campaign import (
     AttackSpec,
@@ -36,9 +35,9 @@ from ..eval.campaign import (
 from ..eval.common import VictimConfig
 from ..eval.resilient import RetryPolicy
 from ..isa.operands import NUM_REGS
-from ..runtime import Machine
 from ..seeds import spawn_rng
-from .classify import classify, golden_pattern
+from .classify import Outcome, classify, golden_pattern
+from .golden import ExecutionProfile, capture_trace
 from .models import (
     CKPT_CORRUPT,
     CKPT_TRUNCATE,
@@ -61,9 +60,6 @@ DEFAULT_POINTS = 50
 #: Bus events kept per injection record (the "what led up to it" excerpt).
 EXCERPT_EVENTS = 12
 
-#: Stable-power profiling stop: no bundled workload iteration comes close.
-_PROFILE_STEP_CAP = 500_000
-
 
 def fault_victim(workload: str = "crc16", scheme: str = "nvp",
                  duration_s: float = 0.25, **overrides) -> VictimConfig:
@@ -81,74 +77,9 @@ def fault_victim(workload: str = "crc16", scheme: str = "nvp",
     return victim.with_overrides(**overrides) if overrides else victim
 
 
-@dataclass
-class ExecutionProfile:
-    """Region occupancy of one stable-power reference execution.
-
-    Region ids change only at MARK commits, so the per-step list collapses
-    into a handful of runs; queries bisect the run boundaries (the same
-    O(log n) treatment ``AttackSchedule.source_at`` got) instead of
-    indexing a step-sized list per lookup.
-    """
-
-    regions: List[int] = field(default_factory=list)
-    #: ISR activations of the profiling run: (vector, entry, exit) step
-    #: ranges, entry-ordered.  Empty for programs without peripherals.
-    isr_spans: List[Tuple[int, int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        starts: List[int] = []
-        values: List[int] = []
-        for step, region in enumerate(self.regions):
-            if not values or region != values[-1]:
-                starts.append(step)
-                values.append(region)
-        self._starts = starts
-        self._values = values
-
-    @property
-    def total_steps(self) -> int:
-        return len(self.regions)
-
-    def region_at(self, step: int) -> int:
-        """The last-committed region when instruction ``step`` executes."""
-        if not self.regions:
-            return 0
-        step %= len(self.regions)
-        return self._values[bisect.bisect_right(self._starts, step) - 1]
-
-    def isr_at(self, step: int) -> Optional[int]:
-        """The vector whose handler is live at ``step``, if any."""
-        if self.regions:
-            step %= len(self.regions)
-        for vector, entry, exit_ in self.isr_spans:
-            if entry <= step < exit_:
-                return vector
-        return None
-
-    def isr_steps(self) -> int:
-        """Total profiled steps spent inside ISR activations."""
-        return sum(exit_ - entry for _, entry, exit_ in self.isr_spans)
-
-
-def profile_execution(linked,
-                      max_steps: int = _PROFILE_STEP_CAP) -> ExecutionProfile:
-    """One fault-free iteration, recording the region at every step."""
-    machine = Machine(linked)
-    regions: List[int] = []
-    while not machine.halted and len(regions) < max_steps:
-        regions.append(machine.read_word("__region_cur"))
-        machine.step()
-    if not machine.halted:
-        raise FaultSimError(
-            f"profiling run did not halt within {max_steps} steps")
-    spans: List[Tuple[int, int, int]] = []
-    if machine._periph is not None:
-        for span in machine._periph.trace:
-            exit_step = span.exit_step if span.closed \
-                else machine.instr_count
-            spans.append((span.vector, span.entry_step, exit_step))
-    return ExecutionProfile(regions=regions, isr_spans=spans)
+def profile_execution(linked) -> ExecutionProfile:
+    """Region occupancy and ISR spans of the victim's golden run."""
+    return capture_trace(linked).profile
 
 
 @dataclass
@@ -288,6 +219,29 @@ class FaultCampaign:
         return golden_pattern(self.golden)
 
 
+def classify_outcomes(campaign: CampaignResult
+                      ) -> Iterator[Tuple[FaultSpec, Outcome,
+                                          Optional[str], List[dict]]]:
+    """One map record per injection run of a fault-axis campaign.
+
+    Yields ``(fault, verdict, error, events)`` in grid order: the verdict
+    classifies the run against its shared golden baseline (by taxonomy
+    tag when the run failed), and ``events`` is the excerpt of the last
+    :data:`EXCERPT_EVENTS` bus events that led up to it.
+    """
+    for outcome in campaign.outcomes:
+        if outcome.baseline is None:
+            raise FaultSimError(
+                f"golden reference failed: "
+                f"{campaign.baselines[0].error or 'missing baseline'}")
+        events = outcome.result.events[-EXCERPT_EVENTS:] \
+            if outcome.result is not None else []
+        yield (outcome.params["fault"],
+               classify(outcome.result, outcome.baseline, outcome.error,
+                        error_kind=outcome.error_kind),
+               outcome.error, events)
+
+
 def run_fault_campaign(spec: FaultCampaignSpec, workers: int = 1,
                        runner: Optional[CampaignRunner] = None,
                        policy: Optional[RetryPolicy] = None
@@ -302,28 +256,13 @@ def run_fault_campaign(spec: FaultCampaignSpec, workers: int = 1,
     crash a brick) instead of losing the map.
     """
     runner = runner or CampaignRunner(workers=workers, policy=policy)
-    key = spec.victim.compile_key()
-    compiled = runner.compile_cache.get(key)
-    if compiled is None:
-        compiled = spec.victim.compile()
-        runner.compile_cache[key] = compiled
-    plan = spec.plan(compiled)
+    plan = spec.plan(runner.compile(spec.victim))
     campaign = runner.run(spec.experiment_spec(plan))
 
     vmap = VulnerabilityMap(scheme=spec.victim.scheme,
                             workload=spec.victim.workload, seed=spec.seed)
-    for outcome in campaign.outcomes:
-        fault = outcome.params["fault"]
-        if outcome.baseline is None:
-            raise FaultSimError(
-                f"golden reference failed: "
-                f"{campaign.baselines[0].error or 'missing baseline'}")
-        events = outcome.result.events[-EXCERPT_EVENTS:] \
-            if outcome.result is not None else []
-        vmap.add(fault,
-                 classify(outcome.result, outcome.baseline, outcome.error,
-                          error_kind=outcome.error_kind),
-                 error=outcome.error, events=events)
+    for fault, verdict, error, events in classify_outcomes(campaign):
+        vmap.add(fault, verdict, error=error, events=events)
     return FaultCampaign(spec=spec, map=vmap, campaign=campaign)
 
 

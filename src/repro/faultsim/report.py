@@ -13,11 +13,11 @@ bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..store.digest import content_digest
 from .classify import CORRUPTION_OUTCOMES, OUTCOME_ORDER, Outcome
 from .models import FAULT_MODELS, FaultSpec
 
@@ -151,11 +151,9 @@ class VulnerabilityMap:
             return cls.from_dict(json.load(handle))
 
     def fingerprint(self) -> str:
-        """SHA-256 over the canonical JSON: the bit-identity check for
+        """Content digest of :meth:`to_dict`: the bit-identity check for
         serial-vs-parallel campaign equivalence."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return content_digest(self.to_dict())
 
     # -- rendering ------------------------------------------------------
     def render(self) -> str:

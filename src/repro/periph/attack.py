@@ -6,9 +6,10 @@ is itself state an EMI glitch can catch mid-flight.  This module turns
 one *golden* (stable-power, attack-free) run of a reactive workload into
 attack material:
 
-* :func:`isr_trace` — the delivery trace of one golden iteration:
-  every :class:`~repro.periph.hub.IsrSpan` plus the iteration's total
-  cycle count;
+* :func:`isr_trace` — the delivery trace of one golden iteration
+  (read off :func:`repro.faultsim.golden.capture_trace`): every
+  :class:`~repro.periph.hub.IsrSpan` plus the iteration's total cycle
+  count;
 * :func:`isr_arrivals` — handler-entry times as fractions of the
   iteration, the phase reference an attacker who has profiled the
   device's interrupt cadence would lock onto;
@@ -37,16 +38,12 @@ from .hub import IsrSpan
 #: Simulated MCU clock (matches ``MCUParams.clock_hz``).
 MCU_CLOCK_HZ = 8e6
 
-#: Golden-trace run cap; reactive iterations halt far below this.
-_TRACE_STEP_CAP = 2_000_000
-
 
 class PeriphError(ReproError):
     """A peripheral trace or attack plan that cannot be produced."""
 
 
-def isr_trace(linked, max_steps: int = _TRACE_STEP_CAP
-              ) -> Tuple[List[IsrSpan], int]:
+def isr_trace(linked) -> Tuple[List[IsrSpan], int]:
     """One stable-power iteration's delivery trace and total cycle count.
 
     Args:
@@ -57,29 +54,13 @@ def isr_trace(linked, max_steps: int = _TRACE_STEP_CAP
         ``(spans, total_cycles)`` where every span is closed (a handler
         still open at HALT is closed at the final step/cycle).
     """
-    from ..runtime.machine import Machine
+    from ..faultsim.golden import capture_trace
 
-    machine = Machine(linked)
-    if machine._periph is None:
+    trace = capture_trace(linked)
+    if not trace.has_periph:
         raise PeriphError("program has no peripherals (no isr declarations "
                           "and no MMIO intrinsics)")
-    steps = 0
-    while not machine.halted and steps < max_steps:
-        machine.step()
-        steps += 1
-    if not machine.halted:
-        raise PeriphError(f"golden trace run did not halt "
-                          f"within {max_steps} steps")
-    spans: List[IsrSpan] = []
-    for span in machine._periph.trace:
-        if span.closed:
-            spans.append(span)
-        else:
-            spans.append(IsrSpan(
-                vector=span.vector, entry_step=span.entry_step,
-                entry_cycles=span.entry_cycles,
-                exit_step=machine.instr_count, exit_cycles=machine.cycles))
-    return spans, machine.cycles
+    return list(trace.isr_spans), trace.golden_cycles
 
 
 def isr_arrivals(spans: Sequence[IsrSpan], total_cycles: int,

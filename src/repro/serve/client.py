@@ -127,14 +127,27 @@ class ServeClient:
     def subscribe(self, kinds: Optional[Sequence[str]] = None,
                   limit: Optional[int] = None,
                   timeout: Optional[float] = None) -> Iterator[dict]:
-        """Yield server events as dicts until ``limit`` events arrive,
-        the timeout lapses, or the server goes away."""
+        """Subscribe to server events; returns an iterator over them.
+
+        The handshake completes before this returns: every event the
+        server emits afterwards reaches the iterator, which yields them
+        as dicts until ``limit`` events arrive, the timeout lapses, or
+        the server goes away.
+        """
         sock = connect(self.address, timeout=timeout or self.timeout)
         try:
             send_message(sock, {"op": "subscribe",
                                 "kinds": list(kinds) if kinds else None})
             reader = sock.makefile("r")
             self._checked(recv_message(reader))
+        except BaseException:
+            sock.close()
+            raise
+        return self._events(sock, reader, limit)
+
+    def _events(self, sock, reader, limit: Optional[int]
+                ) -> Iterator[dict]:
+        try:
             count = 0
             while limit is None or count < limit:
                 try:

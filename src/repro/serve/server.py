@@ -32,12 +32,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..eval.campaign import (
-    RunSpec,
-    _encode_result,
-    _init_worker,
-    _pool_execute,
-)
+from ..eval.campaign import RunSpec, _encode_result, _run_point
 from ..eval.resilient import (
     ExecStats,
     ResilientExecutor,
@@ -437,9 +432,9 @@ class CampaignServer:
         if not ready:
             return
         executor = ResilientExecutor(
-            task_fn=_pool_execute, workers=self.workers_per_shard,
-            policy=self.policy, initializer=_init_worker,
-            initargs=(self._compile_cache,), stats=ExecStats())
+            task_fn=_run_point, workers=self.workers_per_shard,
+            policy=self.policy, context=self._compile_cache,
+            stats=ExecStats())
         for result in executor.run(ready):
             digest = digest_of[result.index]
             tenant = tenant_of[result.index]

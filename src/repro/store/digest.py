@@ -84,14 +84,40 @@ def jsonable(value: Any) -> Any:
     return f"{_TAG}r{type(value).__qualname__}:{value!r}"
 
 
+#: Value types :func:`jsonable` passes through untouched.
+_SCALARS = frozenset((int, float, bool, type(None)))
+
+
+def _plain(value: Any) -> bool:
+    """Whether :func:`jsonable` would leave ``value`` as it is, up to
+    tuple-vs-list spelling: plain JSON types, string keys, and no string
+    that folding tags."""
+    if isinstance(value, str):
+        return not value.startswith(_TAG)
+    if isinstance(value, (int, float, bool)) or value is None:
+        return True
+    if dataclasses.is_dataclass(value):
+        return False
+    if isinstance(value, (list, tuple)):
+        # Scalar arrays (memory images, register files) in one C pass.
+        return set(map(type, value)) <= _SCALARS \
+            or all(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and not k.startswith(_TAG)
+                   and _plain(v) for k, v in value.items())
+    return False
+
+
 def canonical_json(value: Any) -> str:
     """The canonical serialization: sorted keys, compact separators.
 
     Two structurally equal values — regardless of dict insertion order
-    or tuple-vs-list spelling — produce byte-identical output.
+    or tuple-vs-list spelling — produce byte-identical output.  A value
+    already in plain JSON types is serialized as it is: folding it would
+    only build a same-shaped copy (megabytes for a full fault map).
     """
-    return json.dumps(jsonable(value), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps(value if _plain(value) else jsonable(value),
+                      sort_keys=True, separators=(",", ":"))
 
 
 def content_digest(value: Any) -> str:

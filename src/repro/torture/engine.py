@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core import compile_scheme
-from ..errors import InvariantViolation, MachineFault, SimulationError
+from ..errors import InvariantViolation
+from ..faultsim.golden import capture_trace
 from ..isa.instructions import CYCLES, Opcode
 from ..isa.program import ISR_MAX_DEPTH
 from ..runtime.backend import backend_for
@@ -72,9 +73,6 @@ _ST = CYCLES[Opcode.ST]
 #: crash-consistency tests); reactive workloads keep the compiler default
 #: so handler WCETs fit.
 KERNEL_GECKO_BUDGET = 1500
-
-#: Golden profiling step cap (reactive iterations halt far below this).
-_GOLDEN_STEP_CAP = 3_000_000
 
 #: Consecutive compliant zero-progress failures that count as livelock.
 _STALL_LIMIT = 3
@@ -138,36 +136,21 @@ def build_target(workload: str, scheme: str,
     else:
         compiled = compile_scheme(source(workload), base)
 
-    machine = Machine(compiled.linked)
-    mark_cycles: List[int] = []
-    marks_seen = 0
-    steps = 0
-    while not machine.halted and steps < _GOLDEN_STEP_CAP:
-        machine.step()
-        steps += 1
-        if machine.marks_executed != marks_seen:
-            marks_seen = machine.marks_executed
-            mark_cycles.append(machine.cycles)
-    if not machine.halted:
-        raise TortureError(
-            f"golden run of {workload}/{scheme} did not halt within "
-            f"{_GOLDEN_STEP_CAP} steps")
-    hub = machine._periph
-    isr_entries = tuple(span.entry_cycles for span in hub.trace) \
-        if hub is not None else ()
-    vectors = tuple(sorted(hub._vectors)) if hub is not None else ()
+    golden = capture_trace(compiled.linked)
     profile = TortureProfile(
-        total_cycles=machine.cycles,
-        mark_cycles=tuple(mark_cycles),
-        isr_entry_cycles=isr_entries,
+        total_cycles=golden.golden_cycles,
+        mark_cycles=golden.mark_cycles,
+        isr_entry_cycles=tuple(span.entry_cycles
+                               for span in golden.isr_spans),
         image_cycles=NVPRuntime.checkpoint_size_words(8) * _ST,
-        has_periph=hub is not None,
-        vectors=vectors,
+        has_periph=golden.has_periph,
+        vectors=tuple(sorted(compiled.linked.isr_vectors))
+        if golden.has_periph else (),
     )
     target = TortureTarget(
         workload=workload, scheme=scheme, region_budget=region_budget,
-        compiled=compiled, golden_out=tuple(machine.committed_out),
-        golden_steps=machine.instr_count, profile=profile,
+        compiled=compiled, golden_out=golden.golden_out,
+        golden_steps=golden.golden_steps, profile=profile,
         max_instr_cycles=max(i.cycles for i in compiled.linked.instrs),
     )
     _TARGET_CACHE[key] = target

@@ -9,11 +9,13 @@ uncorrelated across cases.
 Cases fan out through :class:`~repro.eval.resilient.ResilientExecutor`
 (per-case watchdogs, crash recovery, retries for infrastructure
 failures — oracle violations are ``invariant_violation`` and never
-retried).  Each case optionally cross-checks the two execution backends
-on the identical schedule (the ``backend_equivalence`` oracle).  The
-campaign fingerprint digests every case outcome in index order, so a
-serial run and a 8-worker run of the same spec must produce the same
-fingerprint — the executor cannot silently change results.
+retried), with the spec and the parent's compiled target as the
+executor's context, so workers never rebuild the target.  Each case
+optionally cross-checks the two execution backends on the identical
+schedule (the ``backend_equivalence`` oracle).  The campaign
+fingerprint digests every case outcome in index order, so a serial run
+and a 8-worker run of the same spec must produce the same fingerprint —
+the executor cannot silently change results.
 
 Violations are shrunk serially in the parent (shrinking is a sequential
 search) and deduped into :class:`~repro.torture.corpus.ReproCase`
@@ -29,7 +31,7 @@ from ..eval.resilient import ResilientExecutor, RetryPolicy, TaskResult
 from ..seeds import spawn_rng
 from ..store.digest import content_digest
 from .corpus import ReproCase
-from .engine import TortureOutcome, build_target, run_schedule
+from .engine import TortureOutcome, TortureTarget, build_target, run_schedule
 from .oracles import BACKEND_EQUIV, Violation
 from .schedule import TortureSchedule, generate_schedule
 from .shrink import DEFAULT_SHRINK_RUNS, shrink_schedule
@@ -115,27 +117,14 @@ class TortureReport:
 
 
 # ----------------------------------------------------------------------
-# Worker plumbing (module-level: must pickle under ``spawn``).
+# Worker side (module-level: must pickle under ``spawn``).
 # ----------------------------------------------------------------------
-_WORKER_SPEC: Optional[TortureSpec] = None
-
-
-def _init_worker(spec: TortureSpec) -> None:
-    """Pool initializer: compile the target once per worker process."""
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-    build_target(spec.workload, spec.scheme,
-                 region_budget=spec.region_budget)
-
-
-def _run_case(payload: dict) -> dict:
-    """Execute one case in a worker; returns plain data only."""
-    spec = _WORKER_SPEC
-    if spec is None:  # serial path without initializer, or bare call
-        spec = TortureSpec(**payload["spec"])
-    target = build_target(spec.workload, spec.scheme,
-                          region_budget=spec.region_budget)
-    schedule = TortureSchedule.from_dicts(payload["events"])
+def _run_case(context: Tuple[TortureSpec, TortureTarget],
+              events: List[dict]) -> dict:
+    """Executor task: one case against the campaign's target; returns
+    plain data only."""
+    spec, target = context
+    schedule = TortureSchedule.from_dicts(events)
     outcome = run_schedule(target, schedule, spec.backend,
                            max_steps=spec.max_steps)
     if spec.check_backends:
@@ -179,12 +168,10 @@ def run_campaign(spec: TortureSpec, workers: int = 1,
                           region_budget=spec.region_budget)
     schedules = [generate_case(spec, index, target.profile)
                  for index in range(spec.cases)]
-    tasks = [(index, {"spec": spec.to_dict(),
-                      "events": schedule.to_dicts()})
+    tasks = [(index, schedule.to_dicts())
              for index, schedule in enumerate(schedules)]
-    executor = ResilientExecutor(
-        _run_case, workers=workers, policy=policy,
-        initializer=_init_worker, initargs=(spec,))
+    executor = ResilientExecutor(_run_case, workers=workers, policy=policy,
+                                 context=(spec, target))
     results: List[TaskResult] = executor.run(tasks)
 
     report = TortureReport(spec=spec)

@@ -386,14 +386,14 @@ class TestAttachAPI:
         machine.attach(fault_hook=None)
         assert machine.fault_hook is None
 
-    def test_direct_assignment_warns_but_works(self):
+    def test_direct_assignment_is_refused(self):
         machine = _machine(LOOP_TEXT)
-        hook = _Hook()
-        with pytest.warns(DeprecationWarning, match="attach"):
-            machine.fault_hook = hook
-        assert machine.fault_hook is hook
-        with pytest.warns(DeprecationWarning, match="attach"):
+        with pytest.raises(AttributeError):
+            machine.fault_hook = _Hook()
+        with pytest.raises(AttributeError):
             machine.obs = Observability.disabled()
+        assert machine.fault_hook is None
+        assert machine.obs is None
 
     def test_both_backends_honor_attached_hook(self):
         for name in BACKEND_NAMES:

@@ -104,8 +104,8 @@ class TestParallel:
                 assert getattr(ser, name) == getattr(par, name), name
 
     def test_pool_works_under_spawn_start_method(self):
-        """The compile cache must travel by pickled initargs — no silent
-        reliance on fork's copy-on-write inheritance."""
+        """The compile cache must travel pickled as the executor's worker
+        context — no silent reliance on fork's copy-on-write inheritance."""
         spec = ExperimentSpec(
             name="test-spawn",
             victim=VictimConfig(duration_s=0.01),

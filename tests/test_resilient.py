@@ -36,7 +36,7 @@ from repro.eval.resilient import ExecStats
 # ----------------------------------------------------------------------
 # Chaos task functions (module-level: must pickle for pool dispatch).
 # ----------------------------------------------------------------------
-def _task(payload):
+def _task(_context, payload):
     """Payload is (chaos_or_None, value): trip the drill, return value."""
     chaos, value = payload
     if chaos is not None:
@@ -115,7 +115,7 @@ class TestRetries:
         assert stats.budget_exceeded == 2
 
 
-def _oracle_task(payload):
+def _oracle_task(_context, payload):
     """Violate an invariant on odd payloads, succeed on even ones."""
     if payload % 2:
         raise InvariantViolation(f"torn state on case {payload}")

@@ -256,13 +256,11 @@ class TestServer:
     def test_subscribe_streams_serving_events(self, server):
         _, client = server
         events = []
-
-        def listen():
-            events.extend(client.subscribe(
-                kinds=["serve.queued", "serve.done"], limit=2,
-                timeout=60.0))
-
-        listener = threading.Thread(target=listen)
+        # subscribe() returns once the server has registered the
+        # subscription, so no event of the submission below can be missed.
+        stream = client.subscribe(kinds=["serve.queued", "serve.done"],
+                                  limit=2, timeout=60.0)
+        listener = threading.Thread(target=lambda: events.extend(stream))
         listener.start()
         client.submit([_fast_run(freq=35.0)])
         listener.join(timeout=60.0)
@@ -379,8 +377,8 @@ class TestViaStore:
         # Through the server: no local simulation may happen at all.
         import repro.eval.campaign as campaign_mod
         monkeypatch.setattr(
-            campaign_mod, "_pool_execute",
-            lambda payload: (_ for _ in ()).throw(
+            campaign_mod, "_run_point",
+            lambda compiled, run: (_ for _ in ()).throw(
                 AssertionError("simulated locally on the served path")))
         served = CampaignRunner(store=client.store_view(),
                                 dispatcher=client.dispatcher()) \

@@ -19,11 +19,9 @@ from repro.eval import (
     AttackSpec,
     CampaignRunner,
     ExperimentSpec,
-    ResilientExecutor,
     RunJournal,
     VictimConfig,
 )
-from repro.eval.resilient import ExecStats, _legacy_repr_digest
 from repro.store import (
     ResultStore,
     StoreError,
@@ -98,6 +96,15 @@ class TestDigest:
                 return "hello"
 
         assert content_digest(Weird()) != content_digest("hello")
+
+    def test_plain_values_serialize_like_their_folded_copy(self):
+        # canonical_json skips the folded copy for plain JSON values; the
+        # bytes must be those of the folded copy, nested tags included.
+        for value in ({"b": [1, 2.5, None, True], "a": ("x", {"k": [()]})},
+                      {"a": ["\x00x"]}, {"a": {1: "x"}},
+                      [("t", 1), {"r": VictimConfig(duration_s=0.01)}]):
+            assert canonical_json(value) == json.dumps(
+                jsonable(value), sort_keys=True, separators=(",", ":"))
 
     def test_nul_prefixed_strings_are_tagged(self):
         # Plain strings pass through; only the tag byte forces an
@@ -480,19 +487,6 @@ class TestJournalHardening:
             entries = RunJournal.load(path)
         assert set(entries) == {"aa"}
 
-    def test_legacy_repr_digest_journals_still_resume(self, tmp_path):
-        # A journal written by the old repr()-hashing executor must
-        # still satisfy resume under the canonical default digest.
-        tasks = [(0, {"a": 1}), (1, {"a": 2})]
-        resume = {_legacy_repr_digest(i, p): {"digest": "x",
-                                             "result": p["a"] * 2}
-                  for i, p in tasks}
-        stats = ExecStats()
-        results = ResilientExecutor(_double, resume=resume,
-                                    stats=stats).run(tasks)
-        assert stats.journal_skipped == 2
-        assert [r.result for r in results] == [2, 4]
-
 
 class TestJournalImport:
     def test_import_round_trip(self, tmp_path):
@@ -511,10 +505,6 @@ class TestJournalImport:
         assert not store.contains("cc" * 16)
         # Re-import is idempotent (content addressing).
         assert store.import_journal(path) == 0
-
-
-def _double(payload):
-    return payload["a"] * 2
 
 
 # ----------------------------------------------------------------------
@@ -542,8 +532,8 @@ class TestCampaignMemoization:
         # simulator to prove neither it nor the compiler is touched.
         import repro.eval.campaign as campaign_mod
         monkeypatch.setattr(
-            campaign_mod, "_pool_execute",
-            lambda payload: (_ for _ in ()).throw(
+            campaign_mod, "_run_point",
+            lambda compiled, run: (_ for _ in ()).throw(
                 AssertionError("simulated on the warm path")))
         second = CampaignRunner(store=store).run(spec)
         assert second.stats.store_hits == 3
