@@ -367,7 +367,7 @@ class _Attempt:
 
     index: int
     payload: Any
-    digest: str
+    digest: Optional[str]      # None unless a journal or resume reads it
     attempts: int = 0          # attempts dispatched so far
     not_before: float = 0.0    # monotonic backoff gate
 
@@ -421,8 +421,10 @@ class ResilientExecutor:
             self._deadline = time.monotonic() + self.policy.max_total_s
         results: Dict[int, TaskResult] = {}
         todo: List[_Attempt] = []
+        # Only the journal and the resume map read digests.
+        digests = self.journal is not None or bool(self.resume)
         for index, payload in tasks:
-            digest = self.digest_fn(index, payload)
+            digest = self.digest_fn(index, payload) if digests else None
             entry = self.resume.get(digest)
             if entry is not None:
                 results[index] = self._from_journal(index, entry)

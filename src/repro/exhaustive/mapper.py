@@ -118,13 +118,14 @@ def _simulate_chunk(context: tuple, payload: dict
     """Executor task: classify one chunk of representative injections.
 
     ``context`` is ``(linked, backend, trace, from_reset)``, built once
-    by the parent and installed in every worker by the executor.
+    by the parent and installed in every worker by the executor; the
+    payload carries the chunk's :class:`FaultSpec` values themselves
+    (frozen plain data, picklable as they are).
     """
     linked, backend, trace, from_reset = context
     out: List[List[Optional[str]]] = []
-    for data in payload["faults"]:
-        outcome, error = classify_fork(linked, backend, trace,
-                                       FaultSpec.from_dict(data),
+    for fault in payload["faults"]:
+        outcome, error = classify_fork(linked, backend, trace, fault,
                                        from_reset=from_reset)
         out.append([outcome, error])
     return out
@@ -168,7 +169,7 @@ def _simulate_representatives(spec: ExhaustiveSpec,
     executor = ResilientExecutor(
         _simulate_chunk, workers=workers, policy=policy,
         context=(linked, backend_for(victim.backend), trace, naive))
-    tasks = [(index, {"faults": [fault.to_dict() for _, fault in chunk]})
+    tasks = [(index, {"faults": [fault for _, fault in chunk]})
              for index, chunk in enumerate(chunks)]
     for result in executor.run(tasks):
         if not result.ok:

@@ -7,13 +7,15 @@ faults), and the simulator's monitor-event filter (signal faults) — and
 wires itself into exactly the surfaces its model needs when the
 simulator calls :meth:`attach`.  Every fault fires at most once (the
 one-shot ``fired`` flag is also what lets the threaded execution backend
-resume whole-block execution after delivery); injectors are built
-per-run inside campaign workers and never shared or pickled.
+resume whole-block execution after delivery, and the declared
+``trigger_step`` what lets it run whole blocks up to the trigger);
+injectors are built per-run inside campaign workers and never shared or
+pickled.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..analog.monitor import MonitorEvent
 from ..isa.operands import MASK32, NUM_REGS, wrap32
@@ -71,6 +73,15 @@ class FaultInjector:
             obs.emit(FAULT_INJECTED, f"model={self.spec.model} {detail}")
 
     # -- Machine hook ---------------------------------------------------
+    @property
+    def trigger_step(self) -> Optional[int]:
+        """The first ``instr_count`` at which :meth:`before_step` can act
+        (step models; ``None`` otherwise).  Before it, ``before_step``
+        returns False with no side effect, so the threaded backend runs
+        whole blocks up to it instead of stepping."""
+        return self.spec.trigger_step if self.spec.model in STEP_MODELS \
+            else None
+
     def before_step(self, machine) -> bool:
         """Fire a step-triggered fault; True means skip this instruction."""
         if self.fired or machine.instr_count < self.spec.trigger_step:

@@ -190,9 +190,11 @@ class Machine:
                 fetched instruction (Moro et al.'s instruction-skip
                 model).  Hooks exposing a ``fired`` attribute let the
                 threaded backend resume whole-block execution once the
-                one-shot fault has been delivered; a hook without
-                ``fired`` pins execution to exact per-instruction
-                stepping forever.
+                one-shot fault has been delivered, and those also
+                declaring ``trigger_step`` (the first ``instr_count`` at
+                which ``before_step`` can act) let it run whole blocks
+                up to that step; a hook without ``fired`` pins execution
+                to exact per-instruction stepping forever.
             obs: an :class:`~repro.obs.Observability` bundle — region
                 commits become bus events.
             profiler: the pre-resolved cycle profiler (or ``None``);

@@ -163,7 +163,9 @@ def build_target(workload: str, scheme: str,
 class _StepFaultHook:
     """Queue of one-shot architectural faults, applied at the next
     instruction boundary.  ``fired`` lets the threaded backend resume
-    whole-block execution once nothing is armed."""
+    whole-block execution once nothing is armed; there is no
+    ``trigger_step`` to run ahead to, since a queued fault acts on the
+    very next step."""
 
     def __init__(self) -> None:
         self._armed: List[Tuple[str, int, int]] = []

@@ -14,7 +14,10 @@ claim, stated as asserts:
   mid-block resume, budget exactness) on hand-written assembly;
 * trap equivalence — message, pc, cycles, instr_count — for division by
   zero and out-of-bounds access;
-* the ``Machine.attach`` hook API and its deprecation shims.
+* the ``Machine.attach`` hook API;
+* loop regions (every slice budget, entry at every pc inside a region,
+  traps inside a region), the armed-hook fast-forward to a declared
+  ``trigger_step``, and profiler cycle attribution from plain blocks.
 """
 
 import warnings
@@ -28,10 +31,14 @@ from repro.eval.campaign import (
     ExperimentSpec,
     PathSpec,
 )
+from repro.exhaustive import classify_fork
 from repro.faultsim.explorer import fault_victim, scheme_comparison
-from repro.faultsim.models import CKPT_CORRUPT, REG_FLIP
+from repro.faultsim.golden import capture_trace
+from repro.faultsim.injector import FaultInjector
+from repro.faultsim.models import CKPT_CORRUPT, INSTR_SKIP, REG_FLIP, FaultSpec
 from repro.isa import link, parse_program
 from repro.obs import Observability
+from repro.obs.profiler import Profiler
 from repro.runtime import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -39,8 +46,14 @@ from repro.runtime import (
     Machine,
     ThreadedBackend,
     backend_for,
+    drain,
 )
-from repro.runtime.threaded import compile_block
+from repro.runtime.threaded import (
+    MAX_BLOCK_LEN,
+    _block_end,
+    _blocks_for,
+    compile_block,
+)
 from repro.workloads import (
     REACTIVE_WORKLOADS,
     WORKLOAD_NAMES,
@@ -528,3 +541,316 @@ class TestInterruptDifferential:
                     _RUNNER.run(spec).metrics_fingerprint()
             assert fingerprints["interpreter"] == fingerprints["threaded"], \
                 scheme
+
+
+# ----------------------------------------------------------------------
+# Loop regions, armed-hook fast-forward, and block-level profiling.
+# ----------------------------------------------------------------------
+#: Budgets up to past the longest block, so every block is both split
+#: across slices and run whole at some budget.
+REGION_BUDGETS = range(1, MAX_BLOCK_LEN + 9)
+
+#: Loops that trap inside a region after a few iterations.
+DIV_LOOP_TEXT = """
+.func main
+    li R4, #12
+    li R5, #3
+    li R7, #1
+loop:
+    div R6, R4, R5
+    sub R5, R5, #1
+    bnz R7, .loop
+    halt
+"""
+
+#: A loop whose region holds a HALT that is a member entry of its own:
+#: the region must stop there, not dispatch to it again.
+HALT_LOOP_TEXT = """
+.func main
+    li R4, #3
+loop:
+    sub R4, R4, #1
+    out R4
+    bnz R4, .body
+    halt
+body:
+    jmp .loop
+"""
+
+OOB_LOOP_TEXT = """
+.data
+    arr 4
+.func main
+    li R4, #0
+    li R6, #1
+loop:
+    ld R5, [@arr + R4]
+    add R4, R4, #1
+    bnz R6, .loop
+    halt
+"""
+
+
+def _state(machine):
+    """Everything a slice can change, as comparable data."""
+    return (list(machine.regs), list(machine.mem), list(machine.wear),
+            machine.pc, machine.halted, machine.cycles, machine.instr_count,
+            list(machine.out_buffer), list(machine.committed_out),
+            machine.sensor_cursor, machine.ckpt_stores_executed,
+            machine.marks_executed, sorted(machine._pending_rcolor))
+
+
+def _linked(name: str):
+    """A hand-written program (``*_TEXT``) or a ``workload/scheme``."""
+    if "/" not in name:
+        return link(parse_program(globals()[name]))
+    from repro.core import compile_scheme
+
+    workload, scheme = name.split("/")
+    return compile_scheme(source(workload), scheme).linked
+
+
+def _runs_regions(linked) -> bool:
+    return any(unit is not None and unit.region
+               for unit in _blocks_for(linked).units)
+
+
+def _region_end(linked, starts) -> int:
+    """One past the last pc of the region whose members are ``starts``."""
+    return _block_end(linked, starts[-1], _blocks_for(linked).leaders)
+
+
+class TestRegions:
+    @pytest.mark.parametrize("name", ["LOOP_TEXT", "HALT_LOOP_TEXT",
+                                      "crc16/nvp", "crc16/gecko",
+                                      "dhrystone/nvp", "dhrystone/gecko"])
+    def test_every_budget_matches_interpreter_after_every_slice(self, name):
+        """(a) Nested loops, calls inside loops, MARK/CKPT inside loops:
+        the full state agrees after every slice at every budget."""
+        linked = _linked(name)
+        reference = backend_for("interpreter")
+        threaded = backend_for("threaded")
+        for budget in REGION_BUDGETS:
+            interp, fast = Machine(linked), Machine(linked)
+            while not interp.halted:
+                expected = reference.run_slice(interp, budget)
+                assert threaded.run_slice(fast, budget) == expected
+                assert _state(fast) == _state(interp), (name, budget)
+            assert fast.halted
+        assert _runs_regions(linked)
+
+    @pytest.mark.parametrize("name", ["crc16/gecko", "dhrystone/nvp"])
+    def test_entry_at_every_region_pc(self, name):
+        """(b) Restoring a stride-1 golden snapshot at any pc inside a
+        region — member entry or mid-block — drains to the golden end
+        state."""
+        linked = _linked(name)
+        trace = capture_trace(linked, snapshot_stride=1)
+        golden = Machine(linked)
+        golden.run(max_steps=trace.budget)
+        members = _blocks_for(linked).regions
+        inside = {pc for starts in members.values()
+                  for pc in range(starts[0], _region_end(linked, starts))}
+        first_step = {}
+        for step, pc in enumerate(trace.pcs):
+            if pc in inside:
+                first_step.setdefault(pc, step)
+        assert len(first_step) > len(members) // 2
+        backend = backend_for("threaded")
+        for pc, step in sorted(first_step.items()):
+            for budget in (7, 1_000_000):
+                machine = Machine(linked)
+                machine.restore(trace.snapshots[step])
+                assert machine.pc == pc
+                remaining = golden.cycles - machine.cycles
+                assert _drain(backend, machine, budget) == (remaining, None)
+                assert _state(machine) == _state(golden), (pc, budget)
+
+    @pytest.mark.parametrize("text", ["DIV_LOOP_TEXT", "OOB_LOOP_TEXT"])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 1_000_000])
+    def test_trap_inside_region(self, text, budget):
+        """(c) A trap in a region member: the interpreter's message, pc,
+        cycles and instr_count."""
+        linked = _linked(text)
+        interp, fast = Machine(linked), Machine(linked)
+        _, fault_i = _drain(backend_for("interpreter"), interp, budget)
+        _, fault_t = _drain(backend_for("threaded"), fast, budget)
+        assert isinstance(fault_i, MachineFault)
+        assert isinstance(fault_t, MachineFault)
+        assert str(fault_t) == str(fault_i)
+        assert _state(fast) == _state(interp)
+        assert any(starts[0] <= fast.pc < _region_end(linked, starts)
+                   for starts in _blocks_for(linked).regions.values())
+        if budget >= 3:
+            assert _runs_regions(linked)
+
+    def test_compile_block_stays_a_plain_block(self):
+        """The test hook keeps compiling plain blocks, also at a region
+        entry, and region members are not compiled standalone."""
+        linked = _linked("LOOP_TEXT")
+        Machine(linked).run(max_steps=1000, backend="threaded")
+        cache = _blocks_for(linked)
+        loop = min(cache.regions)
+        assert cache.units[loop].region
+        assert cache.blocks[loop] is None
+        block = compile_block(linked, loop)
+        assert (block.start, block.n) == (loop, 3)
+        assert block.cycles == sum(linked.instrs[pc].cycles
+                                   for pc in range(loop, loop + 3))
+
+
+class _CountingSteps:
+    """Counts reference-path steps by wrapping the instance's ``step``."""
+
+    def __init__(self, machine):
+        self.count = 0
+        step = machine.step
+
+        def counting():
+            self.count += 1
+            return step()
+        machine.step = counting
+
+
+class TestFastForward:
+    """(d) Armed one-shot injectors declare ``trigger_step``; the threaded
+    backend runs blocks and regions up to it, then steps."""
+
+    @pytest.fixture(scope="class")
+    def crc16(self):
+        linked = _linked("crc16/nvp")
+        return linked, capture_trace(linked, snapshot_stride=64)
+
+    @staticmethod
+    def _triggers(linked, trace):
+        cache = _blocks_for(linked)
+        leaders = cache.leaders
+        members = cache.regions
+        steps = trace.golden_steps
+        boundary = next(s for s in range(40, steps)
+                        if trace.pcs[s] in leaders
+                        and trace.pcs[s] not in members)
+        mid_block = next(s for s in range(100, steps)
+                         if trace.pcs[s] not in leaders
+                         and trace.pcs[s] not in members)
+        in_region = next(s for s in range(1000, steps)
+                         if trace.pcs[s] not in members
+                         and min(members) < trace.pcs[s] < max(members))
+        return {"trigger-0": 0, "boundary": boundary,
+                "mid-block": mid_block, "in-region": in_region,
+                "region-entry": next(s for s in range(2000, steps)
+                                     if trace.pcs[s] in members),
+                "last-step": steps - 1, "past-halt": steps + 5}
+
+    @pytest.mark.parametrize("model,target,bit", [
+        (REG_FLIP, 5, 3), (REG_FLIP, 6, 31), (REG_FLIP, 7, 0),
+        (INSTR_SKIP, 0, 0)])
+    def test_verdicts_and_end_states_match(self, crc16, model, target,
+                                           bit):
+        linked, trace = crc16
+        for label, step in self._triggers(linked, trace).items():
+            fault = FaultSpec(model=model, target=target, bit=bit,
+                              trigger_step=step)
+            for from_reset in (False, True):
+                verdicts, states = [], []
+                for name in BACKEND_NAMES:
+                    backend = backend_for(name)
+                    verdicts.append(classify_fork(linked, backend, trace,
+                                                  fault, from_reset))
+                    machine = Machine(linked)
+                    if not from_reset:
+                        machine.restore(trace.snapshot_before(step))
+                    hook = FaultInjector(fault)
+                    machine.attach(fault_hook=hook)
+                    exc = drain(machine, backend,
+                                trace.budget - machine.instr_count)
+                    states.append((_state(machine), hook.fired,
+                                   None if exc is None else str(exc)))
+                assert verdicts[0] == verdicts[1], (label, fault)
+                assert states[0] == states[1], (label, fault, from_reset)
+
+    def test_catch_up_runs_blocks_not_steps(self, crc16):
+        """Before the trigger, only the residue of the block that would
+        overshoot it is stepped."""
+        linked, trace = crc16
+        step = trace.golden_steps - 100
+        fault = FaultSpec(model=REG_FLIP, target=0, bit=0,
+                          trigger_step=step)
+        machine = Machine(linked)
+        hook = FaultInjector(fault)
+        machine.attach(fault_hook=hook)
+        counter = _CountingSteps(machine)
+        _, exc = backend_for("threaded").run_slice(machine, step)
+        assert exc is None and not hook.fired
+        assert machine.instr_count == step
+        assert counter.count < MAX_BLOCK_LEN
+        assert hook.trigger_step == step
+
+    def test_untimed_models_declare_no_trigger(self):
+        hook = FaultInjector(FaultSpec(model=CKPT_CORRUPT,
+                                       trigger_time_s=0.01))
+        assert hook.trigger_step is None
+
+
+class _FiresAfter:
+    """A one-shot hook with ``fired`` but no ``trigger_step``: it acts on
+    its ``shots``-th armed step, so every armed step must reach it."""
+
+    def __init__(self, shots: int):
+        self.shots = shots
+        self.armed_calls = []
+
+    @property
+    def fired(self):
+        return len(self.armed_calls) >= self.shots
+
+    def before_step(self, machine):
+        if self.fired:
+            return False
+        self.armed_calls.append((machine.instr_count, machine.pc))
+        if self.fired:
+            machine.regs[5] ^= 1 << 4
+        return False
+
+
+@pytest.mark.parametrize("shots", [1, 57, 700])
+def test_hook_without_trigger_step_sees_every_armed_step(shots):
+    """(e) Exact stepping until the hook fires: the same before_step
+    calls, at the same instruction counts, as the interpreter."""
+    linked = _linked("crc16/nvp")
+    runs = []
+    for name in BACKEND_NAMES:
+        machine = Machine(linked)
+        hook = _FiresAfter(shots)
+        machine.attach(fault_hook=hook)
+        fault = drain(machine, backend_for(name), 100_000)
+        runs.append((hook.armed_calls, _state(machine),
+                     None if fault is None else str(fault)))
+    assert runs[0] == runs[1]
+    assert [count for count, _ in runs[0][0]] == list(range(shots))
+
+
+class TestProfiledBlocks:
+    """(f) A profiled threaded run runs plain blocks and attributes the
+    interpreter's exact cycle table — order of first appearance too."""
+
+    @staticmethod
+    def _profiled(linked, backend, budget):
+        machine = Machine(linked)
+        profiler = Profiler()
+        machine.attach(profiler=profiler)
+        _, fault = _drain(backend_for(backend), machine, budget)
+        return (list(profiler.cycles.items()), _state(machine),
+                None if fault is None else str(fault))
+
+    @pytest.mark.parametrize("name", ["crc16/gecko", "dhrystone/nvp",
+                                      "DIV_ZERO_TEXT", "OOB_TEXT",
+                                      "DIV_LOOP_TEXT", "OOB_LOOP_TEXT"])
+    @pytest.mark.parametrize("budget", [5, 1_000_000])
+    def test_cycle_tables_equal(self, name, budget):
+        linked = _linked(name)
+        reference = self._profiled(linked, "interpreter", budget)
+        assert self._profiled(linked, "threaded", budget) == reference
+        assert reference[0]
+        assert not _runs_regions(linked)
+        assert any(block is not None for block in _blocks_for(linked).blocks)

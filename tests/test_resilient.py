@@ -247,6 +247,33 @@ class TestJournal:
     def test_missing_journal_is_empty(self, tmp_path):
         assert RunJournal.load(str(tmp_path / "nope.jsonl")) == {}
 
+    def test_digests_only_computed_for_journal_or_resume(self, tmp_path):
+        """Without a journal or resume map nothing reads a digest, so
+        ``digest_fn`` is never called; with either it is."""
+        def refuse(index, payload):
+            raise AssertionError("digest_fn called without a reader")
+
+        results = _run([(None, 1), (None, 2)], digest_fn=refuse)
+        assert [r.result for r in results] == [2, 4]
+        results = _run([(None, 1)], digest_fn=refuse, resume={})
+        assert results[0].ok
+
+        calls = []
+
+        def counting(index, payload):
+            calls.append(index)
+            return f"task-{index}"
+
+        journal = RunJournal(str(tmp_path / "runs.jsonl"))
+        _run([(None, 1), (None, 2)], digest_fn=counting, journal=journal)
+        journal.close()
+        assert calls == [0, 1]
+        stats = ExecStats()
+        _run([(None, 1), (None, 2)], digest_fn=counting, stats=stats,
+             resume=RunJournal.load(str(tmp_path / "runs.jsonl")))
+        assert calls == [0, 1, 0, 1]
+        assert stats.journal_skipped == 2
+
 
 # ----------------------------------------------------------------------
 # Campaign-level drills: real grid points with injected chaos.
