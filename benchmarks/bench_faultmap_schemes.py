@@ -72,8 +72,9 @@ def test_faultmap_schemes(benchmark):
 
     for scheme in SCHEMES:
         vmap = parallel[scheme].map
-        # Full coverage: every model got its quota of injections.
-        assert vmap.total == len(FAULT_MODELS) * POINTS
+        # Full coverage: every planned injection (the seeded draws of
+        # every model, repeated draws deduped) got a record.
+        assert vmap.total == len(parallel[scheme].spec.plan())
         # Serial and 4-worker parallel sweeps are bit-identical.
         assert vmap.fingerprint() == serial[scheme].map.fingerprint()
         # Every record carries a classification from the outcome alphabet.

@@ -21,6 +21,9 @@ Installed as ``repro-gecko`` (see pyproject) and runnable as
 * ``campaign <prog>``       — declarative sweep campaign over frequency
   (and optionally distance) with ``--workers`` parallelism, compile
   caching and baseline dedup; ``--json`` saves the full CampaignResult.
+  ``--store DIR`` writes each run to a result store as it finishes, so
+  rerunning a killed campaign with the same ``--store`` executes only
+  what is missing.
 * ``faultsim <workload>``   — systematic fault-injection campaign:
   sweeps the (fault model × time × target) space per scheme, classifies
   every run against a golden reference, and prints the vulnerability
@@ -35,8 +38,7 @@ Installed as ``repro-gecko`` (see pyproject) and runnable as
   socket or localhost TCP) with multi-tenant fair-share queues and
   worker shards; ``campaign --via-store ADDR`` submits through it.
 * ``store <op>``            — operate on a result store without the
-  server: ``ls``, ``stats``, ``gc``, ``import`` (ingest PR-5 run
-  journals).
+  server: ``ls``, ``stats``, ``gc``.
 
 All stochastic subcommands (``campaign --sample``, ``faultsim``,
 ``adversary``) share a single ``--seed`` flag with the same meaning:
@@ -408,7 +410,6 @@ def cmd_campaign(args) -> int:
     )
     policy = RetryPolicy(retries=args.retries, timeout_s=args.timeout_s,
                          seed=args.seed)
-    journal = args.journal or args.resume
     store = None
     dispatcher = None
     if args.via_store:
@@ -417,14 +418,11 @@ def cmd_campaign(args) -> int:
                              "mutually exclusive")
         from .serve import ServeClient
         client = ServeClient(args.via_store, tenant=args.tenant)
-        store = client.store_view()
-        dispatcher = client.dispatcher()
+        store, dispatcher = client, client.dispatcher()
     elif args.store:
         from .store import ResultStore
         store = ResultStore(args.store)
     campaign = CampaignRunner(workers=args.workers, policy=policy,
-                              journal=journal,
-                              resume=args.resume,
                               store=store,
                               dispatcher=dispatcher).run(spec)
 
@@ -464,9 +462,6 @@ def cmd_campaign(args) -> int:
               f"worker_crashes={stats.worker_crashes}  "
               f"worker_restarts={stats.worker_restarts}  "
               f"budget_exceeded={stats.budget_exceeded}")
-    if args.resume:
-        print(f"resume:        {stats.journal_skipped} runs "
-              f"skipped via resume")
     if args.store or args.via_store:
         where = f"server {args.via_store}" if args.via_store \
             else args.store
@@ -666,8 +661,8 @@ def _open_store(args):
 
     if not os.path.isdir(args.root):
         raise SystemExit(f"error: {args.root!r} is not a store "
-                         f"directory (create one with 'store import' "
-                         f"or by running a campaign with --store)")
+                         f"directory (create one by running a campaign "
+                         f"with --store)")
     return ResultStore(args.root)
 
 
@@ -843,17 +838,6 @@ def cmd_torture_corpus(args) -> int:
     return 0
 
 
-def cmd_store_import(args) -> int:
-    from .store import ResultStore
-
-    store = ResultStore(args.root)
-    meta = {"name": args.name} if args.name else None
-    imported = store.import_journal(args.journal, meta=meta)
-    print(f"imported {imported} new results from {args.journal} "
-          f"(store now holds {len(store)})")
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser.
 # ----------------------------------------------------------------------
@@ -944,16 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=0,
                    help="re-attempts per failed run, with seeded "
                         "jittered backoff")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="stream completed runs to this JSONL file as "
-                        "they finish")
-    p.add_argument("--resume", default=None, metavar="PATH",
-                   help="skip runs already journaled at PATH (implies "
-                        "--journal PATH, so the file keeps growing)")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="memoize results in a content-addressed store "
-                        "at DIR; repeat runs are served without "
-                        "simulating")
+                        "at DIR, each run as it finishes; repeat runs "
+                        "are served without simulating, so rerunning a "
+                        "killed campaign with the same DIR resumes it")
     p.add_argument("--via-store", default=None, metavar="ADDR",
                    help="submit through a running campaign server "
                         "(see 'serve'): warm hits come from its store, "
@@ -1093,14 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dry-run", action="store_true",
                    help="report what would change without rewriting")
     q.set_defaults(func=cmd_store_gc)
-
-    q = store_sub.add_parser("import",
-                             help="ingest a campaign run journal")
-    q.add_argument("root", help="store directory (created if missing)")
-    q.add_argument("journal", help="RunJournal JSONL file to ingest")
-    q.add_argument("--name", default=None,
-                   help="campaign name to record in entry metadata")
-    q.set_defaults(func=cmd_store_import)
 
     p = sub.add_parser("torture",
                        help="adversarial crash-consistency fuzzing")

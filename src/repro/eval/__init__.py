@@ -29,7 +29,6 @@ from .resilient import (
     ResilientExecutor,
     RETRIED_OK,
     RetryPolicy,
-    RunJournal,
     SIM_ERROR,
     TIMEOUT,
     WORKER_CRASH,
@@ -76,7 +75,7 @@ __all__ = [
     "DetectionRun", "DistancePoint", "ERROR_KINDS", "ExperimentSpec",
     "INVARIANT_VIOLATION",
     "HarvestingRow", "OverheadRow", "PathSpec", "PruningRow", "RETRIED_OK",
-    "ResilienceError", "ResilientExecutor", "RetryPolicy", "RunJournal",
+    "ResilienceError", "ResilientExecutor", "RetryPolicy",
     "RunOutcome", "RunSpec", "SCENARIOS", "SCHEMES", "SIM_ERROR", "Segment",
     "StaticsRow", "SweepPoint", "SweepResult", "TABLE_II", "TIMEOUT",
     "TableOneRow", "VictimConfig", "WORKER_CRASH", "compile_all",

@@ -29,7 +29,6 @@ and 41 attacked runs, instead of 41 of each::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import time
@@ -53,7 +52,6 @@ from .resilient import (
     ExecStats,
     ResilientExecutor,
     RetryPolicy,
-    RunJournal,
     TaskResult,
     default_start_method,
 )
@@ -421,7 +419,7 @@ class RunOutcome:
     error_kind: Optional[str] = None
     #: Traceback tail of the final failed attempt, when one raised.
     traceback: Optional[str] = None
-    #: Execution attempts this outcome took (journal replays keep theirs).
+    #: Execution attempts this outcome took.
     attempts: int = 1
     elapsed_s: float = 0.0
 
@@ -461,7 +459,6 @@ class CampaignStats:
     worker_crashes: int = 0
     worker_restarts: int = 0
     budget_exceeded: int = 0
-    journal_skipped: int = 0
     # Result-store accounting (see repro.store): grid points served from
     # the content-addressed store vs executed (then stored).
     store_hits: int = 0
@@ -529,26 +526,6 @@ def _run_point(compile_cache: Dict[Tuple, Any], run: RunSpec) -> SimResult:
     return execute_run(run, compile_cache[run.compile_key()])
 
 
-def _encode_result(result: SimResult) -> dict:
-    return result.to_dict()
-
-
-def _decode_result(data: dict) -> SimResult:
-    return SimResult.from_dict(data)
-
-
-def _digest_fn(name: str):
-    """Content digests for journal/resume matching: the campaign name,
-    the task's slot, and the full (JSON-canonical) run description.  A
-    changed spec digests differently and simply re-executes."""
-    def digest(index: int, run: RunSpec) -> str:
-        payload = json.dumps(_jsonable(dataclasses.asdict(run)),
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(f"{name}#{index}:{payload}".encode()) \
-            .hexdigest()
-    return digest
-
-
 class CampaignRunner:
     """Executes :class:`ExperimentSpec` grids with compile caching,
     baseline deduplication, and a resilient worker pool.
@@ -562,10 +539,6 @@ class CampaignRunner:
 
     * ``policy`` — per-run timeout, bounded retries with seeded backoff,
       and a campaign wall-clock budget;
-    * ``journal`` — stream completed runs to a JSONL file as they finish;
-    * ``resume`` — skip runs already journaled at that path (typically
-      the same file), so a campaign killed mid-run finishes where it left
-      off with an identical :meth:`CampaignResult.metrics_fingerprint`;
     * ``start_method`` — explicit pool start method (default ``fork``
       where available); ``spawn`` works because the compile cache is the
       executor's worker context, pickled once per worker;
@@ -579,11 +552,13 @@ class CampaignRunner:
     * ``store`` — any object with ``get(digest)`` / ``put(digest, value,
       meta)`` / ``contains(digest)`` (a local
       :class:`~repro.store.ResultStore` or a
-      :meth:`~repro.serve.client.ServeClient.store_view`).  Every task is
-      keyed by its content digest (:func:`~repro.store.digest.run_digest`
-      — campaign-independent, so hits cross campaign and process
+      :class:`~repro.serve.client.ServeClient`).  Every task is keyed by
+      its content digest (:func:`~repro.store.digest.run_digest` —
+      campaign-independent, so hits cross campaign and process
       boundaries); hits skip compilation and simulation entirely, misses
-      execute and are written back.
+      execute and are written back one by one as they finish, so a
+      campaign killed mid-run resumes from the same store with an
+      identical :meth:`CampaignResult.metrics_fingerprint`.
     * ``dispatcher`` — an object with ``execute(tasks) -> [TaskResult]``
       (a :meth:`~repro.serve.client.ServeClient.dispatcher`): store
       misses are routed there — e.g. through a ``repro-gecko serve``
@@ -594,8 +569,6 @@ class CampaignRunner:
                  compile_cache: Optional[Dict[Tuple, Any]] = None,
                  reraise: bool = False,
                  policy: Optional[RetryPolicy] = None,
-                 journal: Optional[str] = None,
-                 resume: Optional[str] = None,
                  start_method: Optional[str] = None,
                  obs: Optional[Observability] = None,
                  store: Optional[Any] = None,
@@ -605,8 +578,6 @@ class CampaignRunner:
             compile_cache if compile_cache is not None else {}
         self.reraise = reraise
         self.policy = policy if policy is not None else RetryPolicy()
-        self.journal_path = journal
-        self.resume_path = resume
         self.start_method = start_method if start_method is not None \
             else default_start_method()
         self.obs = obs
@@ -651,13 +622,10 @@ class CampaignRunner:
         offset = len(tasks)
         tasks += [(offset + i, run) for i, (_, run) in enumerate(grid)]
 
-        # Resume and store lookups happen before compiling: compile keys
-        # whose every run is journaled or store-served are never needed,
-        # so a warm store skips the compiles too (the hit path invokes
-        # neither the compiler nor the simulator).
-        digest = _digest_fn(spec.name)
-        resume = RunJournal.load(self.resume_path) if self.resume_path \
-            else {}
+        # Store lookups happen before compiling: compile keys whose every
+        # run is store-served are never needed, so a warm store — or a
+        # rerun after a kill — skips the compiles too (the hit path
+        # invokes neither the compiler nor the simulator).
         store_hits: Dict[int, dict] = {}
         store_digests: Dict[int, str] = {}
         if self.store is not None:
@@ -668,8 +636,7 @@ class CampaignRunner:
                 if entry is not None:
                     store_hits[index] = entry
         needed = {run.compile_key() for index, run in tasks
-                  if digest(index, run) not in resume
-                  and index not in store_hits} \
+                  if index not in store_hits} \
             if self.dispatcher is None else set()
         for _, run in grid:
             key = run.compile_key()
@@ -679,10 +646,8 @@ class CampaignRunner:
                 self.compile_cache[key] = run.victim.compile()
                 stats.compiles += 1
 
-        raw = self._run_tasks(tasks, digest=digest, resume=resume,
-                              stats=stats, store_hits=store_hits,
-                              store_digests=store_digests,
-                              name=spec.name)
+        raw = self._run_tasks(tasks, stats, store_hits, store_digests,
+                              spec.name)
         if self.reraise:
             self._reraise_first_failure(raw)
 
@@ -715,86 +680,67 @@ class CampaignRunner:
                               outcomes=outcomes, baselines=baselines)
 
     # ------------------------------------------------------------------
-    def _run_tasks(self, tasks, digest=None, resume=None,
-                   stats: Optional[CampaignStats] = None,
-                   store_hits: Optional[Dict[int, dict]] = None,
-                   store_digests: Optional[Dict[int, str]] = None,
-                   name: str = "campaign") -> List[TaskResult]:
+    def _run_tasks(self, tasks, stats: CampaignStats,
+                   store_hits: Dict[int, dict],
+                   store_digests: Dict[int, str],
+                   name: str) -> List[TaskResult]:
         """Dispatch the unified task list through the resilient executor.
 
-        Serial and pooled execution share one path — taxonomy, retries,
-        budget, journal and resume behave identically — so ``reraise``
-        and failure accounting no longer fork on ``workers``.
+        Serial and pooled execution share one path — taxonomy, retries
+        and budget behave identically — so ``reraise`` and failure
+        accounting no longer fork on ``workers``.
 
         With a ``store`` attached, hit tasks are decoded straight from
-        the store (no simulator, no compiler) and misses — executed
-        locally or via the ``dispatcher`` — are written back, so the
-        next campaign to resolve the same :class:`RunSpec` digest is
-        served from cache.
+        the store (no simulator, no compiler) and locally executed misses
+        are written back by the executor's result sink the moment each
+        one finishes, so the next campaign to resolve the same
+        :class:`RunSpec` digest — including a rerun of this one after a
+        kill — is served from cache.  The dispatcher's server owns its
+        own store, so nothing is put here on that path.
         """
-        store_hits = store_hits or {}
-        store_digests = store_digests or {}
         results: Dict[int, TaskResult] = {}
         for index, entry in store_hits.items():
             value = entry.get("value") if isinstance(entry, dict) else None
             results[index] = TaskResult(
                 index=index,
-                result=_decode_result(value) if value is not None
+                result=SimResult.from_dict(value) if value is not None
                 else None,
                 stored=True)
         todo = [(index, run) for index, run in tasks
                 if index not in store_hits]
+        exec_stats = ExecStats()
+        store_puts = 0
+
+        def write_back(tr: TaskResult) -> None:
+            nonlocal store_puts
+            if tr.ok and tr.result is not None and self.store.put(
+                    store_digests[tr.index], tr.result.to_dict(),
+                    meta={"name": name, "elapsed_s": tr.elapsed_s}):
+                store_puts += 1
 
         raw: List[TaskResult] = []
         if todo and self.dispatcher is not None:
             raw = self.dispatcher.execute(todo)
-            exec_stats = ExecStats()
         elif todo:
-            exec_stats = ExecStats()
-            journal = RunJournal(self.journal_path) if self.journal_path \
-                else None
-            executor = ResilientExecutor(
+            raw = ResilientExecutor(
                 task_fn=_run_point, workers=self.workers,
                 policy=self.policy, context=self.compile_cache,
-                start_method=self.start_method, journal=journal,
-                resume=resume,
-                digest_fn=digest or _digest_fn("campaign"),
-                encode=_encode_result, decode=_decode_result,
-                stats=exec_stats)
-            try:
-                raw = executor.run(todo)
-            finally:
-                if journal is not None:
-                    journal.close()
-        else:
-            exec_stats = ExecStats()
-
-        # Write executed results back: the dispatcher's server owns its
-        # own store, so only locally-executed misses are put here.
-        store_puts = 0
-        if self.store is not None and self.dispatcher is None:
-            for tr in raw:
-                key = store_digests.get(tr.index)
-                if tr.ok and tr.result is not None and key is not None:
-                    if self.store.put(key, _encode_result(tr.result),
-                                      meta={"name": name,
-                                            "elapsed_s": tr.elapsed_s}):
-                        store_puts += 1
+                start_method=self.start_method,
+                on_result=write_back if self.store is not None else None,
+                stats=exec_stats).run(todo)
 
         for tr in raw:
             results[tr.index] = tr
         raw = [results[index] for index in sorted(results)]
-        if stats is not None and self.store is not None:
+        if self.store is not None:
             stats.store_hits = len(store_hits)
             stats.store_misses = len(todo)
             stats.store_puts = store_puts
-        if stats is not None:
-            stats.retries = exec_stats.retries
-            stats.timeouts = exec_stats.timeouts
-            stats.worker_crashes = exec_stats.worker_crashes
-            stats.worker_restarts = exec_stats.worker_restarts
-            stats.budget_exceeded = exec_stats.budget_exceeded
-            stats.journal_skipped = exec_stats.journal_skipped
+        stats.retries = exec_stats.retries
+        stats.timeouts = exec_stats.timeouts
+        stats.worker_crashes = exec_stats.worker_crashes
+        stats.worker_restarts = exec_stats.worker_restarts
+        stats.budget_exceeded = exec_stats.budget_exceeded
         if self.obs is not None:
             metrics = self.obs.metrics
             metrics.count(CAMPAIGN_RETRIES, exec_stats.retries)

@@ -20,10 +20,12 @@ gracefully instead of failing wholesale:
   :data:`TIMEOUT`, :data:`WORKER_CRASH`, :data:`SIM_ERROR`,
   :data:`BUDGET_EXCEEDED` — plus the traceback tail, instead of a bare
   exception name;
-* a **run journal** streams completed outcomes to a JSONL file as they
-  finish, and a resume pass skips journaled runs by content digest, so a
-  campaign killed mid-run finishes where it left off with a
-  byte-identical ``metrics_fingerprint()``.
+* a **result sink** (``on_result``) receives each task's final result
+  the moment it is known, so callers persist finished work as it lands:
+  the campaign runner, the exhaustive mapper and the serve shards write
+  every finished run to the content-addressed result store
+  (:mod:`repro.store`), and a rerun over the same store after a kill
+  executes only what is missing.
 
 The executor is generic over the task function — the campaign engine
 passes its grid-point worker, the tests pass chaos fixtures — and
@@ -36,21 +38,19 @@ once per worker under ``spawn`` — and the serial path passes it
 directly, so it is never pickled per task.
 
 Serial execution (``workers=1``) applies the same retries, budget,
-journal, and taxonomy, but cannot preempt a hung run: wall-clock
-timeouts are only enforced on the pool path.
+sink, and taxonomy, but cannot preempt a hung run: wall-clock timeouts
+are only enforced on the pool path.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import queue
 import random
 import time
 import traceback
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -62,11 +62,10 @@ from typing import (
 )
 
 from ..errors import InvariantViolation, ReproError
-from ..store.digest import task_digest
 
 
 class ResilienceError(ReproError):
-    """A resilient-execution configuration, chaos, or journal problem."""
+    """A resilient-execution configuration or chaos problem."""
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +209,7 @@ class ChaosSpec:
 # ----------------------------------------------------------------------
 @dataclass
 class TaskResult:
-    """One task's final accounting after retries and journal replay."""
+    """One task's final accounting after retries."""
 
     index: int
     result: Any = None
@@ -219,9 +218,8 @@ class TaskResult:
     traceback: Optional[str] = None
     elapsed_s: float = 0.0
     attempts: int = 1
-    journaled: bool = False
     #: Served from a content-addressed result store (``repro.store``)
-    #: instead of executing — the cross-campaign analog of ``journaled``.
+    #: instead of executing.
     stored: bool = False
     #: The original exception object — inline (serial) execution only,
     #: so ``reraise`` can propagate the real type to the caller.
@@ -241,81 +239,6 @@ class ExecStats:
     worker_crashes: int = 0
     worker_restarts: int = 0
     budget_exceeded: int = 0
-    journal_skipped: int = 0
-
-
-# ----------------------------------------------------------------------
-# The journal.
-# ----------------------------------------------------------------------
-class RunJournal:
-    """Append-only JSONL of completed runs, streamed as they finish.
-
-    Each line carries the run's content digest, so a resume pass matches
-    journaled outcomes to the *same* runs of the *same* spec — a changed
-    spec simply misses and re-executes.  Only successful runs are
-    journaled: failures are retried fresh on resume (a crash or timeout
-    may not recur on a healthy machine).  A torn trailing line — the
-    signature of a mid-write kill — is tolerated and ignored on load.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-
-    def append(self, entry: dict) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a")
-        self._handle.write(json.dumps(entry, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    @staticmethod
-    def load(path: str) -> Dict[str, dict]:
-        """Digest-keyed journal entries; missing file means no entries.
-
-        A truncated or corrupt line — the torn tail of a mid-write kill,
-        or bit rot anywhere in the file — is skipped with a warning
-        instead of raising, so one bad line never costs the rest of a
-        journal's resume value.
-        """
-        entries: Dict[str, dict] = {}
-        try:
-            handle = open(path, errors="replace")
-        except FileNotFoundError:
-            return entries
-        with handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    warnings.warn(
-                        f"run journal {path}: skipping corrupt line "
-                        f"{number} (torn write?)", RuntimeWarning,
-                        stacklevel=2)
-                    continue
-                if isinstance(entry, dict) and "digest" in entry:
-                    entries[entry["digest"]] = entry
-                else:
-                    warnings.warn(
-                        f"run journal {path}: skipping line {number} "
-                        f"(not a digest-keyed entry)", RuntimeWarning,
-                        stacklevel=2)
-        return entries
-
-
-def _default_digest(index: int, payload: Any) -> str:
-    """Canonical JSON content digest (:func:`repro.store.digest.
-    task_digest`): stable across processes and dict construction order,
-    unlike the ``repr()`` hashing it replaced."""
-    return task_digest(index, payload)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +290,6 @@ class _Attempt:
 
     index: int
     payload: Any
-    digest: Optional[str]      # None unless a journal or resume reads it
     attempts: int = 0          # attempts dispatched so far
     not_before: float = 0.0    # monotonic backoff gate
 
@@ -384,20 +306,22 @@ class _Flight:
 
 class ResilientExecutor:
     """Runs ``(index, payload)`` tasks as ``task_fn(context, payload)``
-    with retries, a timeout watchdog, crash recovery, a wall-clock
-    budget, and journal streaming/resume.  Generic over the task function
-    so campaign workers and chaos fixtures share one dispatch loop; the
-    ``context`` is installed once per worker (see the module docstring)."""
+    with retries, a timeout watchdog, crash recovery, and a wall-clock
+    budget.  Generic over the task function so campaign workers and
+    chaos fixtures share one dispatch loop; the ``context`` is installed
+    once per worker (see the module docstring).
+
+    ``on_result`` is the result sink: the parent calls it once per task,
+    with that task's final :class:`TaskResult`, as soon as the result is
+    final — a success, a terminal failure, or a budget give-up — on both
+    the serial and the pool path.  An exception it raises leaves
+    :meth:`run` (after the pool is torn down)."""
 
     def __init__(self, task_fn: Callable[[Any, Any], Any], workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
                  context: Any = None,
                  start_method: Optional[str] = None,
-                 journal: Optional[RunJournal] = None,
-                 resume: Optional[Dict[str, dict]] = None,
-                 digest_fn: Callable[[int, Any], str] = _default_digest,
-                 encode: Callable[[Any], Any] = lambda value: value,
-                 decode: Callable[[Any], Any] = lambda value: value,
+                 on_result: Optional[Callable[[TaskResult], None]] = None,
                  stats: Optional[ExecStats] = None) -> None:
         self.task_fn = task_fn
         self.workers = max(1, int(workers))
@@ -405,11 +329,7 @@ class ResilientExecutor:
         self.context = context
         self.start_method = start_method if start_method is not None \
             else default_start_method()
-        self.journal = journal
-        self.resume = resume or {}
-        self.digest_fn = digest_fn
-        self.encode = encode
-        self.decode = decode
+        self.on_result = on_result
         self.stats = stats if stats is not None else ExecStats()
         self._deadline: Optional[float] = None
 
@@ -420,18 +340,8 @@ class ResilientExecutor:
         if self.policy.max_total_s is not None:
             self._deadline = time.monotonic() + self.policy.max_total_s
         results: Dict[int, TaskResult] = {}
-        todo: List[_Attempt] = []
-        # Only the journal and the resume map read digests.
-        digests = self.journal is not None or bool(self.resume)
-        for index, payload in tasks:
-            digest = self.digest_fn(index, payload) if digests else None
-            entry = self.resume.get(digest)
-            if entry is not None:
-                results[index] = self._from_journal(index, entry)
-                self.stats.journal_skipped += 1
-            else:
-                todo.append(_Attempt(index=index, payload=payload,
-                                     digest=digest))
+        todo = [_Attempt(index=index, payload=payload)
+                for index, payload in tasks]
         if todo:
             # A single run only warrants a pool when a watchdog must be
             # able to kill it; serial execution cannot preempt.
@@ -443,7 +353,7 @@ class ResilientExecutor:
         return [results[index] for index in sorted(results)]
 
     # ------------------------------------------------------------------
-    # Serial path: same taxonomy/retries/budget/journal, no preemption.
+    # Serial path: same taxonomy/retries/budget/sink, no preemption.
     # ------------------------------------------------------------------
     def _run_serial(self, todo: List[_Attempt],
                     results: Dict[int, TaskResult]) -> None:
@@ -451,7 +361,7 @@ class ResilientExecutor:
             if self._budget_exhausted():
                 self._give_up(results, entry)
                 continue
-            results[entry.index] = self._serial_task(entry)
+            self._finish(results, self._serial_task(entry))
 
     def _serial_task(self, entry: _Attempt) -> TaskResult:
         while True:
@@ -533,8 +443,8 @@ class ResilientExecutor:
                     ok, value, kind, error, tail, elapsed = \
                         flight.handle.get()
                     if ok:
-                        results[index] = self._succeed(flight.entry, value,
-                                                       elapsed)
+                        self._finish(results, self._succeed(
+                            flight.entry, value, elapsed))
                     else:
                         self._fail(results, pending, flight.entry,
                                    kind, error, tail, elapsed, now)
@@ -662,30 +572,28 @@ class ResilientExecutor:
         return self._deadline is not None \
             and time.monotonic() >= self._deadline
 
+    def _finish(self, results: Dict[int, TaskResult],
+                outcome: TaskResult) -> None:
+        """Record a task's final result and hand it to the sink."""
+        results[outcome.index] = outcome
+        if self.on_result is not None:
+            self.on_result(outcome)
+
     def _give_up(self, results: Dict[int, TaskResult],
                  entry: _Attempt) -> None:
         self.stats.budget_exceeded += 1
-        results[entry.index] = TaskResult(
+        self._finish(results, TaskResult(
             index=entry.index,
             error=f"campaign wall-clock budget "
                   f"({self.policy.max_total_s:g}s) exhausted",
-            error_kind=BUDGET_EXCEEDED, attempts=entry.attempts)
+            error_kind=BUDGET_EXCEEDED, attempts=entry.attempts))
 
-    def _succeed(self, entry: _Attempt, value: Any,
-                 elapsed: float) -> TaskResult:
-        outcome = TaskResult(index=entry.index, result=value,
-                             elapsed_s=elapsed, attempts=entry.attempts)
-        if entry.attempts > 1:
-            outcome.error_kind = RETRIED_OK
-        if self.journal is not None:
-            self.journal.append({
-                "digest": entry.digest, "index": entry.index,
-                "attempts": outcome.attempts,
-                "elapsed_s": outcome.elapsed_s,
-                "error_kind": outcome.error_kind,
-                "result": self.encode(outcome.result),
-            })
-        return outcome
+    @staticmethod
+    def _succeed(entry: _Attempt, value: Any, elapsed: float) -> TaskResult:
+        return TaskResult(index=entry.index, result=value,
+                          elapsed_s=elapsed, attempts=entry.attempts,
+                          error_kind=RETRIED_OK if entry.attempts > 1
+                          else None)
 
     def _crash(self, results: Dict[int, TaskResult],
                pending: List[_Attempt], flight: _Flight,
@@ -709,16 +617,6 @@ class ResilientExecutor:
                                                          entry.attempts)
             pending.append(entry)
             return
-        results[entry.index] = TaskResult(
+        self._finish(results, TaskResult(
             index=entry.index, error=error, error_kind=kind,
-            traceback=tail, elapsed_s=elapsed, attempts=entry.attempts)
-
-    def _from_journal(self, index: int, entry: dict) -> TaskResult:
-        data = entry.get("result")
-        return TaskResult(index=index,
-                          result=self.decode(data) if data is not None
-                          else None,
-                          error_kind=entry.get("error_kind"),
-                          attempts=entry.get("attempts", 1),
-                          elapsed_s=entry.get("elapsed_s", 0.0),
-                          journaled=True)
+            traceback=tail, elapsed_s=elapsed, attempts=entry.attempts))

@@ -13,8 +13,9 @@ Orchestration of one :class:`~repro.exhaustive.space.ExhaustiveSpec`:
    :class:`~repro.eval.resilient.ResilientExecutor` in deterministic
    chunks — every worker receives the parent's compiled program and
    golden trace as the executor's context — each fork restored from the
-   nearest golden snapshot instead of re-running from reset, then store
-   the fresh classifications;
+   nearest golden snapshot instead of re-running from reset; the
+   executor's result sink stores each chunk's classifications as the
+   chunk lands, so a map that dies mid-way keeps every finished chunk;
 4. run the time-triggered models as a deterministic-grid campaign over
    :class:`~repro.eval.campaign.CampaignRunner` (which brings its own
    store memoization and resilient fan-out);
@@ -28,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..eval.campaign import AttackSpec, CampaignRunner, ExperimentSpec, PathSpec
-from ..eval.resilient import ResilientExecutor, RetryPolicy
+from ..eval.resilient import ResilientExecutor, RetryPolicy, TaskResult
 from ..faultsim.classify import Outcome
 from ..faultsim.explorer import classify_outcomes
 from ..faultsim.models import FaultSimError, FaultSpec
@@ -166,15 +167,10 @@ def _simulate_representatives(spec: ExhaustiveSpec,
 
     chunks = [missing[i:i + CHUNK_SIZE]
               for i in range(0, len(missing), CHUNK_SIZE)]
-    executor = ResilientExecutor(
-        _simulate_chunk, workers=workers, policy=policy,
-        context=(linked, backend_for(victim.backend), trace, naive))
-    tasks = [(index, {"faults": [fault for _, fault in chunk]})
-             for index, chunk in enumerate(chunks)]
-    for result in executor.run(tasks):
+
+    def record(result: TaskResult) -> None:
         if not result.ok:
-            raise FaultSimError(
-                f"exhaustive chunk {result.index} failed: {result.error}")
+            return
         chunk = chunks[result.index]
         for (key, fault), (outcome, error) in zip(chunk, result.result):
             verdicts[key] = (outcome, error)
@@ -182,6 +178,17 @@ def _simulate_representatives(spec: ExhaustiveSpec,
             if store is not None and store.put(
                     digests[key], {"outcome": outcome, "error": error}):
                 stats.store_puts += 1
+
+    executor = ResilientExecutor(
+        _simulate_chunk, workers=workers, policy=policy,
+        context=(linked, backend_for(victim.backend), trace, naive),
+        on_result=record)
+    tasks = [(index, {"faults": [fault for _, fault in chunk]})
+             for index, chunk in enumerate(chunks)]
+    for result in executor.run(tasks):
+        if not result.ok:
+            raise FaultSimError(
+                f"exhaustive chunk {result.index} failed: {result.error}")
     return verdicts
 
 

@@ -13,8 +13,7 @@ scheduling policy.
 
 from __future__ import annotations
 
-from .client import RemoteDispatcher, RemoteStore, ServeClient, \
-    wait_until_up
+from .client import RemoteDispatcher, ServeClient, wait_until_up
 from .codec import decode_run, encode_run
 from .protocol import (
     PROTOCOL_VERSION,
@@ -40,7 +39,6 @@ __all__ = [
     "FairScheduler",
     "PROTOCOL_VERSION",
     "RemoteDispatcher",
-    "RemoteStore",
     "SERVE_DONE",
     "SERVE_ERROR",
     "SERVE_HIT",

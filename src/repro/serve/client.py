@@ -1,19 +1,20 @@
-"""Thin client for the campaign server, plus the two adapters that let
-existing harnesses go through it unchanged.
+"""Thin client for the campaign server, which existing harnesses can
+go through unchanged.
 
 :class:`ServeClient` speaks the line-JSON protocol directly (one
 connection per call; ``submit`` holds its connection open to stream
-results).  The adapters plug into
-:class:`~repro.eval.campaign.CampaignRunner`:
+results).  It plugs into :class:`~repro.eval.campaign.CampaignRunner`
+twice:
 
-* :meth:`ServeClient.store_view` — a remote ``get/put/contains`` view of
-  the server's result store, so ``CampaignRunner(store=...)`` memoizes
-  at RunSpec granularity across campaigns, processes, and machines;
+* the client itself is a remote ``get/put/contains`` store — the same
+  signatures as :class:`~repro.store.ResultStore` — so
+  ``CampaignRunner(store=client)`` memoizes at RunSpec granularity
+  across campaigns, processes, and machines;
 * :meth:`ServeClient.dispatcher` — an ``execute(tasks)`` adapter that
   routes store misses through the server's fair-share queues instead of
   the local executor (the ``campaign --via-store`` path).
 
-Both adapters keep the campaign's accounting honest: hits arrive as
+The campaign's accounting stays honest: hits arrive as
 :class:`~repro.eval.resilient.TaskResult` objects flagged ``stored``,
 failures carry the server's error taxonomy.
 """
@@ -24,14 +25,14 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..eval.campaign import RunSpec, _decode_result
+from ..eval.campaign import RunSpec
 from ..eval.resilient import SIM_ERROR, TaskResult
+from ..runtime import SimResult
 from ..store.digest import run_digest
 from .codec import encode_run
 from .protocol import ServeError, connect, recv_message, send_message
 
-__all__ = ["RemoteDispatcher", "RemoteStore", "ServeClient",
-           "wait_until_up"]
+__all__ = ["RemoteDispatcher", "ServeClient", "wait_until_up"]
 
 
 class ServeClient:
@@ -161,31 +162,10 @@ class ServeClient:
         finally:
             sock.close()
 
-    # -- campaign adapters ----------------------------------------------
-    def store_view(self) -> "RemoteStore":
-        return RemoteStore(self)
-
+    # -- campaign adapter -----------------------------------------------
     def dispatcher(self, tenant: Optional[str] = None
                    ) -> "RemoteDispatcher":
         return RemoteDispatcher(self, tenant=tenant)
-
-
-class RemoteStore:
-    """``get/put/contains`` over the protocol — a drop-in for the
-    ``store=`` argument of :class:`~repro.eval.campaign.CampaignRunner`."""
-
-    def __init__(self, client: ServeClient) -> None:
-        self.client = client
-
-    def get(self, digest: str, default: Any = None) -> Optional[dict]:
-        return self.client.get(digest, default)
-
-    def put(self, digest: str, value: Any,
-            meta: Optional[dict] = None) -> bool:
-        return self.client.put(digest, value, meta=meta)
-
-    def contains(self, digest: str) -> bool:
-        return self.client.contains(digest)
 
 
 class RemoteDispatcher:
@@ -218,7 +198,7 @@ class RemoteDispatcher:
             else:
                 results.append(TaskResult(
                     index=index,
-                    result=_decode_result(line["result"]),
+                    result=SimResult.from_dict(line["result"]),
                     stored=bool(line.get("cached"))))
         return results
 

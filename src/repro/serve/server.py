@@ -13,6 +13,8 @@ serving shape — cache, queue, scheduler, workers, event stream:
   through a :class:`~repro.eval.resilient.ResilientExecutor` (retries,
   taxonomy, budget) with a shared compile cache, defaulting to the
   threaded execution backend (bit-identical metrics, ~10× throughput);
+  the executor's result sink stores each run and wakes its waiters as
+  soon as that run finishes, not at the end of its batch;
 * **dedup** — a digest queued or in flight is never enqueued twice;
   concurrent submitters of the same run all wait on the one execution;
 * **events** — every queue/hit/start/done/error transition is published
@@ -32,12 +34,12 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..eval.campaign import RunSpec, _encode_result, _run_point
+from ..eval.campaign import RunSpec, _run_point
 from ..eval.resilient import (
-    ExecStats,
     ResilientExecutor,
     RetryPolicy,
     SIM_ERROR,
+    TaskResult,
 )
 from ..obs import EventBus
 from ..store import ResultStore, run_digest
@@ -429,17 +431,12 @@ class CampaignServer:
                     "error_kind": SIM_ERROR})
                 continue
             ready.append((slot, run))
-        if not ready:
-            return
-        executor = ResilientExecutor(
-            task_fn=_run_point, workers=self.workers_per_shard,
-            policy=self.policy, context=self._compile_cache,
-            stats=ExecStats())
-        for result in executor.run(ready):
+
+        def deliver(result: TaskResult) -> None:
             digest = digest_of[result.index]
             tenant = tenant_of[result.index]
             if result.ok and result.result is not None:
-                value = _encode_result(result.result)
+                value = result.result.to_dict()
                 notice = {"digest": digest, "result": value}
                 with self._lock:
                     self.store.put(digest, value,
@@ -459,6 +456,11 @@ class CampaignServer:
                 self._emit(SERVE_ERROR, digest, tenant,
                            extra=str(result.error))
             self._notify(digest, notice)
+
+        ResilientExecutor(task_fn=_run_point,
+                          workers=self.workers_per_shard,
+                          policy=self.policy, context=self._compile_cache,
+                          on_result=deliver).run(ready)
 
     def _notify(self, digest: str, notice: dict) -> bool:
         """Wake every waiter on ``digest``; returns whether the digest

@@ -3,13 +3,15 @@
 Two layers:
 
 * :mod:`repro.store.digest` — the canonical JSON content digest every
-  cache in the repo keys on (executor journals, the result store, the
-  serving layer);
+  cache in the repo keys on (the result store, the serving layer, the
+  exhaustive engine, the torture corpus);
 * :mod:`repro.store.store` — :class:`ResultStore`, the sharded, crash-
   safe, on-disk store that serves any run ever executed from cache
-  across campaigns and processes.
+  across campaigns and processes.  It is the repo's only memo: campaign,
+  exhaustive and serve fan-outs write each run as it finishes, so a
+  rerun over the same store after a kill executes only what is missing.
 
-``repro-gecko store ls/stats/gc/import`` operates on a store directly;
+``repro-gecko store ls/stats/gc`` operates on a store directly;
 :mod:`repro.serve` puts one behind a long-running service.
 """
 
@@ -20,7 +22,6 @@ from .digest import (
     content_digest,
     jsonable,
     run_digest,
-    task_digest,
 )
 from .store import GCStats, ResultStore, StoreError, StoreStats
 
@@ -33,5 +34,4 @@ __all__ = [
     "content_digest",
     "jsonable",
     "run_digest",
-    "task_digest",
 ]

@@ -1,19 +1,16 @@
 """The one canonical content digest every cache in the repo keys on.
 
 Content addressing only works if every producer and consumer agrees on
-the bytes being hashed.  Before this module, each cache rolled its own
-key: the resilient executor hashed ``repr()`` output (unstable across
-processes, dict construction order, and Python versions), while the
-campaign journal hashed canonical JSON.  This module is the single
-definition both now share:
+the bytes being hashed.  This module is the single definition the result
+store, the serving layer, the exhaustive engine and the torture corpus
+share:
 
 * :func:`jsonable` — fold any value (dataclasses, tuples, mappings,
   primitives) into plain JSON types, deterministically;
 * :func:`canonical_json` — the one serialization (sorted keys, no
   whitespace) whose bytes are the hashing contract;
 * :func:`content_digest` — sha256 over those bytes;
-* :func:`task_digest` / :func:`run_digest` — the two digest shapes used
-  by the executor journal and the result store respectively.
+* :func:`run_digest` — a run's result-store key.
 
 A :class:`~repro.eval.campaign.RunSpec` digests identically no matter
 which process, campaign, or client computed it — which is what lets the
@@ -32,7 +29,6 @@ __all__ = [
     "content_digest",
     "jsonable",
     "run_digest",
-    "task_digest",
 ]
 
 
@@ -123,15 +119,6 @@ def canonical_json(value: Any) -> str:
 def content_digest(value: Any) -> str:
     """sha256 hex digest of :func:`canonical_json` of ``value``."""
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
-
-
-def task_digest(index: int, payload: Any) -> str:
-    """The executor's default journal digest: slot + payload content.
-
-    Stable across processes and dict construction order — the property
-    the old ``repr()``-based digest lacked.
-    """
-    return content_digest(["task", index, payload])
 
 
 def run_digest(run: Any) -> str:

@@ -1,11 +1,12 @@
 """Content-addressed result store: sharded JSONL segments on disk.
 
-Every simulated run this repo ever journals is content-addressable (the
-digest-keyed journal of :mod:`repro.eval.resilient` proved that); this
+Every simulated run this repo executes is content-addressable; this
 module makes the address durable and shared.  A :class:`ResultStore`
 holds one entry per :func:`~repro.store.digest.run_digest`, so any
 campaign, client, or process that resolves a run to the same digest is
-served the recorded result instead of re-simulating it.
+served the recorded result instead of re-simulating it — including a
+rerun of a campaign that was killed mid-way, since runs are stored as
+they finish.
 
 On-disk layout — sharded by digest prefix so no directory grows
 unbounded and concurrent writers never contend on one file::
@@ -421,24 +422,7 @@ class ResultStore:
                 if not dry_run:
                     self._release_gc_lock()
 
-    # -- ingest and iteration -------------------------------------------
-    def import_journal(self, path: str,
-                       meta: Optional[dict] = None) -> int:
-        """Ingest a PR-5 :class:`~repro.eval.resilient.RunJournal` file:
-        every successful journaled run becomes a store entry under its
-        existing digest.  Returns how many entries were newly stored."""
-        from ..eval.resilient import RunJournal  # local: avoid cycles
-
-        imported = 0
-        for digest, entry in RunJournal.load(path).items():
-            if entry.get("result") is None:
-                continue
-            tags = {"src": "journal", "journal": os.path.basename(path)}
-            tags.update(meta or {})
-            if self.put(digest, entry["result"], meta=tags):
-                imported += 1
-        return imported
-
+    # -- iteration ------------------------------------------------------
     def digests(self) -> List[str]:
         with self._lock:
             return sorted(self._index)

@@ -255,22 +255,6 @@ class TortureOutcome:
             "triggered": self.triggered,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TortureOutcome":
-        return cls(
-            violations=[Violation.from_dict(v)
-                        for v in data.get("violations", ())],
-            fingerprint=data.get("fingerprint", ""),
-            committed_out=tuple(data.get("out", ())),
-            halted=data.get("halted", False),
-            cycles=data.get("cycles", 0),
-            instr_count=data.get("steps", 0),
-            crashes=data.get("crashes", 0),
-            deliveries=data.get("deliveries", 0),
-            heals=data.get("heals", 0),
-            triggered=data.get("triggered", 0),
-        )
-
 
 # ----------------------------------------------------------------------
 # The run.

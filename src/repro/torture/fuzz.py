@@ -120,11 +120,11 @@ class TortureReport:
 # Worker side (module-level: must pickle under ``spawn``).
 # ----------------------------------------------------------------------
 def _run_case(context: Tuple[TortureSpec, TortureTarget],
-              events: List[dict]) -> dict:
-    """Executor task: one case against the campaign's target; returns
-    plain data only."""
+              schedule: TortureSchedule) -> TortureOutcome:
+    """Executor task: one case against the campaign's target.  The
+    schedule and the outcome are frozen or plain dataclasses, picklable
+    as they are."""
     spec, target = context
-    schedule = TortureSchedule.from_dicts(events)
     outcome = run_schedule(target, schedule, spec.backend,
                            max_steps=spec.max_steps)
     if spec.check_backends:
@@ -139,7 +139,7 @@ def _run_case(context: Tuple[TortureSpec, TortureTarget],
                 f"the identical schedule "
                 f"({outcome.fingerprint[:12]} != "
                 f"{mirror.fingerprint[:12]})"))
-    return outcome.to_dict()
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -168,20 +168,17 @@ def run_campaign(spec: TortureSpec, workers: int = 1,
                           region_budget=spec.region_budget)
     schedules = [generate_case(spec, index, target.profile)
                  for index in range(spec.cases)]
-    tasks = [(index, schedule.to_dicts())
-             for index, schedule in enumerate(schedules)]
     executor = ResilientExecutor(_run_case, workers=workers, policy=policy,
                                  context=(spec, target))
-    results: List[TaskResult] = executor.run(tasks)
+    results: List[TaskResult] = executor.run(list(enumerate(schedules)))
 
     report = TortureReport(spec=spec)
     outcome_digest: List[Tuple[int, str]] = []
     for result in results:
         schedule = schedules[result.index]
         if result.ok:
-            outcome = TortureOutcome.from_dict(result.result)
             case = CaseResult(index=result.index, schedule=schedule,
-                              outcome=outcome)
+                              outcome=result.result)
         else:
             report.errors += 1
             case = CaseResult(index=result.index, schedule=schedule,

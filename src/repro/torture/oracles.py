@@ -42,7 +42,7 @@ consumers (replay, the executor fan-out) can escalate them to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .schedule import CKPT_FAULT, DATA_FAULT, POWER_FAIL, TortureSchedule
 
@@ -105,12 +105,3 @@ class Violation:
         if self.event_index is not None:
             out["event"] = self.event_index
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        return cls(oracle=data["oracle"], detail=data["detail"],
-                   event_index=data.get("event"))
-
-
-def oracles_of(violations: List[Violation]) -> frozenset:
-    return frozenset(violation.oracle for violation in violations)

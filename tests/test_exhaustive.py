@@ -332,6 +332,42 @@ class TestStoreMemoization:
         assert warm.stats.store_hits == cold.stats.representatives
         assert warm.map.fingerprint() == cold.map.fingerprint()
 
+    def test_failed_chunk_keeps_the_finished_ones(self, tmp_path,
+                                                  monkeypatch):
+        """Each chunk's verdicts are stored as the chunk lands: a map
+        whose first chunk fails still raises, but the rerun simulates
+        only the lost chunk and reproduces the clean map."""
+        import repro.exhaustive.mapper as mapper_mod
+
+        spec = ExhaustiveSpec(
+            victim=fault_victim("crc16", "nvp"),
+            models=(REG_FLIP, INSTR_SKIP),
+            start_step=100, slice_steps=40, bits=(0, 31),
+        )
+        clean = exhaustive_map(spec)
+        assert clean.stats.representatives == 116   # chunks of 64 + 52
+        real = mapper_mod._simulate_chunk
+        calls = []
+
+        def first_call_fails(context, payload):
+            calls.append(len(payload["faults"]))
+            if len(calls) == 1:
+                raise RuntimeError("chunk lost")
+            return real(context, payload)
+
+        with ResultStore(str(tmp_path / "store")) as store:
+            monkeypatch.setattr(mapper_mod, "_simulate_chunk",
+                                first_call_fails)
+            with pytest.raises(FaultSimError, match="chunk 0 failed"):
+                exhaustive_map(spec, store=store)
+            assert calls == [64, 52]
+            assert len(store) == 52
+            monkeypatch.undo()
+            rerun = exhaustive_map(spec, store=store)
+        assert rerun.stats.store_hits == 52
+        assert rerun.stats.simulated == 64
+        assert rerun.map.fingerprint() == clean.map.fingerprint()
+
     def test_injection_digest_is_content_only(self, crc16_nvp):
         digest = program_digest(crc16_nvp.linked)
         fault = FaultSpec(model=REG_FLIP, trigger_step=5, target=3, bit=2)

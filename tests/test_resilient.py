@@ -1,5 +1,6 @@
 """Resilient execution tests: taxonomy, retries, crash/timeout recovery,
-journal resume, chaos drills, and the wiring into adversary/faultsim.
+the result sink and store resume, chaos drills, and the wiring into
+adversary/faultsim.
 
 The executor-level tests drive :class:`ResilientExecutor` with cheap
 module-level chaos tasks (picklable under both ``fork`` and ``spawn``);
@@ -7,7 +8,9 @@ the campaign-level tests inject :class:`ChaosSpec` drills into real grid
 points and assert the sweep degrades instead of dying.
 """
 
+import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -24,13 +27,13 @@ from repro.eval import (
     ResilienceError,
     ResilientExecutor,
     RetryPolicy,
-    RunJournal,
     SIM_ERROR,
     TIMEOUT,
     VictimConfig,
     WORKER_CRASH,
 )
 from repro.eval.resilient import ExecStats
+from repro.store import ResultStore
 
 
 # ----------------------------------------------------------------------
@@ -211,68 +214,39 @@ class TestTimeouts:
         assert stats.timeouts == 1
 
 
-class TestJournal:
-    def test_resume_skips_journaled_runs(self, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
-        journal = RunJournal(path)
-        first = _run([(None, 1), (None, 2)], journal=journal)
-        journal.close()
-        assert all(r.ok for r in first)
+class TestResultSink:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sink_sees_every_final_result_once(self, tmp_path, workers):
+        """Success, terminal failure and retried success each reach
+        ``on_result`` exactly once, as the same results ``run`` returns."""
+        retried = ChaosSpec("raise", arm=1, latch=str(tmp_path / "latch"))
+        seen = []
+        results = _run([(None, 1), (ChaosSpec("raise"), 2), (retried, 3)],
+                       workers=workers,
+                       policy=RetryPolicy(retries=1, backoff_s=0.001),
+                       on_result=seen.append)
+        assert [r.error_kind for r in results] \
+            == [None, SIM_ERROR, RETRIED_OK]
+        assert len(seen) == len(results)
+        assert sorted(seen, key=lambda r: r.index) == results
 
-        stats = ExecStats()
-        second = _run([(None, 1), (None, 2)],
-                      resume=RunJournal.load(path), stats=stats)
-        assert stats.journal_skipped == 2
-        assert [r.result for r in second] == [r.result for r in first]
-        assert all(r.journaled for r in second)
+    def test_budget_give_ups_reach_the_sink(self):
+        seen = []
+        results = _run([(None, 1), (None, 2)],
+                       policy=RetryPolicy(max_total_s=0.0),
+                       on_result=seen.append)
+        assert seen == results
+        assert all(r.error_kind == BUDGET_EXCEEDED for r in seen)
 
-    def test_failures_are_not_journaled(self, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
-        journal = RunJournal(path)
-        _run([(ChaosSpec("raise"), 1), (None, 2)], journal=journal)
-        journal.close()
-        entries = RunJournal.load(path)
-        assert len(entries) == 1              # only the success landed
+    def test_sink_exception_leaves_run_after_teardown(self):
+        def refuse(result):
+            raise RuntimeError("sink refused")
 
-    def test_torn_tail_line_tolerated(self, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
-        journal = RunJournal(path)
-        _run([(None, 1), (None, 2)], journal=journal)
-        journal.close()
-        with open(path, "a") as handle:
-            handle.write('{"digest": "abc", "resu')   # mid-write kill
-        entries = RunJournal.load(path)
-        assert len(entries) == 2
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        assert RunJournal.load(str(tmp_path / "nope.jsonl")) == {}
-
-    def test_digests_only_computed_for_journal_or_resume(self, tmp_path):
-        """Without a journal or resume map nothing reads a digest, so
-        ``digest_fn`` is never called; with either it is."""
-        def refuse(index, payload):
-            raise AssertionError("digest_fn called without a reader")
-
-        results = _run([(None, 1), (None, 2)], digest_fn=refuse)
-        assert [r.result for r in results] == [2, 4]
-        results = _run([(None, 1)], digest_fn=refuse, resume={})
-        assert results[0].ok
-
-        calls = []
-
-        def counting(index, payload):
-            calls.append(index)
-            return f"task-{index}"
-
-        journal = RunJournal(str(tmp_path / "runs.jsonl"))
-        _run([(None, 1), (None, 2)], digest_fn=counting, journal=journal)
-        journal.close()
-        assert calls == [0, 1]
-        stats = ExecStats()
-        _run([(None, 1), (None, 2)], digest_fn=counting, stats=stats,
-             resume=RunJournal.load(str(tmp_path / "runs.jsonl")))
-        assert calls == [0, 1, 0, 1]
-        assert stats.journal_skipped == 2
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="sink refused"):
+            _run([(None, 1), (None, 2), (None, 3)], workers=2,
+                 on_result=refuse)
+        assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------------------------------
@@ -324,52 +298,70 @@ class TestCampaignChaos:
             runner.run(_chaos_spec([None, ChaosSpec("raise")]))
 
 
-class TestCampaignResume:
-    def _spec(self):
-        return ExperimentSpec(
-            name="test-resume",
-            victim=VictimConfig(duration_s=0.01),
-            attack=AttackSpec.tone(tx_dbm=35.0),
-            sweep={"attack.freq_mhz": [27, 35, 300]},
-        )
+def _kill_spec(latch=None):
+    """Three telemetry points; with a ``latch`` the second one crashes
+    its process (exit code 17) on the first attempt only."""
+    crash = ChaosSpec("crash", arm=1, latch=latch) if latch else None
+    return ExperimentSpec(
+        name="test-resume",
+        victim=VictimConfig(duration_s=0.01),
+        attack=AttackSpec.tone(tx_dbm=35.0),
+        sweep={"*": [{"attack.freq_mhz": 27},
+                     {"attack.freq_mhz": 35, "chaos": crash},
+                     {"attack.freq_mhz": 300}]},
+        telemetry=True,
+    )
 
-    def test_resumed_fingerprint_matches_clean_run(self, tmp_path):
-        clean = CampaignRunner().run(self._spec())
 
-        path = str(tmp_path / "runs.jsonl")
-        CampaignRunner(journal=path).run(self._spec())
-        # Simulate a mid-campaign kill: drop the journal's tail.
-        with open(path) as handle:
-            lines = handle.readlines()
-        assert len(lines) == 4                # 1 baseline + 3 points
-        with open(path, "w") as handle:
-            handle.writelines(lines[:2])
+def _run_killable(root, latch):
+    CampaignRunner(store=ResultStore(root)).run(_kill_spec(latch))
 
-        resumed = CampaignRunner(journal=path, resume=path) \
-            .run(self._spec())
-        assert resumed.stats.journal_skipped == 2
+
+class TestStoreResume:
+    """The result store is the only memo: every finished run is stored
+    as it lands, so a rerun over the same store executes what is
+    missing and nothing else."""
+
+    def test_killed_campaign_resumes_from_the_store(self, tmp_path):
+        root, latch = str(tmp_path / "store"), str(tmp_path / "latch")
+        # Serial, so the crash kills the campaign process itself.
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_killable, args=(root, latch))
+        child.start()
+        child.join(timeout=300)
+        assert child.exitcode == 17
+        assert len(ResultStore(root)) == 2    # baseline + first point
+
+        resumed = CampaignRunner(store=ResultStore(root)) \
+            .run(_kill_spec(latch))
+        assert resumed.stats.store_hits == 2
+        assert resumed.stats.store_misses == 2
+        assert resumed.stats.failures == 0
+        clean = CampaignRunner().run(_kill_spec())
         assert resumed.metrics_fingerprint() \
             == clean.metrics_fingerprint()
 
-    def test_full_resume_skips_compiles_too(self, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
-        CampaignRunner(journal=path).run(self._spec())
-        resumed = CampaignRunner(resume=path).run(self._spec())
-        assert resumed.stats.journal_skipped == 4
-        assert resumed.stats.compiles == 0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_are_never_stored(self, tmp_path, workers):
+        store = ResultStore(str(tmp_path / "store"))
+        spec = _chaos_spec([None, ChaosSpec("raise")])
+        first = CampaignRunner(workers=workers, store=store).run(spec)
+        assert first.stats.failures == 1
+        assert first.stats.store_puts == 2    # baseline + healthy point
+        again = CampaignRunner(workers=workers, store=store).run(spec)
+        assert again.stats.store_hits == 2
+        assert again.stats.store_misses == 1  # the failure runs again
+        assert again.outcomes[1].error_kind == SIM_ERROR
 
-    def test_changed_spec_misses_the_journal(self, tmp_path):
-        path = str(tmp_path / "runs.jsonl")
-        CampaignRunner(journal=path).run(self._spec())
-        other = ExperimentSpec(
-            name="test-resume",
-            victim=VictimConfig(duration_s=0.01),
-            attack=AttackSpec.tone(tx_dbm=20.0),   # different attack
-            sweep={"attack.freq_mhz": [27, 35, 300]},
-        )
-        resumed = CampaignRunner(resume=path).run(other)
-        assert resumed.stats.journal_skipped == 1  # shared silent baseline
-        assert all(not o.error for o in resumed.outcomes)
+    def test_changed_spec_misses_the_store(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        CampaignRunner(store=store).run(_kill_spec())
+        other = dataclasses.replace(
+            _kill_spec(), attack=AttackSpec.tone(tx_dbm=20.0))
+        changed = CampaignRunner(store=store).run(other)
+        assert changed.stats.store_hits == 1  # shared silent baseline
+        assert changed.stats.store_misses == 3
+        assert all(not o.error for o in changed.outcomes)
 
 
 class TestWiring:

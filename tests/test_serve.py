@@ -380,9 +380,8 @@ class TestViaStore:
             campaign_mod, "_run_point",
             lambda compiled, run: (_ for _ in ()).throw(
                 AssertionError("simulated locally on the served path")))
-        served = CampaignRunner(store=client.store_view(),
-                                dispatcher=client.dispatcher()) \
-            .run(spec)
+        served = CampaignRunner(store=client,
+                                dispatcher=client.dispatcher()).run(spec)
         assert served.metrics_fingerprint() \
             == direct.metrics_fingerprint()
         assert served.stats.compiles == 0
@@ -390,7 +389,7 @@ class TestViaStore:
 
         # Resubmission: every run is a warm hit, nothing executes.
         executed_before = srv.stats.executed
-        warm = CampaignRunner(store=client.store_view(),
+        warm = CampaignRunner(store=client,
                               dispatcher=client.dispatcher()).run(spec)
         assert warm.stats.store_hits == 3
         assert warm.metrics_fingerprint() == direct.metrics_fingerprint()

@@ -1,5 +1,5 @@
 """Result-store tests: canonical digests, sharded layout, crash-safe
-appends, gc compaction, journal ingestion, and campaign memoization.
+appends, gc compaction, and campaign memoization.
 
 The crash tests run real child processes (`os._exit` mid-append,
 parallel writers) against one store root — the failure modes campaigns
@@ -19,7 +19,6 @@ from repro.eval import (
     AttackSpec,
     CampaignRunner,
     ExperimentSpec,
-    RunJournal,
     VictimConfig,
 )
 from repro.store import (
@@ -29,7 +28,6 @@ from repro.store import (
     content_digest,
     jsonable,
     run_digest,
-    task_digest,
 )
 
 
@@ -68,16 +66,6 @@ class TestDigest:
 
         assert content_digest(Point(1, 2)) \
             == content_digest({"x": 1, "y": 2})
-
-    def test_task_digest_is_stable_where_repr_was_not(self):
-        # The old executor digest hashed repr((index, payload)): two
-        # structurally-equal dicts with different insertion order repr
-        # differently, but the canonical digest must agree.
-        a = {"freq": 27, "dbm": 35}
-        b = {"dbm": 35, "freq": 27}
-        assert repr((0, a)) != repr((0, b))
-        assert task_digest(0, a) == task_digest(0, b)
-        assert task_digest(0, a) != task_digest(1, a)
 
     def test_int_and_str_keys_digest_differently(self):
         # {1: x} vs {"1": x} collided under plain str() coercion — a
@@ -452,59 +440,6 @@ class TestGC:
         # reader self-heals by rescanning.
         for i, digest in enumerate(digests):
             assert reader.get(digest)["value"] == {"n": i}
-
-
-# ----------------------------------------------------------------------
-# Journal hardening (satellite: RunJournal.load) + ingestion.
-# ----------------------------------------------------------------------
-class TestJournalHardening:
-    def test_truncated_trailing_line_skipped_with_warning(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"digest": "aa", "result": 1}) + "\n")
-            handle.write('{"digest": "bb", "resu')   # torn mid-write
-        with pytest.warns(RuntimeWarning, match="torn write"):
-            entries = RunJournal.load(path)
-        assert set(entries) == {"aa"}
-
-    def test_corrupt_middle_line_does_not_cost_the_rest(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"digest": "aa", "result": 1}) + "\n")
-            handle.write("\x00\xff garbage \n")
-            handle.write(json.dumps({"digest": "bb", "result": 2}) + "\n")
-        with pytest.warns(RuntimeWarning):
-            entries = RunJournal.load(path)
-        assert set(entries) == {"aa", "bb"}
-
-    def test_non_digest_entries_skipped_with_warning(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps(["not", "a", "dict"]) + "\n")
-            handle.write(json.dumps({"no_digest": True}) + "\n")
-            handle.write(json.dumps({"digest": "aa", "result": 1}) + "\n")
-        with pytest.warns(RuntimeWarning, match="not a digest-keyed"):
-            entries = RunJournal.load(path)
-        assert set(entries) == {"aa"}
-
-
-class TestJournalImport:
-    def test_import_round_trip(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        journal = RunJournal(path)
-        journal.append({"digest": "aa" * 16, "result": {"ok": 1}})
-        journal.append({"digest": "bb" * 16, "result": {"ok": 2}})
-        journal.append({"digest": "cc" * 16, "result": None})  # failure
-        journal.close()
-        store = _store(tmp_path)
-        assert store.import_journal(path, meta={"name": "pr5"}) == 2
-        entry = store.get("aa" * 16)
-        assert entry["value"] == {"ok": 1}
-        assert entry["meta"]["src"] == "journal"
-        assert entry["meta"]["name"] == "pr5"
-        assert not store.contains("cc" * 16)
-        # Re-import is idempotent (content addressing).
-        assert store.import_journal(path) == 0
 
 
 # ----------------------------------------------------------------------
