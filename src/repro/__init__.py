@@ -54,7 +54,7 @@ def simulate_program(compiled, duration_s: float = 0.5, runtime=None,
         monitor_kind: ``"adc"`` or ``"comp"``.
         config: a :class:`~repro.runtime.SimConfig`.
         backend: execution backend, ``"interpreter"`` (reference) or
-            ``"threaded"`` (precompiled blocks, ~10x faster, identical
+            ``"threaded"`` (precompiled blocks, ~9-16x faster, identical
             results) — see ``docs/execution-backends.md``.
 
     Returns:

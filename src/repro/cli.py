@@ -112,7 +112,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="interpreter",
                         choices=list(BACKEND_NAMES),
                         help="execution backend: 'interpreter' (reference) "
-                             "or 'threaded' (precompiled blocks, ~10x "
+                             "or 'threaded' (precompiled blocks, ~9-16x "
                              "faster, identical results)")
 
 
@@ -218,7 +218,7 @@ def _parse_attack(text: Optional[str]) -> AttackSchedule:
         raise SystemExit("error: --attack expects MHZ,DBM (e.g. 27,35)")
 
 
-def _build_sim(args, program, tracer=None, obs=None) -> IntermittentSimulator:
+def _build_sim(args, program, obs=None) -> IntermittentSimulator:
     """One simulator from the shared simulate/trace/profile arguments."""
     return IntermittentSimulator(
         machine=Machine(program.linked),
@@ -229,7 +229,6 @@ def _build_sim(args, program, tracer=None, obs=None) -> IntermittentSimulator:
         device_profile=device(args.device),
         monitor_kind=args.monitor,
         config=SimConfig(quantum=64, sleep_min_s=1e-3),
-        tracer=tracer,
         obs=obs,
         backend=args.backend,
     )
@@ -244,10 +243,11 @@ def cmd_simulate(args) -> int:
     from .obs import Observability, write_perfetto
 
     program = _compile(args)
-    tracer = Tracer(sample_period_s=args.duration / 400) if args.trace \
-        else None
-    obs = Observability.for_tracing() if args.trace_out else None
-    sim = _build_sim(args, program, tracer=tracer, obs=obs)
+    obs = Observability.for_tracing() \
+        if args.trace or args.trace_out else None
+    tracer = Tracer(sample_period_s=args.duration / 400).subscribe(obs.bus) \
+        if args.trace else None
+    sim = _build_sim(args, program, obs=obs)
     power = sim.power
     result = sim.run(args.duration)
     print(f"completions:          {result.completions}")

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .operands import Imm, Label, PReg, Sym, VReg
+from .operands import Imm, Label, PReg, Sym, VReg, trunc_div, trunc_rem
 
 Operand = Union[VReg, PReg, Imm]
 RegOperand = Union[VReg, PReg]
@@ -121,6 +121,59 @@ INTERRUPTIBLE_OPS = NVM_WRITE_OPS | IO_OPS
 #: trap carries the same message and partial-state semantics as
 #: :meth:`repro.runtime.machine.Machine.step`.
 TRAPPING_OPS = frozenset({Opcode.DIV, Opcode.REM, Opcode.LD, Opcode.ST})
+
+#: The ALU, written once: each opcode's result as Python expression text
+#: over operands ``{a}``/``{b}``, and whether it wraps to signed 32 bits.
+#: Shifts use the low five bits of ``b`` (SHR is logical), comparisons
+#: yield ``int`` 0/1, and DIV/REM truncate toward zero (wrapping inside
+#: :func:`trunc_div`/:func:`trunc_rem`).  A zero divisor is the caller's
+#: own trap, raised before evaluating.
+_ALU_TEXT: Dict[Opcode, Tuple[str, bool]] = {
+    Opcode.ADD: ("{a} + {b}", True),
+    Opcode.SUB: ("{a} - {b}", True),
+    Opcode.MUL: ("{a} * {b}", True),
+    Opcode.DIV: ("trunc_div({a}, {b})", False),
+    Opcode.REM: ("trunc_rem({a}, {b})", False),
+    Opcode.AND: ("{a} & {b}", True),
+    Opcode.OR: ("{a} | {b}", True),
+    Opcode.XOR: ("{a} ^ {b}", True),
+    Opcode.SHL: ("{a} << ({b} & 31)", True),
+    Opcode.SHR: ("(({a}) & 4294967295) >> ({b} & 31)", True),
+    Opcode.SAR: ("{a} >> ({b} & 31)", True),
+    Opcode.NEG: ("-{a}", True),
+    Opcode.NOT: ("~{a}", True),
+    Opcode.SLT: ("1 if {a} < {b} else 0", False),
+    Opcode.SLE: ("1 if {a} <= {b} else 0", False),
+    Opcode.SEQ: ("1 if {a} == {b} else 0", False),
+    Opcode.SNE: ("1 if {a} != {b} else 0", False),
+    Opcode.SGT: ("1 if {a} > {b} else 0", False),
+    Opcode.SGE: ("1 if {a} >= {b} else 0", False),
+}
+
+#: :func:`~repro.isa.operands.wrap32` as expression text over ``{}``.
+WRAP32_TEXT = "((({}) & 4294967295) ^ 2147483648) - 2147483648"
+
+
+def alu_expr(op: Opcode, a: str, b: str) -> str:
+    """Expression text for ``op`` over operand texts ``a``/``b``, with
+    the 32-bit wrap inlined — what threaded block code computes."""
+    text, wraps = _ALU_TEXT[op]
+    expr = text.format(a=a, b=b)
+    return WRAP32_TEXT.format(expr) if wraps else expr
+
+
+def _compile_alu() -> Dict[Opcode, Callable[..., int]]:
+    source = "".join(f"def {op.name}(a, b=0):\n    return "
+                     f"{alu_expr(op, 'a', 'b')}\n" for op in _ALU_TEXT)
+    namespace = {"trunc_div": trunc_div, "trunc_rem": trunc_rem}
+    exec(compile(source, "<repro.isa.ALU>", "exec"), namespace)  # noqa: S102
+    return {op: namespace[op.name] for op in _ALU_TEXT}
+
+
+#: ``ALU[op](a, b=0)``: every ALU opcode's result as a function, compiled
+#: once from the same text (the interpreter, recovery blocks and both
+#: constant folders compute with these).
+ALU = _compile_alu()
 
 #: Per-opcode cycle costs, calibrated to MSP430FR-class hardware: ordinary
 #: two-operand instructions take ~2 cycles with operand fetch; FRAM loads

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import SemanticError
 from ..isa import instructions as ins
-from ..isa.instructions import Instr, Opcode
-from ..isa.operands import Imm, Label, Sym, VReg, trunc_div, trunc_rem, wrap32
+from ..isa.instructions import ALU, Instr, Opcode
+from ..isa.operands import Imm, Label, Sym, VReg, wrap32
 from ..isa.program import ISR_SOURCES
 from ..ir.cfg import BasicBlock, Function, Module, remove_unreachable
 from . import ast
@@ -34,6 +34,9 @@ _BINOP_OPCODES = {
     "<": Opcode.SLT, "<=": Opcode.SLE, ">": Opcode.SGT, ">=": Opcode.SGE,
     "==": Opcode.SEQ, "!=": Opcode.SNE,
 }
+
+#: AST unary operator -> IR opcode (``!x`` is ``x == 0``).
+_UNARY_OPCODES = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.SEQ}
 
 Binding = Tuple[str, object]  # ("reg", VReg) | ("gscalar"|"garray", name[, size]) | ("larray", off, size)
 
@@ -414,26 +417,22 @@ class _FunctionLowerer:
 
     def _lower_unary(self, expr: ast.Unary) -> Union[VReg, Imm]:
         operand = self._lower_expr(expr.operand)
+        opcode = _UNARY_OPCODES[expr.op]
         if isinstance(operand, Imm):
-            value = operand.value
-            folded = {"-": -value, "~": ~value, "!": int(value == 0)}[expr.op]
-            return Imm(wrap32(folded))
+            return Imm(ALU[opcode](operand.value))
         reg = self._fn.new_vreg()
-        if expr.op == "-":
-            self._emit(Instr(Opcode.NEG, dst=reg, a=operand))
-        elif expr.op == "~":
-            self._emit(Instr(Opcode.NOT, dst=reg, a=operand))
-        else:  # '!'
-            self._emit(ins.binop(Opcode.SEQ, reg, operand, Imm(0)))
+        if opcode is Opcode.SEQ:  # '!x' is 'x == 0'
+            self._emit(ins.binop(opcode, reg, operand, Imm(0)))
+        else:
+            self._emit(Instr(opcode, dst=reg, a=operand))
         return reg
 
     def _lower_binary(self, expr: ast.Binary) -> Union[VReg, Imm]:
         left = self._lower_expr(expr.left)
         right = self._lower_expr(expr.right)
         if isinstance(left, Imm) and isinstance(right, Imm):
-            folded = _fold_binary(expr.op, left.value, right.value, expr.line)
-            if folded is not None:
-                return Imm(folded)
+            return Imm(_fold_binary(expr.op, left.value, right.value,
+                                    expr.line))
         opcode = _BINOP_OPCODES[expr.op]
         reg = self._fn.new_vreg()
         self._emit(ins.binop(opcode, reg, self._as_reg(left), right))
@@ -541,7 +540,8 @@ class _FunctionLowerer:
             else:
                 mask = args[0]
                 if isinstance(mask, Imm):
-                    inverted: Union[VReg, Imm] = Imm(wrap32(~mask.value))
+                    inverted: Union[VReg, Imm] = Imm(
+                        ALU[Opcode.NOT](mask.value))
                 else:
                     inverted = self._fn.new_vreg()
                     self._emit(Instr(Opcode.NOT, dst=inverted, a=mask))
@@ -603,25 +603,12 @@ class _FunctionLowerer:
         )  # pragma: no cover - table and dispatch kept in sync
 
 
-def _fold_binary(op: str, a: int, b: int, line: int) -> Optional[int]:
-    """Constant-fold a binary op; returns ``None`` when folding is unsafe."""
-    if op in ("/", "%") and b == 0:
+def _fold_binary(op: str, a: int, b: int, line: int) -> int:
+    """Constant-fold a binary op with the machine's own arithmetic."""
+    opcode = _BINOP_OPCODES[op]
+    if b == 0 and opcode in (Opcode.DIV, Opcode.REM):
         raise SemanticError(f"line {line}: constant division by zero")
-    shift = b & 31
-    table = {
-        "+": a + b, "-": a - b, "*": a * b,
-        "&": a & b, "|": a | b, "^": a ^ b,
-        "<<": a << shift, ">>": a >> shift,
-        "<": int(a < b), "<=": int(a <= b), ">": int(a > b),
-        ">=": int(a >= b), "==": int(a == b), "!=": int(a != b),
-    }
-    if op == "/":
-        return trunc_div(a, b)
-    if op == "%":
-        return trunc_rem(a, b)
-    if op in table:
-        return wrap32(table[op])
-    return None
+    return ALU[opcode](a, b)
 
 
 def _infer_for_bound(stmt: ast.For) -> Optional[int]:

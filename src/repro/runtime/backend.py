@@ -19,7 +19,7 @@ Two backends ship:
 * :class:`InterpreterBackend` — the reference semantics: a thin loop
   over :meth:`Machine.step`.
 * :class:`~repro.runtime.threaded.ThreadedBackend` — precompiled
-  basic-block closures (threaded code); byte-identical results, ~10×
+  basic-block closures (threaded code); byte-identical results, ~9–16×
   faster.  See ``docs/execution-backends.md``.
 
 Backends are stateless and shareable; resolve one by name with

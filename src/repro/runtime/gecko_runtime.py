@@ -78,9 +78,6 @@ class GeckoRuntime:
             self.obs = obs
             self._jit.attach(obs=obs)
 
-    def attach_obs(self, obs) -> None:
-        self.attach(obs=obs)
-
     # -- mode helpers ---------------------------------------------------
     @staticmethod
     def mode(machine: Machine) -> int:

@@ -29,15 +29,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import MachineFault
-from ..isa.instructions import Instr, Opcode
+from ..isa.instructions import ALU, Instr, Opcode
 from ..obs import REGION_COMMIT
 from ..isa.operands import (
     Imm,
     MASK32,
     NUM_REGS,
     PReg,
-    trunc_div,
-    trunc_rem,
     wrap32,
 )
 from ..isa.program import LinkedProgram
@@ -377,51 +375,14 @@ class Machine:
         regs = self.regs
         next_pc = self.pc + 1
 
-        if op is Opcode.LI or op is Opcode.MOV:
-            regs[instr.dst.index] = self._value(instr.a)
-        elif op is Opcode.ADD:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) + self._value(instr.b))
-        elif op is Opcode.SUB:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) - self._value(instr.b))
-        elif op is Opcode.MUL:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) * self._value(instr.b))
-        elif op is Opcode.DIV or op is Opcode.REM:
-            divisor = self._value(instr.b)
-            if divisor == 0:
+        alu = ALU.get(op)
+        if alu is not None:
+            b = 0 if instr.b is None else self._value(instr.b)
+            if b == 0 and (op is Opcode.DIV or op is Opcode.REM):
                 raise MachineFault(f"pc={self.pc}: division by zero")
-            fn = trunc_div if op is Opcode.DIV else trunc_rem
-            regs[instr.dst.index] = fn(self._value(instr.a), divisor)
-        elif op is Opcode.AND:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) & self._value(instr.b))
-        elif op is Opcode.OR:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) | self._value(instr.b))
-        elif op is Opcode.XOR:
-            regs[instr.dst.index] = wrap32(self._value(instr.a) ^ self._value(instr.b))
-        elif op is Opcode.SHL:
-            regs[instr.dst.index] = wrap32(
-                self._value(instr.a) << (self._value(instr.b) & 31))
-        elif op is Opcode.SHR:
-            regs[instr.dst.index] = wrap32(
-                (self._value(instr.a) & MASK32) >> (self._value(instr.b) & 31))
-        elif op is Opcode.SAR:
-            regs[instr.dst.index] = wrap32(
-                self._value(instr.a) >> (self._value(instr.b) & 31))
-        elif op is Opcode.NEG:
-            regs[instr.dst.index] = wrap32(-self._value(instr.a))
-        elif op is Opcode.NOT:
-            regs[instr.dst.index] = wrap32(~self._value(instr.a))
-        elif op is Opcode.SLT:
-            regs[instr.dst.index] = int(self._value(instr.a) < self._value(instr.b))
-        elif op is Opcode.SLE:
-            regs[instr.dst.index] = int(self._value(instr.a) <= self._value(instr.b))
-        elif op is Opcode.SEQ:
-            regs[instr.dst.index] = int(self._value(instr.a) == self._value(instr.b))
-        elif op is Opcode.SNE:
-            regs[instr.dst.index] = int(self._value(instr.a) != self._value(instr.b))
-        elif op is Opcode.SGT:
-            regs[instr.dst.index] = int(self._value(instr.a) > self._value(instr.b))
-        elif op is Opcode.SGE:
-            regs[instr.dst.index] = int(self._value(instr.a) >= self._value(instr.b))
+            regs[instr.dst.index] = alu(self._value(instr.a), b)
+        elif op is Opcode.LI or op is Opcode.MOV:
+            regs[instr.dst.index] = self._value(instr.a)
         elif op is Opcode.LD:
             regs[instr.dst.index] = self.mem[self._effective_addr(instr)]
         elif op is Opcode.ST:

@@ -64,9 +64,6 @@ class NVPRuntime:
         if obs is not _UNSET:
             self.obs = obs
 
-    def attach_obs(self, obs) -> None:
-        self.attach(obs=obs)
-
     # -- simulator interface -------------------------------------------
     def monitor_enabled(self, machine: Machine) -> bool:
         """NVP's checkpoint trigger is the monitor: the attack surface."""

@@ -150,7 +150,6 @@ class IntermittentSimulator:
                  device_profile: Optional[DeviceProfile] = None,
                  monitor_kind: str = "adc",
                  config: Optional[SimConfig] = None,
-                 tracer=None,
                  fault_injector=None,
                  obs: Optional[Observability] = None,
                  backend: Union[str, ExecutionBackend] = "interpreter") -> None:
@@ -173,23 +172,15 @@ class IntermittentSimulator:
         self._sleep_until = 0.0
         self._init_image = list(machine.mem)
         # Observability (:mod:`repro.obs`): one bundle shared by every
-        # layer.  A bare Tracer still works — it gets an implicit bus it
-        # subscribes to, preserving the pre-obs simulator contract.
-        if obs is None and tracer is not None:
-            obs = Observability.for_tracing()
+        # layer (a Tracer subscribes to its bus).
         self.obs = obs
-        self.tracer = tracer
         self._emi_on = False
         self._prof = None
         if obs is not None:
             obs.bind_clock(lambda: self.t)
-            if tracer is not None:
-                tracer.subscribe(obs.bus)
             self._prof = _maybe_prof(obs.profiler)
             machine.attach(obs=obs, profiler=self._prof)
-            attach = getattr(runtime, "attach_obs", None)
-            if attach is not None:
-                attach(obs)
+            runtime.attach(obs=obs)
             power.attach_obs(obs)
         #: Fault injector (:mod:`repro.faultsim`): wires itself into the
         #: machine/runtime hook points and filters monitor events.

@@ -10,7 +10,8 @@ quantity is already a literal:
 * register indices and immediates are inlined (no ``_value`` dispatch),
 * symbol base addresses are resolved (a static ``LD``/``ST`` offset
   becomes one constant list index, bounds-checked at compile time),
-* 32-bit wrapping is inlined as integer arithmetic,
+* ALU instructions inline the ISA's own expression text
+  (:func:`~repro.isa.instructions.alu_expr`), 32-bit wrap included,
 * per-block cycle/instruction costs are pre-summed and flushed in
   batches.
 
@@ -96,7 +97,8 @@ import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import MachineFault, SimulationError
-from ..isa.instructions import BLOCK_ENDERS, Instr, Opcode
+from ..isa.instructions import (
+    ALU, BLOCK_ENDERS, WRAP32_TEXT, Instr, Opcode, alu_expr)
 from ..isa.operands import Imm, PReg, trunc_div, trunc_rem
 from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram
 from .machine import OPCODE_CLASSES, Machine
@@ -110,9 +112,6 @@ MAX_BLOCK_LEN = 32
 #: A region's local-pc dispatch bisects its member entries down to runs
 #: of at most this many equality tests.
 _DISPATCH_RUN = 4
-
-_MASK = 0xFFFFFFFF
-_SIGN = 0x80000000
 
 #: Branches that close a loop region when they jump backward.
 _LOOP_BRANCHES = (Opcode.BNZ, Opcode.JMP)
@@ -151,11 +150,6 @@ class _RegionEntry:
         self.n = n
         #: Regions run as ``fn(m, regs, mem, wear, left) -> executed``.
         self.region = True
-
-
-def _wrap(expr: str) -> str:
-    """Inline ``wrap32`` (signed 32-bit two's complement) as arithmetic."""
-    return f"((({expr}) & {_MASK}) ^ {_SIGN}) - {_SIGN}"
 
 
 def _operand(operand) -> str:
@@ -378,55 +372,17 @@ class _BlockCompiler:
         emit = self.emit
         if op is Opcode.LI or op is Opcode.MOV:
             emit(f"regs[{instr.dst.index}] = {_operand(instr.a)}")
-        elif op is Opcode.ADD:
-            expr = f"{_operand(instr.a)} + {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SUB:
-            expr = f"{_operand(instr.a)} - {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.MUL:
-            expr = f"{_operand(instr.a)} * {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.DIV or op is Opcode.REM:
-            fn = "trunc_div" if op is Opcode.DIV else "trunc_rem"
-            divisor = instr.b
-            if isinstance(divisor, Imm) and divisor.value != 0:
-                emit(f"regs[{instr.dst.index}] = "
-                     f"{fn}({_operand(instr.a)}, {divisor.value})")
-            else:
-                emit(f"_b = {_operand(divisor)}")
+        elif op in ALU:
+            b = "0" if instr.b is None else _operand(instr.b)
+            if (op is Opcode.DIV or op is Opcode.REM) \
+                    and not (isinstance(instr.b, Imm) and instr.b.value != 0):
+                # A provably nonzero ``Imm`` divisor needs no guard.
+                emit(f"_b = {b}")
                 emit("if _b == 0:")
                 self.trap(pc, repr(f"pc={pc}: division by zero"), depth=2)
-                emit(f"regs[{instr.dst.index}] = "
-                     f"{fn}({_operand(instr.a)}, _b)")
-        elif op is Opcode.AND:
-            expr = f"{_operand(instr.a)} & {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.OR:
-            expr = f"{_operand(instr.a)} | {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.XOR:
-            expr = f"{_operand(instr.a)} ^ {_operand(instr.b)}"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SHL:
-            expr = f"{_operand(instr.a)} << ({_operand(instr.b)} & 31)"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SHR:
-            expr = (f"(({_operand(instr.a)}) & {_MASK}) >> "
-                    f"({_operand(instr.b)} & 31)")
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.SAR:
-            expr = f"{_operand(instr.a)} >> ({_operand(instr.b)} & 31)"
-            emit(f"regs[{instr.dst.index}] = {_wrap(expr)}")
-        elif op is Opcode.NEG:
-            emit(f"regs[{instr.dst.index}] = {_wrap('-' + _operand(instr.a))}")
-        elif op is Opcode.NOT:
-            emit(f"regs[{instr.dst.index}] = {_wrap('~' + _operand(instr.a))}")
-        elif op in _COMPARES:
-            # ``1 if … else 0`` keeps the result an int (not bool), like
-            # the interpreter's ``int(a < b)``.
-            emit(f"regs[{instr.dst.index}] = 1 if {_operand(instr.a)} "
-                 f"{_COMPARES[op]} {_operand(instr.b)} else 0")
+                b = "_b"
+            emit(f"regs[{instr.dst.index}] = "
+                 f"{alu_expr(op, _operand(instr.a), b)}")
         elif op is Opcode.LD:
             address = self.addr_expr(pc, instr)
             emit(f"regs[{instr.dst.index}] = mem[{address}]")
@@ -465,7 +421,7 @@ class _BlockCompiler:
             self.flush()
             emit(f"m.pc = {pc}")
             value = "m.sensor_stream(m.sensor_cursor)"
-            emit(f"regs[{instr.dst.index}] = {_wrap(value)}")
+            emit(f"regs[{instr.dst.index}] = {WRAP32_TEXT.format(value)}")
             emit("m.sensor_cursor += 1")
         elif op is Opcode.CKPT:
             self.ckpt(instr)
@@ -493,7 +449,7 @@ class _BlockCompiler:
         source = f"regs[{instr.a.index}]"
         if instr.color is not None:
             address = (ckpt1 if instr.color else ckpt0) + instr.reg_index
-            emit(f"mem[{address}] = {_wrap(source)}")
+            emit(f"mem[{address}] = {WRAP32_TEXT.format(source)}")
             emit(f"wear[{address}] += 1")
         elif instr.meta.get("per_reg"):
             rcolor, _ = symtab["__rcolor"]
@@ -501,22 +457,16 @@ class _BlockCompiler:
             emit(f"m._pending_rcolor.add({instr.reg_index})")
             emit(f"_a = {ckpt1 + instr.reg_index} if _c else "
                  f"{ckpt0 + instr.reg_index}")
-            emit(f"mem[_a] = {_wrap(source)}")
+            emit(f"mem[_a] = {WRAP32_TEXT.format(source)}")
             emit("wear[_a] += 1")
         else:
             color, _ = symtab["__color"]
             emit(f"_c = 1 - (mem[{color}] & 1)")
             emit(f"_a = {ckpt1 + instr.reg_index} if _c else "
                  f"{ckpt0 + instr.reg_index}")
-            emit(f"mem[_a] = {_wrap(source)}")
+            emit(f"mem[_a] = {WRAP32_TEXT.format(source)}")
             emit("wear[_a] += 1")
         emit("m.ckpt_stores_executed += 1")
-
-
-_COMPARES = {
-    Opcode.SLT: "<", Opcode.SLE: "<=", Opcode.SEQ: "==",
-    Opcode.SNE: "!=", Opcode.SGT: ">", Opcode.SGE: ">=",
-}
 
 
 class _ProgramBlocks:

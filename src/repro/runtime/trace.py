@@ -1,8 +1,10 @@
 """Execution tracing for simulated devices.
 
-A :class:`Tracer` attached to an :class:`~repro.runtime.IntermittentSimulator`
-records the capacitor-voltage timeline, device-state transitions, and
-discrete events (checkpoints, reboots, detections, completions, faults).
+A :class:`Tracer` subscribed to the event bus of an
+:class:`~repro.runtime.IntermittentSimulator`'s ``obs`` bundle
+(``Tracer(...).subscribe(obs.bus)``) records the capacitor-voltage
+timeline, device-state transitions, and discrete events (checkpoints,
+reboots, detections, completions, faults).
 It renders an ASCII strip chart — the closest thing this repo has to the
 oscilloscope screenshots in the paper's Fig. 9/13 — and supports simple
 queries for tests and examples.

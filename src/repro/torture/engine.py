@@ -31,11 +31,10 @@ from ..errors import InvariantViolation
 from ..faultsim.golden import capture_trace
 from ..isa.instructions import CYCLES, Opcode
 from ..isa.program import ISR_MAX_DEPTH
+from ..runtime import runtime_for
 from ..runtime.backend import backend_for
-from ..runtime.gecko_runtime import GeckoRuntime
 from ..runtime.machine import Machine
 from ..runtime.nvp import NVPRuntime
-from ..runtime.rollback import RollbackRuntime
 from ..store.digest import content_digest
 from ..workloads import REGISTRY, source
 from .oracles import (
@@ -270,12 +269,7 @@ class _TortureRun:
         self.symtab = target.linked.symtab
         self.code_size = len(target.linked.instrs)
         base = target.base_scheme
-        if base == "nvp":
-            self.runtime = NVPRuntime()
-        elif base == "ratchet":
-            self.runtime = RollbackRuntime(target.linked)
-        else:
-            self.runtime = GeckoRuntime(target.linked)
+        self.runtime = runtime_for(target.compiled, base)
         self.step_hook = _StepFaultHook()
         self.ckpt_hook = _CkptFaultHook()
         self.machine.attach(fault_hook=self.step_hook)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..faultsim.models import IMAGE_PREFIX_WORDS
 from ..isa.operands import NUM_REGS
 
 __all__ = [
@@ -351,9 +352,9 @@ def generate_schedule(profile: TortureProfile, scheme: str, rng,
             mode = rng.choice(CKPT_MODES)
             events.append(TortureEvent(
                 kind=kind, at_cycle=at, mode=mode,
-                word=rng.randrange(0, NUM_REGS + 3),
+                word=rng.randrange(0, IMAGE_PREFIX_WORDS),
                 bit=rng.randrange(32),
-                cut=rng.randrange(0, NUM_REGS + 3)))
+                cut=rng.randrange(0, IMAGE_PREFIX_WORDS)))
         elif kind == ISR_BURST:
             events.append(TortureEvent(
                 kind=kind, at_cycle=at,

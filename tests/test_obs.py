@@ -249,7 +249,7 @@ class TestJsonl:
 # ----------------------------------------------------------------------
 # Simulator integration.
 # ----------------------------------------------------------------------
-def _sim(program, obs=None, tracer=None):
+def _sim(program, obs=None):
     power = PowerSystem(
         capacitor=Capacitor(22e-6),
         harvester=SquareWaveHarvester(on_power_w=6e-3, period_s=0.02,
@@ -260,7 +260,6 @@ def _sim(program, obs=None, tracer=None):
         runtime=runtime_for(program),
         power=power,
         config=SimConfig(quantum=64, sleep_min_s=1e-3),
-        tracer=tracer,
         obs=obs,
     )
 
@@ -291,8 +290,8 @@ class TestSimulatorIntegration:
 
     def test_tracer_rides_the_bus(self):
         obs = Observability.for_tracing()
-        tracer = Tracer(sample_period_s=2e-4)
-        sim = _sim(compile_nvp(SRC), obs=obs, tracer=tracer)
+        tracer = Tracer(sample_period_s=2e-4).subscribe(obs.bus)
+        sim = _sim(compile_nvp(SRC), obs=obs)
         result = sim.run(0.15)
         assert tracer.count("completion") == result.completions
         assert tracer.count("reboot") == result.reboots
@@ -308,13 +307,6 @@ class TestSimulatorIntegration:
         assert report["wall_s"]["machine.step"] > 0
         assert report["cycles"]["alu"] > 0
         assert report["cycles"]["ctrl"] > 0
-
-    def test_plain_tracer_still_works_without_obs(self):
-        tracer = Tracer(sample_period_s=2e-4)
-        sim = _sim(compile_nvp(SRC), tracer=tracer)
-        result = sim.run(0.1)
-        assert tracer.count("completion") == result.completions
-        assert sim.obs is not None  # implicit bus behind the tracer
 
     def test_no_obs_leaves_result_metrics_empty(self):
         result = _sim(compile_nvp(SRC)).run(0.05)

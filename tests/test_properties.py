@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis).
 
-* machine ALU semantics against a Python model of 32-bit C arithmetic;
+* ALU semantics against a hand-written Python model of 32-bit C
+  arithmetic: the :data:`~repro.isa.instructions.ALU` table and every
+  layer that computes with it (both execution backends, recovery blocks,
+  both constant folders), zero-divisor traps included;
 * the headline invariant: randomly generated MiniC programs produce
   identical committed output with and without injected power failures,
   under both Ratchet and GECKO (JIT and rollback recovery);
@@ -8,15 +11,22 @@
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.compiler import optimize
 from repro.core import compile_gecko, compile_ratchet
-from repro.isa import Opcode, link, parse_program
+from repro.core.plans import SliceExec
+from repro.errors import MachineFault, SemanticError, SimulationError
+from repro.isa import Instr, Opcode, VReg, link, parse_instr, parse_program
+from repro.isa.instructions import ALU, BINOPS as ALU_BINOPS
 from repro.isa.operands import trunc_div, trunc_rem, wrap32
+from repro.lang import lowering
 from repro.runtime import (
+    BACKEND_NAMES,
     GeckoRuntime,
     Machine,
     RollbackRuntime,
+    execute_slice,
     run_to_completion,
 )
 
@@ -26,52 +36,164 @@ int32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 # ----------------------------------------------------------------------
 # ALU semantics vs a Python model.
 # ----------------------------------------------------------------------
+def _c_div(a: int, b: int) -> int:
+    """C division: Python's floor quotient, moved toward zero if inexact."""
+    quotient = a // b
+    return quotient + 1 if quotient < 0 and quotient * b != a else quotient
+
+
+#: Every ALU opcode, written out independently of ``repro.isa``'s table
+#: (unary ops ignore ``b``).
 _ALU_MODEL = {
     "add": lambda a, b: wrap32(a + b),
     "sub": lambda a, b: wrap32(a - b),
     "mul": lambda a, b: wrap32(a * b),
+    "div": lambda a, b: wrap32(_c_div(a, b)),
+    "rem": lambda a, b: wrap32(a - b * _c_div(a, b)),
     "and": lambda a, b: wrap32(a & b),
     "or": lambda a, b: wrap32(a | b),
     "xor": lambda a, b: wrap32(a ^ b),
     "shl": lambda a, b: wrap32(a << (b & 31)),
     "shr": lambda a, b: wrap32((a & 0xFFFFFFFF) >> (b & 31)),
     "sar": lambda a, b: wrap32(a >> (b & 31)),
+    "neg": lambda a, b: wrap32(-a),
+    "not": lambda a, b: wrap32(~a),
     "slt": lambda a, b: int(a < b),
-    "sge": lambda a, b: int(a >= b),
+    "sle": lambda a, b: int(a <= b),
     "seq": lambda a, b: int(a == b),
+    "sne": lambda a, b: int(a != b),
+    "sgt": lambda a, b: int(a > b),
+    "sge": lambda a, b: int(a >= b),
 }
 
+_UNARY = ("neg", "not")
 
-def _run_alu(op: str, a: int, b: int) -> int:
+#: Where 32-bit C arithmetic and Python integers part ways.
+_ALU_EDGES = [
+    ("div", -(2**31), -1), ("rem", -(2**31), -1),
+    ("div", 7, 0), ("rem", -7, 0),
+    ("shl", 1, 31), ("shl", 1, 32), ("shl", 3, -1),
+    ("shr", -1, 31), ("shr", -5, 32), ("shr", -8, -1), ("shr", -(2**31), 1),
+    ("sar", -(2**31), 31), ("sar", -1, 32), ("sar", -12345, -1),
+    ("neg", -(2**31), 0), ("not", -1, 0),
+    ("add", 2**31 - 1, 1), ("sub", -(2**31), 1), ("mul", 2**31 - 1, 2**31 - 1),
+]
+
+
+def _alu_cases(test):
+    """Every ALU opcode on random int32 operands, plus :data:`_ALU_EDGES`."""
+    for op, a, b in _ALU_EDGES:
+        test = example(op=op, a=a, b=b)(test)
+    return settings(max_examples=120, deadline=None)(given(
+        op=st.sampled_from(sorted(_ALU_MODEL)), a=int32, b=int32)(test))
+
+
+def _traps(op: str, b: int) -> bool:
+    return b == 0 and op in ("div", "rem")
+
+
+def _alu_text(op: str, b: int, imm: bool = False) -> str:
+    """``op R6, R4[, R5]``, or with ``b`` as an immediate divisor/operand."""
+    if op in _UNARY:
+        return f"{op} R6, R4"
+    return f"{op} R6, R4, #{b}" if imm else f"{op} R6, R4, R5"
+
+
+def _run_alu(backend: str, op: str, a: int, b: int, imm: bool = False) -> int:
     asm = f"""
 .data
     s 1
 .func main
     li R4, #{a}
     li R5, #{b}
-    {op} R6, R4, R5
+    {_alu_text(op, b, imm)}
     out R6
     halt
 """
     machine = Machine(link(parse_program(asm)))
-    machine.run()
+    machine.run(backend=backend)
     return machine.committed_out[0]
 
 
-@settings(max_examples=120, deadline=None)
-@given(op=st.sampled_from(sorted(_ALU_MODEL)), a=int32, b=int32)
+def test_alu_table_covers_every_alu_opcode():
+    assert set(ALU) == ALU_BINOPS | {Opcode.NEG, Opcode.NOT}
+    assert {Opcode(op) for op in _ALU_MODEL} == set(ALU)
+
+
+@_alu_cases
+def test_alu_table_matches_model(op, a, b):
+    if not _traps(op, b):  # a zero divisor is each caller's own trap
+        assert ALU[Opcode(op)](a, b) == _ALU_MODEL[op](a, b)
+
+
+@_alu_cases
 def test_alu_matches_model(op, a, b):
-    assert _run_alu(op, a, b) == _ALU_MODEL[op](a, b)
+    """Both backends, with ``b`` in a register and as an immediate."""
+    for backend in BACKEND_NAMES:
+        for imm in (False, True):
+            if _traps(op, b):
+                with pytest.raises(MachineFault,
+                                   match="^pc=2: division by zero$"):
+                    _run_alu(backend, op, a, b, imm)
+            else:
+                assert _run_alu(backend, op, a, b, imm) \
+                    == _ALU_MODEL[op](a, b)
+
+
+@_alu_cases
+def test_recovery_block_alu_matches_model(op, a, b):
+    block = SliceExec(target=6, instrs=[
+        parse_instr(f"li R4, #{a}"), parse_instr(f"li R5, #{b}"),
+        parse_instr(_alu_text(op, b))])
+    machine = Machine(link(parse_program(".func main\n    halt\n")))
+    if _traps(op, b):
+        with pytest.raises(SimulationError,
+                           match="recovery block division by zero"):
+            execute_slice(machine, block)
+    else:
+        execute_slice(machine, block)
+        assert machine.regs[6] == _ALU_MODEL[op](a, b)
+
+
+@_alu_cases
+def test_constant_propagation_matches_model(op, a, b):
+    instr = Instr(Opcode(op), dst=VReg(3), a=VReg(1),
+                  b=None if op in _UNARY else VReg(2))
+    folded = optimize._evaluate(instr, {VReg(1): a, VReg(2): b})
+    if _traps(op, b):
+        assert folded is optimize._BOTTOM  # the trap survives folding
+    else:
+        assert folded == _ALU_MODEL[op](a, b)
+
+
+#: MiniC binary operator of each opcode that has one.
+_MINIC_OPERATORS = {opcode.value: symbol for symbol, opcode
+                    in lowering._BINOP_OPCODES.items()}
+
+
+@_alu_cases
+def test_minic_constant_folding_matches_model(op, a, b):
+    symbol = _MINIC_OPERATORS.get(op)
+    if symbol is None:  # shr, neg and not have no binary MiniC operator
+        return
+    if _traps(op, b):
+        with pytest.raises(SemanticError, match="constant division by zero"):
+            lowering._fold_binary(symbol, a, b, line=1)
+    else:
+        assert lowering._fold_binary(symbol, a, b, line=1) \
+            == _ALU_MODEL[op](a, b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=int32, b=int32.filter(lambda v: v != 0))
 def test_division_matches_c_semantics(a, b):
-    assert _run_alu("div", a, b) == trunc_div(a, b)
-    assert _run_alu("rem", a, b) == trunc_rem(a, b)
+    quotient = _run_alu("interpreter", "div", a, b)
+    remainder = _run_alu("interpreter", "rem", a, b)
+    assert quotient == trunc_div(a, b)
+    assert remainder == trunc_rem(a, b)
     if b != -1 or a != -(2**31):  # the single UB-ish corner: just wraps
-        assert wrap32(_ALU_MODEL["mul"](_run_alu("div", a, b), b)
-                      + _run_alu("rem", a, b)) == wrap32(a)
+        assert wrap32(_ALU_MODEL["mul"](quotient, b) + remainder) \
+            == wrap32(a)
 
 
 @settings(max_examples=80, deadline=None)
