@@ -8,18 +8,20 @@ Two measurements back the `repro.torture` acceptance claims:
   violations and zero infrastructure errors: the healthy tree survives
   its own adversary.  Throughput is recorded as cases/second.
 * **Planted-bug drill** — with the stale-ISR-frame heal disabled
-  (`UNSAFE_SKIP_STALE_FRAME_HEAL`), the same bounded seeded campaign
-  must find violations, shrink every distinct finding to <= 8 events,
-  and produce repro cases whose recorded fingerprints replay
-  bit-identically on both backends.
+  (`tests/planted.py` patches `PeriphHub._heal` with a no-op), the same
+  bounded seeded campaign must find violations, shrink every distinct
+  finding to <= 8 events, and produce repro cases whose recorded
+  fingerprints replay bit-identically on both backends.  Run it from the
+  repository root (`python -m pytest benchmarks/bench_torture.py`) so
+  the `tests` package imports.
 """
 
 import time
 
 from _util import emit, run_once
 
-import repro.periph.hub as hub_mod
 from repro.torture import TortureCorpus, TortureSpec, run_campaign
+from tests.planted import heal_skipped
 
 CLEAN_COMBOS = (
     ("blink", "gecko-jit"),
@@ -53,13 +55,10 @@ def _clean_sweep() -> dict:
 
 
 def _planted_drill(tmp_root: str) -> dict:
-    hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = True
-    try:
+    with heal_skipped():
         start = time.perf_counter()
         report = run_campaign(PLANTED_SPEC)
         elapsed = time.perf_counter() - start
-    finally:
-        hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = False
     assert report.violations >= 1, "planted bug escaped the budget"
     assert report.repro_cases, "no repro cases produced"
     first_hit = min(case.index for case in report.cases if case.violating)
@@ -68,13 +67,10 @@ def _planted_drill(tmp_root: str) -> dict:
     assert max(event_counts) <= MAX_REPRO_EVENTS, event_counts
 
     corpus = TortureCorpus.open(tmp_root)
-    hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = True
-    try:
+    with heal_skipped():
         for case in report.repro_cases:
             corpus.add(case)
         replays = corpus.replay_all()
-    finally:
-        hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = False
     assert all(result.ok for results in replays.values()
                for result in results), "replay drifted from the recording"
     return {

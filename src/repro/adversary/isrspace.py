@@ -9,11 +9,13 @@ knobs (tone, power, standoff) plus just ``phase`` and ``width``.
 
 :class:`IsrPhaseCandidate` carries the profiled arrival pattern as frozen
 data, so candidates stay picklable, comparable, and replayable like any
-:class:`~repro.adversary.space.AttackCandidate`; it duck-types the full
-candidate protocol (``windows`` / ``attack_spec`` / ``path_spec`` /
-``energy_j`` / ``to_dict``), so :class:`~repro.adversary.search.
-AdversarySearch` and every strategy run over it unchanged — pass an
-:class:`IsrPhaseSpace` as the ``space`` argument.
+:class:`~repro.adversary.space.AttackCandidate`; both share
+:class:`~repro.adversary.space.CandidateBase` (airtime, energy and the
+harness encoding), and the spaces share
+:class:`~repro.adversary.space.SpaceBase`'s moves, so
+:class:`~repro.adversary.search.AdversarySearch` and every strategy run
+over it unchanged — pass an :class:`IsrPhaseSpace` as the ``space``
+argument.
 
 :func:`isr_attack_space` builds the space from a victim's own golden
 trace (:func:`repro.periph.attack.isr_trace`): one stable-power iteration
@@ -30,15 +32,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import random
-
-from ..emi import AttackSchedule, EMISource, RemotePath
-from ..energy.harvester import dbm_to_watts
-from ..eval.campaign import AttackSpec, CampaignRunner, PathSpec
+from ..eval.campaign import CampaignRunner
 from ..periph.attack import MCU_CLOCK_HZ, isr_arrivals, isr_trace, \
     phase_locked_windows
 from .search import AdversaryResult, AdversarySearch, adversary_victim
-from .space import AdversaryError, Bounds
+from .space import AdversaryError, Bounds, CandidateBase, SpaceBase
 
 #: Burst count cap: tiling a short iteration over a long window can
 #: produce thousands of arrivals; past this the schedule is clipped (the
@@ -52,7 +50,7 @@ _TIMING_KNOBS = ("phase", "width")
 
 
 @dataclass(frozen=True)
-class IsrPhaseCandidate:
+class IsrPhaseCandidate(CandidateBase):
     """One phase-locked attack: physical knobs + (phase, width) offsets.
 
     ``arrivals`` is the profiled interrupt-arrival pattern (fractions of
@@ -72,32 +70,6 @@ class IsrPhaseCandidate:
         """Merged (start, end) bursts around every expected arrival."""
         return phase_locked_windows(self.arrivals, self.phase, self.width)
 
-    def airtime_frac(self) -> float:
-        return sum(end - start for start, end in self.windows())
-
-    def airtime_s(self, duration_s: float) -> float:
-        return self.airtime_frac() * duration_s
-
-    def energy_j(self, duration_s: float) -> float:
-        return dbm_to_watts(self.tx_dbm) * self.airtime_s(duration_s)
-
-    # -- encoding into the harness vocabulary --------------------------
-    def source(self) -> EMISource:
-        return EMISource(self.freq_mhz * 1e6, self.tx_dbm)
-
-    def attack_spec(self) -> AttackSpec:
-        return AttackSpec.bursts(self.windows(), freq_mhz=self.freq_mhz,
-                                 tx_dbm=self.tx_dbm)
-
-    def path_spec(self) -> PathSpec:
-        return PathSpec.remote(distance_m=self.distance_m)
-
-    def build(self, duration_s: float) -> Tuple[AttackSchedule, RemotePath]:
-        schedule = AttackSchedule.from_intervals(
-            [(a * duration_s, b * duration_s) for a, b in self.windows()],
-            self.source())
-        return schedule, RemotePath(distance_m=self.distance_m)
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name)
@@ -114,12 +86,13 @@ class IsrPhaseCandidate:
 
 
 @dataclass(frozen=True)
-class IsrPhaseSpace:
+class IsrPhaseSpace(SpaceBase):
     """Bounded phase-locked candidate space over a fixed arrival pattern.
 
-    Implements the same protocol as :class:`~repro.adversary.space.
-    AttackSpace` (``sample`` / ``clip`` / ``neighbor`` / ``aggressive`` /
-    ``lattice``), so every search strategy runs over it unchanged.
+    Shares :class:`~repro.adversary.space.AttackSpace`'s moves
+    (``sample`` / ``clip`` / ``neighbor`` / ``lattice``) and has its own
+    ``aggressive`` prior, so every search strategy runs over it
+    unchanged.
     """
 
     arrivals: Tuple[float, ...]
@@ -138,21 +111,6 @@ class IsrPhaseSpace:
     def _make(self, knobs: Dict[str, float]) -> IsrPhaseCandidate:
         return IsrPhaseCandidate(arrivals=self.arrivals, **knobs)
 
-    # ------------------------------------------------------------------
-    def sample(self, rng: random.Random) -> IsrPhaseCandidate:
-        return self._make({name: bounds.sample(rng)
-                           for name, bounds in self.bounds.items()})
-
-    def clip(self, candidate: IsrPhaseCandidate) -> IsrPhaseCandidate:
-        return self._make({name: bounds.clip(getattr(candidate, name))
-                           for name, bounds in self.bounds.items()})
-
-    def neighbor(self, candidate: IsrPhaseCandidate, rng: random.Random,
-                 scale: float = 0.15) -> IsrPhaseCandidate:
-        return self._make({
-            name: bounds.neighbor(getattr(candidate, name), rng, scale)
-            for name, bounds in self.bounds.items()})
-
     def aggressive(self, freq_mhz: float) -> IsrPhaseCandidate:
         """Max-damage prior at one tone: full power, closest standoff,
         widest burst, centered on the arrival itself."""
@@ -163,18 +121,6 @@ class IsrPhaseSpace:
             "phase": 0.0,
             "width": self.bounds["width"].hi,
         }))
-
-    def lattice(self, n_freq: int,
-                n_power: int = 1) -> List[IsrPhaseCandidate]:
-        power = self.bounds["tx_dbm"]
-        powers = [power.hi] if n_power == 1 \
-            else list(reversed(power.grid(n_power)))
-        out: List[IsrPhaseCandidate] = []
-        for tx_dbm in powers:
-            for freq in self.bounds["freq_mhz"].grid(n_freq):
-                out.append(dataclasses.replace(self.aggressive(freq),
-                                               tx_dbm=tx_dbm))
-        return out
 
 
 def isr_attack_space(linked, duration_s: float,

@@ -91,8 +91,47 @@ class Bounds:
         return self.clip(value + rng.gauss(0.0, scale * (self.hi - self.lo)))
 
 
+class CandidateBase:
+    """What every candidate derives from its :meth:`windows` and its three
+    physical knobs (``freq_mhz``, ``tx_dbm``, ``distance_m``): airtime,
+    energy, and the encoding into the harness vocabulary."""
+
+    def windows(self) -> Tuple[Tuple[float, float], ...]:
+        """(start, end) transmission bursts as fractions of the run."""
+        raise NotImplementedError
+
+    def airtime_frac(self) -> float:
+        return sum(end - start for start, end in self.windows())
+
+    def airtime_s(self, duration_s: float) -> float:
+        return self.airtime_frac() * duration_s
+
+    def energy_j(self, duration_s: float) -> float:
+        """The attacker's transmitted energy: P_tx × airtime."""
+        return dbm_to_watts(self.tx_dbm) * self.airtime_s(duration_s)
+
+    # -- encoding into the harness vocabulary --------------------------
+    def source(self) -> EMISource:
+        return EMISource(self.freq_mhz * 1e6, self.tx_dbm)
+
+    def attack_spec(self) -> AttackSpec:
+        return AttackSpec.bursts(self.windows(), freq_mhz=self.freq_mhz,
+                                 tx_dbm=self.tx_dbm)
+
+    def path_spec(self) -> PathSpec:
+        return PathSpec.remote(distance_m=self.distance_m)
+
+    def build(self, duration_s: float) -> Tuple[AttackSchedule, RemotePath]:
+        """The replayable (schedule, path) pair at a concrete run length."""
+        source = self.source()
+        schedule = AttackSchedule.from_intervals(
+            [(a * duration_s, b * duration_s) for a, b in self.windows()],
+            source)
+        return schedule, RemotePath(distance_m=self.distance_m)
+
+
 @dataclass(frozen=True)
-class AttackCandidate:
+class AttackCandidate(CandidateBase):
     """One fully-specified attack the adversary model admits.
 
     Timing fields are fractions of the victim's run window: the active
@@ -127,35 +166,6 @@ class AttackCandidate:
             t += period
         return tuple(bursts)
 
-    def airtime_frac(self) -> float:
-        return sum(end - start for start, end in self.windows())
-
-    def airtime_s(self, duration_s: float) -> float:
-        return self.airtime_frac() * duration_s
-
-    def energy_j(self, duration_s: float) -> float:
-        """The attacker's transmitted energy: P_tx × airtime."""
-        return dbm_to_watts(self.tx_dbm) * self.airtime_s(duration_s)
-
-    # -- encoding into the harness vocabulary --------------------------
-    def source(self) -> EMISource:
-        return EMISource(self.freq_mhz * 1e6, self.tx_dbm)
-
-    def attack_spec(self) -> AttackSpec:
-        return AttackSpec.bursts(self.windows(), freq_mhz=self.freq_mhz,
-                                 tx_dbm=self.tx_dbm)
-
-    def path_spec(self) -> PathSpec:
-        return PathSpec.remote(distance_m=self.distance_m)
-
-    def build(self, duration_s: float) -> Tuple[AttackSchedule, RemotePath]:
-        """The replayable (schedule, path) pair at a concrete run length."""
-        source = self.source()
-        schedule = AttackSchedule.from_intervals(
-            [(a * duration_s, b * duration_s) for a, b in self.windows()],
-            source)
-        return schedule, RemotePath(distance_m=self.distance_m)
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -179,8 +189,47 @@ DEFAULT_BOUNDS: Dict[str, Bounds] = {
 }
 
 
+class SpaceBase:
+    """Seeded moves over a space's ``bounds`` (iterated in their order, so
+    the RNG draws are fixed).  Each move builds its candidate through the
+    space's ``_make(knobs)``; :meth:`lattice` starts from the space's
+    ``aggressive(freq_mhz)`` prior."""
+
+    def _make(self, knobs: Dict[str, float]) -> CandidateBase:
+        raise NotImplementedError
+
+    def sample(self, rng: random.Random) -> CandidateBase:
+        return self._make({name: bounds.sample(rng)
+                           for name, bounds in self.bounds.items()})
+
+    def clip(self, candidate: CandidateBase) -> CandidateBase:
+        return self._make({name: bounds.clip(getattr(candidate, name))
+                           for name, bounds in self.bounds.items()})
+
+    def neighbor(self, candidate: CandidateBase, rng: random.Random,
+                 scale: float = 0.15) -> CandidateBase:
+        """Perturb every knob; the anneal strategy's proposal move."""
+        return self._make({
+            name: bounds.neighbor(getattr(candidate, name), rng, scale)
+            for name, bounds in self.bounds.items()})
+
+    def lattice(self, n_freq: int, n_power: int = 1) -> List[CandidateBase]:
+        """A (frequency × power) grid of aggressive candidates — the grid
+        strategy's plan and the anneal strategy's warm start."""
+        power = self.bounds["tx_dbm"]
+        # Full power first (and only full power when n_power == 1): the
+        # lattice is the *aggressive* prior, not a uniform grid.
+        powers = [power.hi] if n_power == 1 \
+            else list(reversed(power.grid(n_power)))
+        out: List[CandidateBase] = []
+        for tx_dbm in powers:
+            for freq in self.bounds["freq_mhz"].grid(n_freq):
+                out.append(replace(self.aggressive(freq), tx_dbm=tx_dbm))
+        return out
+
+
 @dataclass(frozen=True)
-class AttackSpace:
+class AttackSpace(SpaceBase):
     """Bounded candidate space with seeded sampling and perturbation."""
 
     bounds: Mapping[str, Bounds] = field(
@@ -194,22 +243,8 @@ class AttackSpace:
                 f"space must bound exactly the candidate fields; "
                 f"missing {sorted(want - got)}, extra {sorted(got - want)}")
 
-    # ------------------------------------------------------------------
-    def sample(self, rng: random.Random) -> AttackCandidate:
-        return AttackCandidate(**{name: bounds.sample(rng)
-                                  for name, bounds in self.bounds.items()})
-
-    def clip(self, candidate: AttackCandidate) -> AttackCandidate:
-        return AttackCandidate(**{
-            name: bounds.clip(getattr(candidate, name))
-            for name, bounds in self.bounds.items()})
-
-    def neighbor(self, candidate: AttackCandidate, rng: random.Random,
-                 scale: float = 0.15) -> AttackCandidate:
-        """Perturb every knob; the anneal strategy's proposal move."""
-        return AttackCandidate(**{
-            name: bounds.neighbor(getattr(candidate, name), rng, scale)
-            for name, bounds in self.bounds.items()})
+    def _make(self, knobs: Dict[str, float]) -> AttackCandidate:
+        return AttackCandidate(**knobs)
 
     def aggressive(self, freq_mhz: float) -> AttackCandidate:
         """The max-damage prior at one tone: full window, full power,
@@ -223,17 +258,3 @@ class AttackSpace:
             duty=self.bounds["duty"].hi,
             hop_period=self.bounds["hop_period"].hi,
         ))
-
-    def lattice(self, n_freq: int, n_power: int = 1) -> List[AttackCandidate]:
-        """A (frequency × power) grid of aggressive candidates — the grid
-        strategy's plan and the anneal strategy's warm start."""
-        power = self.bounds["tx_dbm"]
-        # Full power first (and only full power when n_power == 1): the
-        # lattice is the *aggressive* prior, not a uniform grid.
-        powers = [power.hi] if n_power == 1 \
-            else list(reversed(power.grid(n_power)))
-        out: List[AttackCandidate] = []
-        for tx_dbm in powers:
-            for freq in self.bounds["freq_mhz"].grid(n_freq):
-                out.append(replace(self.aggressive(freq), tx_dbm=tx_dbm))
-        return out

@@ -4,9 +4,9 @@ Both monitor types digitise the capacitor voltage *plus* whatever the
 attack tone induces on their input trace, then compare against the
 ``V_backup`` / ``V_on`` thresholds:
 
-* :class:`ADCMonitor` — a 10/12-bit successive-approximation ADC sampling
-  the supply and comparing in firmware.  Quantisation and (optional)
-  multi-sample averaging give it slight noise immunity.
+* :class:`ADCMonitor` — a 10-bit successive-approximation ADC sampling
+  the supply and comparing in firmware.  Quantisation gives it slight
+  noise immunity.
 * :class:`ComparatorMonitor` — an analog comparator with hysteresis acting
   as a 1-bit ADC.  It reacts to the instantaneous superimposed waveform,
   which is why the paper measures comparator boards as orders of magnitude
@@ -40,14 +40,13 @@ class ADCMonitor:
 
     v_backup: float = 2.6
     v_on: float = 3.0
-    bits: int = 10
-    v_ref: float = 3.6
-    #: Successive samples averaged per reading (firmware smoothing).
-    oversample: int = 1
+    _sample_index: int = field(default=0, repr=False)
+
+    bits = 10
+    v_ref = 3.6
     #: ADC conversions are periodic, not continuous: between conversions
     #: the core makes progress even under attack.
-    continuous: bool = False
-    _sample_index: int = field(default=0, repr=False)
+    continuous = False
 
     def quantise(self, volts: float) -> float:
         levels = (1 << self.bits) - 1
@@ -57,14 +56,11 @@ class ADCMonitor:
     def read(self, v_true: float, emi_amplitude: float,
              emi_frequency: float, t: float) -> float:
         """One (possibly EMI-corrupted) voltage reading."""
-        total = 0.0
-        for _ in range(max(1, self.oversample)):
-            induced = induced_waveform_sample(
-                emi_amplitude, emi_frequency, t, self._sample_index
-            )
-            self._sample_index += 1
-            total += self.quantise(v_true + induced)
-        return total / max(1, self.oversample)
+        induced = induced_waveform_sample(
+            emi_amplitude, emi_frequency, t, self._sample_index
+        )
+        self._sample_index += 1
+        return self.quantise(v_true + induced)
 
     def sample(self, v_true: float, emi_amplitude: float,
                emi_frequency: float, t: float, powered: bool) -> MonitorEvent:
@@ -82,21 +78,20 @@ class ComparatorMonitor:
 
     v_backup: float = 2.6
     v_on: float = 3.0
-    hysteresis: float = 0.05
-    #: Comparators respond to the waveform peak within the reaction window,
-    #: not an averaged sample — a single excursion trips the interrupt.
-    peak_factor: float = 1.0
+    _sample_index: int = field(default=0, repr=False)
+
+    hysteresis = 0.05
     #: The comparator output is a continuous interrupt line: it latches the
     #: first excursion after wake-up, before the core runs a single quantum
     #: (Table I: comparator boards show R_min orders below ADC boards).
-    continuous: bool = True
-    _sample_index: int = field(default=0, repr=False)
+    continuous = True
 
     def sample(self, v_true: float, emi_amplitude: float,
                emi_frequency: float, t: float, powered: bool) -> MonitorEvent:
         # The worst instantaneous excursion in the reaction window: the
-        # comparator latches on any crossing, so superimpose the full swing.
-        swing = emi_amplitude * self.peak_factor
+        # comparator responds to the waveform peak, not an averaged
+        # sample, so superimpose the full swing.
+        swing = emi_amplitude
         self._sample_index += 1
         if powered and v_true - swing < self.v_backup - self.hysteresis:
             return MonitorEvent.CHECKPOINT

@@ -25,12 +25,6 @@ class EMISource:
     def power_w(self) -> float:
         return dbm_to_watts(self.power_dbm)
 
-    def with_power(self, power_dbm: float) -> "EMISource":
-        return EMISource(self.frequency_hz, power_dbm)
-
-    def with_frequency(self, frequency_hz: float) -> "EMISource":
-        return EMISource(frequency_hz, self.power_dbm)
-
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         return {"frequency_hz": self.frequency_hz,

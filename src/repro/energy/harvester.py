@@ -93,13 +93,6 @@ class RFHarvester:
         )
         return received * self.rectifier_efficiency
 
-    def incident_power(self) -> float:
-        """Raw RF power arriving at the antenna (pre-rectifier)."""
-        return friis_received_power(
-            self.tx_power_w, self.frequency_hz, self.distance_m,
-            tx_gain=self.tx_gain,
-        )
-
 
 @dataclass
 class TraceHarvester:

@@ -36,7 +36,7 @@ from ..eval.common import VictimConfig
 from ..eval.resilient import RetryPolicy
 from ..isa.operands import NUM_REGS
 from ..seeds import spawn_rng
-from .classify import Outcome, classify, golden_pattern
+from .classify import Outcome, classify
 from .golden import ExecutionProfile, capture_trace
 from .models import (
     CKPT_CORRUPT,
@@ -210,13 +210,6 @@ class FaultCampaign:
     spec: FaultCampaignSpec
     map: VulnerabilityMap
     campaign: CampaignResult
-
-    @property
-    def golden(self):
-        return self.campaign.baselines[0].result
-
-    def golden_outputs(self) -> List[int]:
-        return golden_pattern(self.golden)
 
 
 def classify_outcomes(campaign: CampaignResult

@@ -122,8 +122,7 @@ class GoldenTrace:
                                   len(self.snapshots) - 1)]
 
 
-def capture_trace(linked, snapshot_stride: int = 0,
-                  max_steps: int = _TRACE_STEP_CAP) -> GoldenTrace:
+def capture_trace(linked, snapshot_stride: int = 0) -> GoldenTrace:
     """Run one stable-power reference execution, recording everything.
 
     Single-steps the reference interpreter (the semantics oracle both
@@ -143,7 +142,7 @@ def capture_trace(linked, snapshot_stride: int = 0,
     mark_cycles: List[int] = []
     add_pc, add_region = pcs.append, regions.append
     marks = 0
-    for count in range(max_steps):
+    for count in range(_TRACE_STEP_CAP):
         if machine.halted:
             break
         if snapshot_stride and count % snapshot_stride == 0:
@@ -156,7 +155,7 @@ def capture_trace(linked, snapshot_stride: int = 0,
             mark_cycles.append(machine.cycles)
     if not machine.halted:
         raise FaultSimError(
-            f"golden capture did not halt within {max_steps} steps")
+            f"golden capture did not halt within {_TRACE_STEP_CAP} steps")
     hub = machine._periph
     spans = tuple(
         span if span.closed else IsrSpan(

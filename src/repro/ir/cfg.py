@@ -53,15 +53,6 @@ class BasicBlock:
             return False
         return self.instrs[-1].op in (Opcode.JMP, Opcode.RET, Opcode.HALT)
 
-    def body_range(self) -> range:
-        """Indices of non-terminator instructions."""
-        end = len(self.instrs)
-        if end and self.instrs[-1].op in (Opcode.JMP, Opcode.RET, Opcode.HALT):
-            end -= 1
-        if end and self.instrs[end - 1].op is Opcode.BNZ:
-            end -= 1
-        return range(end)
-
     def __str__(self) -> str:
         lines = [f"{self.name}:"]
         lines += [f"    {instr}" for instr in self.instrs]

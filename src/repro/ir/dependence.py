@@ -1,27 +1,21 @@
-"""Memory anti-dependences and the program dependence graph (PDG).
+"""Memory anti-dependences.
 
 The idempotent-region formation pass (:mod:`repro.compiler.region`) consumes
 :func:`memory_antideps`: every load -> may-alias store pair that could make a
 region non-idempotent must be separated by a region boundary, except for
 WARAW-protected pairs (a dominating store to the same word re-creates the
 read value on re-execution — paper §VI-B, "Region formation").
-
-GECKO's recovery-block construction (:mod:`repro.core.recovery`) consumes the
-:class:`ProgramDependenceGraph` — register use-def chains for data-dependence
-backtracking and block-level control dependences for the control-integrity
-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instr, Opcode
+from ..isa.instructions import Opcode
 from .alias import MemRef, clobbers_all_memory, may_alias, mem_ref, must_alias
 from .cfg import Function
-from .dominators import control_dependence, dominators
-from .reaching import ReachingResult, reaching_definitions
+from .dominators import dominators
 
 Site = Tuple[str, int]
 
@@ -140,36 +134,3 @@ def _waraw_protectors(dom, writes, load_site: Site,
         if _instr_dominates(dom, write_site, load_site):
             protectors.add(write_site)
     return protectors
-
-
-@dataclass
-class ProgramDependenceGraph:
-    """Register data dependences + block control dependences of a function."""
-
-    function: Function
-    reaching: ReachingResult
-    #: block -> set of (branch block, taken successor) edges it depends on.
-    control: Dict[str, Set[Tuple[str, str]]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, function: Function) -> "ProgramDependenceGraph":
-        return cls(
-            function=function,
-            reaching=reaching_definitions(function),
-            control=control_dependence(function),
-        )
-
-    def instr_at(self, site: Site) -> Instr:
-        return self.function.blocks[site[0]].instrs[site[1]]
-
-    def data_deps(self, site: Site) -> List[Tuple[object, FrozenSet[Site]]]:
-        """For each register the instruction reads: its reaching def sites."""
-        instr = self.instr_at(site)
-        return [
-            (reg, self.reaching.defs_reaching_use(site, reg))
-            for reg in instr.uses()
-        ]
-
-    def control_deps(self, site: Site) -> Set[Tuple[str, str]]:
-        """Control-dependence edges of the instruction's block."""
-        return self.control.get(site[0], set())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..isa.instructions import Instr, Opcode
 from .cfg import Function
@@ -97,11 +97,6 @@ class LinkedLiveness:
     def is_live_before(self, pc: int, reg: int) -> bool:
         """Is architectural register ``reg`` live just before ``pc``?"""
         return bool(self.live_in[pc] >> reg & 1)
-
-    def live_before(self, pc: int) -> FrozenSet[int]:
-        """Indices of the registers live immediately before ``pc``."""
-        mask = self.live_in[pc]
-        return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
 
 
 def linked_liveness(program, ignore_ckpt_uses: bool = False) -> LinkedLiveness:

@@ -34,10 +34,6 @@ class ReachingResult:
         """Definition sites of ``reg`` that may reach the use at ``site``."""
         return self.use_def.get((site, reg), frozenset())
 
-    def defs_reaching_block_entry(self, block: str, reg: object) -> Set[DefSite]:
-        """Definition sites of ``reg`` that may reach the entry of ``block``."""
-        return set(self.reach_in.get(block, {}).get(reg, set()))
-
 
 def reaching_definitions(function: Function) -> ReachingResult:
     """Standard forward may-analysis at definition-site granularity."""

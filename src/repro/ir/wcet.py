@@ -8,26 +8,24 @@ Two flavours are provided:
   resulting DAG.  Calls cost the callee's WCET; the module-level driver
   processes the call graph callee-first.
 
-* :func:`max_region_gap` — the longest ``MARK``-free instruction path, i.e.
-  the worst-case cycles any idempotent region can consume.  This is the
+* :func:`region_gap` — the longest ``MARK``-free path, i.e. the
+  worst-case cycles any idempotent region can consume.  This is the
   quantity GECKO compares against the guaranteed power-on budget (§VI-B,
   step 3): if a region can outlive one capacitor charge the program cannot
-  make forward progress under rollback recovery.  A cycle that never crosses
-  a ``MARK`` yields :data:`UNBOUNDED`.
+  make forward progress under rollback recovery.  Boundary-free loops with
+  a trip bound collapse into one node; a cycle that avoids every ``MARK``
+  and resists collapsing is reported as divergent, the header the
+  region-splitting pass must cut first.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import WCETError
 from ..isa.instructions import Instr, Opcode
 from .cfg import Function
 from .loops import Loop, find_loops
-
-#: Returned by :func:`max_region_gap` when some cycle avoids every MARK.
-UNBOUNDED = math.inf
 
 #: Trip bound assumed for loops without an annotation (non-strict mode).
 DEFAULT_LOOP_BOUND = 1024
@@ -431,64 +429,3 @@ def _witness_in_block(function: Function, name: str, gap_in: float,
             best_gap = gap
             best = (name, index)
     return best
-
-
-Point = Tuple[str, int]
-
-
-def _next_points(function: Function, block: str, index: int) -> List[Point]:
-    instrs = function.blocks[block].instrs
-    instr = instrs[index]
-    if instr.op is Opcode.JMP:
-        return [(instr.target.name, 0)]
-    if instr.op is Opcode.BNZ:
-        return [(instr.target.name, 0), (block, index + 1)]
-    if instr.op in (Opcode.RET, Opcode.HALT):
-        return []
-    return [(block, index + 1)]
-
-
-def max_region_gap(function: Function,
-                   callee_wcet: Optional[Dict[str, int]] = None) -> float:
-    """Longest MARK-free path cost in cycles (:data:`UNBOUNDED` if cyclic).
-
-    The gap *includes* the terminating MARK's own cost, since the boundary
-    store must also complete within the region's energy budget.
-    """
-    memo: Dict[Point, float] = {}
-    on_stack: Set[Point] = set()
-    unbounded = False
-
-    def walk(point: Point) -> float:
-        nonlocal unbounded
-        if point in memo:
-            return memo[point]
-        if point in on_stack:
-            unbounded = True
-            return 0.0
-        block, index = point
-        instrs = function.blocks[block].instrs
-        if index >= len(instrs):
-            return 0.0
-        instr = instrs[index]
-        cost = float(instr_cycles(instr, callee_wcet))
-        if instr.op is Opcode.MARK:
-            memo[point] = cost
-            return cost
-        on_stack.add(point)
-        best = 0.0
-        for nxt in _next_points(function, block, index):
-            best = max(best, walk(nxt))
-        on_stack.discard(point)
-        memo[point] = cost + best
-        return memo[point]
-
-    starts: List[Point] = [(function.entry, 0)]
-    for name in function.reverse_postorder():
-        for i, instr in enumerate(function.blocks[name].instrs):
-            if instr.op is Opcode.MARK:
-                starts.extend(_next_points(function, name, i))
-    worst = 0.0
-    for start in starts:
-        worst = max(worst, walk(start))
-    return UNBOUNDED if unbounded else worst

@@ -255,14 +255,6 @@ class Instr:
     # Classification helpers.
     # ------------------------------------------------------------------
     @property
-    def is_terminator(self) -> bool:
-        return self.op in TERMINATORS
-
-    @property
-    def is_memory(self) -> bool:
-        return self.op in (Opcode.LD, Opcode.ST)
-
-    @property
     def is_io(self) -> bool:
         return self.op in IO_OPS
 

@@ -147,12 +147,6 @@ class _FunctionLowerer:
     def _start_block(self, name: Optional[str] = None, hint: str = "bb") -> None:
         self._block = self._fn.add_block(name=name, hint=hint)
 
-    def _jump_to_new(self, hint: str) -> None:
-        """Terminate the current block with a jump to a fresh one."""
-        name = self._fn.new_label(hint)
-        self._emit(ins.jmp(Label(name)))
-        self._start_block(name=name)
-
     def _branch(self, cond: VReg, then_name: str, else_name: str) -> None:
         self._emit(ins.bnz(cond, Label(then_name)))
         self._emit(ins.jmp(Label(else_name)))

@@ -6,7 +6,7 @@ every layer the same three capabilities:
 * ``obs.emit(kind, detail)`` — publish a typed, timestamped event to the
   :class:`~repro.obs.events.EventBus` (subscribers + bounded ring);
 * ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` of
-  labelled counters/gauges/histograms, exported as a flat dict;
+  labelled counters/histograms, exported as a flat dict;
 * ``obs.profiler`` — an optional :class:`~repro.obs.profiler.Profiler`
   attributing wall time per phase and simulated cycles per opcode class.
 
@@ -80,12 +80,11 @@ class Observability:
 
     def __init__(self, bus: Optional[EventBus] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 profiler: Optional[Profiler] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 profiler: Optional[Profiler] = None) -> None:
         self.bus = bus if bus is not None else EventBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profiler = profiler
-        self._clock = clock
+        self._clock: Optional[Callable[[], float]] = None
 
     # -- construction ---------------------------------------------------
     @classmethod

@@ -1,4 +1,4 @@
-"""Labelled counters, gauges, and histograms with a near-zero no-op path.
+"""Labelled counters and histograms with a near-zero no-op path.
 
 A :class:`MetricsRegistry` is the numeric side of the observability
 subsystem: where the :class:`~repro.obs.events.EventBus` carries *what
@@ -58,24 +58,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can go up and down; records the last set point."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
-
-
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics: le bounds)."""
 
@@ -94,7 +76,7 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram for disabled registries."""
+    """Shared do-nothing counter/histogram for disabled registries."""
 
     __slots__ = ()
     value = 0
@@ -102,12 +84,6 @@ class _NullInstrument:
     count = 0
 
     def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
-        pass
-
-    def set(self, value: Number) -> None:
         pass
 
     def observe(self, value: Number) -> None:
@@ -124,7 +100,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument factories ------------------------------------------
@@ -135,15 +110,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
-        key = qualified_name(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(self, name: str,
@@ -174,8 +140,6 @@ class MetricsRegistry:
         flat: Dict[str, Number] = {}
         for key, counter in self._counters.items():
             flat[key] = counter.value
-        for key, gauge in self._gauges.items():
-            flat[key] = gauge.value
         for key, histogram in self._histograms.items():
             name, labels = _split_key(key)
             for bound, count in zip(histogram.bounds, histogram.counts):
@@ -187,19 +151,8 @@ class MetricsRegistry:
             flat[_requalify(name, labels, "_count", None)] = histogram.count
         return dict(sorted(flat.items()))
 
-    def merge_dict(self, flat: Dict[str, Number]) -> None:
-        """Fold a previously exported flat dict in (summing counters)."""
-        if not self.enabled:
-            return
-        for key, value in flat.items():
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = Counter()
-            counter.inc(value)
-
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 

@@ -41,7 +41,6 @@ Design rules that keep every existing guarantee intact:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -65,14 +64,6 @@ DMA_BUF_WORDS = 16
 
 #: Diagnostic-trace cap: delivery keeps working beyond it, recording stops.
 TRACE_CAP = 200_000
-
-#: DEBUG ONLY — skip the stale-frame heal in :meth:`PeriphHub._heal`.
-#: This deliberately re-introduces the lost-activation bug the heal
-#: exists to fix; the torture fuzzer's CI smoke job plants it (via the
-#: ``REPRO_UNSAFE_SKIP_HEAL`` environment variable, so spawned campaign
-#: workers inherit it) and must find and shrink it.  Never set in
-#: production runs.
-UNSAFE_SKIP_STALE_FRAME_HEAL = bool(os.environ.get("REPRO_UNSAFE_SKIP_HEAL"))
 
 _EMPTY: FrozenSet[str] = frozenset()
 
@@ -330,8 +321,6 @@ class PeriphHub:
             top = mem[self._stack_a + sp - 1]
             if self._owner[machine.pc] in self._territory.get(top, _EMPTY):
                 return  # genuinely executing inside the handler
-        if UNSAFE_SKIP_STALE_FRAME_HEAL:
-            return  # planted bug: the stale frames are never dropped
         repend = 0
         for i in range(max(0, min(sp, ISR_MAX_DEPTH))):
             vector = mem[self._stack_a + i]

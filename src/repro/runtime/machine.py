@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import MachineFault
 from ..isa.instructions import ALU, Instr, Opcode
@@ -120,8 +120,7 @@ class MachineSnapshot:
 class Machine:
     """Interpreter for a linked program with power-failure support."""
 
-    def __init__(self, program: LinkedProgram,
-                 sensor_stream: Optional[Callable[[int], int]] = None) -> None:
+    def __init__(self, program: LinkedProgram) -> None:
         self.program = program
         #: Non-volatile main memory (words), survives power_off().
         self.mem: List[int] = list(program.init_words)
@@ -137,7 +136,7 @@ class Machine:
         self.committed_out: List[int] = []
         #: Volatile sensor cursor.
         self.sensor_cursor = 0
-        self.sensor_stream = sensor_stream or default_sensor_stream
+        self.sensor_stream = default_sensor_stream
         #: Execution counters useful for metrics.
         self.ckpt_stores_executed = 0
         self.marks_executed = 0
@@ -173,8 +172,7 @@ class Machine:
     # ------------------------------------------------------------------
     # Hook registration.
     # ------------------------------------------------------------------
-    def attach(self, fault_hook=_UNSET, obs=_UNSET, profiler=_UNSET,
-               periph=_UNSET) -> None:
+    def attach(self, fault_hook=_UNSET, obs=_UNSET, profiler=_UNSET) -> None:
         """Register (or detach, by passing ``None``) execution hooks.
 
         This is the one supported way to wire monitors into a machine;
@@ -186,21 +184,22 @@ class Machine:
                 ``before_step(machine)`` runs before each instruction and
                 may mutate architectural state; returning True skips the
                 fetched instruction (Moro et al.'s instruction-skip
-                model).  Hooks exposing a ``fired`` attribute let the
-                threaded backend resume whole-block execution once the
-                one-shot fault has been delivered, and those also
-                declaring ``trigger_step`` (the first ``instr_count`` at
-                which ``before_step`` can act) let it run whole blocks
-                up to that step; a hook without ``fired`` pins execution
-                to exact per-instruction stepping forever.
+                model).  The hook must declare a ``fired`` flag (True
+                once nothing is left to deliver) and ``trigger_step``,
+                the first ``instr_count`` at which ``before_step`` can
+                act.  Before the trigger ``before_step`` must return
+                False with no side effect: the threaded backend runs
+                whole blocks up to it, steps exactly until ``fired``,
+                then resumes whole-block execution.
             obs: an :class:`~repro.obs.Observability` bundle — region
                 commits become bus events.
             profiler: the pre-resolved cycle profiler (or ``None``);
                 usually ``maybe(obs.profiler)``.
-            periph: a :class:`~repro.periph.hub.PeriphHub` whose
-                ``on_boundary(machine)`` runs after every instruction
-                (interpreter) or block (threaded backend).  Programs
-                linked with peripheral support auto-attach one.
+
+        Programs linked with peripheral support carry a
+        :class:`~repro.periph.hub.PeriphHub` from construction; its
+        ``on_boundary(machine)`` runs after every instruction
+        (interpreter) or block (threaded backend).
         """
         if fault_hook is not _UNSET:
             self._fault_hook = fault_hook
@@ -208,8 +207,6 @@ class Machine:
             self._obs = obs
         if profiler is not _UNSET:
             self._prof = profiler
-        if periph is not _UNSET:
-            self._periph = periph
 
     @property
     def fault_hook(self):
@@ -310,10 +307,6 @@ class Machine:
         self.out_buffer = []
         self.sensor_cursor = 0
         self._pending_rcolor.clear()
-
-    def power_on(self) -> None:
-        """Raw power-up; a runtime must then restore or cold-boot."""
-        self.powered = True
 
     def cold_boot(self) -> None:
         """Start the program from its entry with a zeroed register file."""
@@ -487,7 +480,6 @@ class Machine:
 
 
 def run_to_completion(program: LinkedProgram,
-                      sensor_stream: Optional[Callable[[int], int]] = None,
                       max_steps: int = 10_000_000,
                       backend: object = None) -> Machine:
     """Convenience: execute a program on stable power and return the machine.
@@ -495,6 +487,6 @@ def run_to_completion(program: LinkedProgram,
     ``backend`` selects the execution backend (name or instance); ``None``
     uses the reference interpreter loop.
     """
-    machine = Machine(program, sensor_stream=sensor_stream)
+    machine = Machine(program)
     machine.run(max_steps=max_steps, backend=backend)
     return machine

@@ -70,8 +70,6 @@ class SimConfig:
     #: CTPL-style minimum sleep after a checkpoint-shutdown: the device
     #: stays in LPM for at least this long before honouring a wake signal.
     sleep_min_s: float = 2e-3
-    restart_on_halt: bool = True    # applications loop forever
-    harvest_attack_rf: bool = True
     max_slices: int = 5_000_000     # hard safety stop
     record_timeline: bool = False
     timeline_dt_s: float = 0.25     # completion-count sampling period
@@ -103,10 +101,6 @@ class SimResult:
     #: The last events retained by the bus ring, as JSON-safe dicts — the
     #: per-run excerpt fault campaigns use to explain sdc/brick outcomes.
     events: List[dict] = field(default_factory=list)
-
-    @property
-    def forward_progress_cycles(self) -> float:
-        return self.executed_cycles
 
     @property
     def checkpoint_failure_rate(self) -> float:
@@ -202,7 +196,7 @@ class IntermittentSimulator:
 
     def _charge(self, dt: float, incident_w: float) -> None:
         extra = 0.0
-        if self.config.harvest_attack_rf and incident_w > 0:
+        if incident_w > 0:
             extra = incident_w * ATTACK_HARVEST_EFFICIENCY
         self.power.harvest(self.t, dt, extra_power_w=extra)
 
@@ -387,7 +381,7 @@ class IntermittentSimulator:
         # after wake-up, before the core executes a single quantum; a
         # spoofed wake into a genuinely low supply then re-triggers the
         # checkpoint protocol immediately — the V_fail path (§IV-B2).
-        if getattr(self.monitor, "continuous", False):
+        if self.monitor.continuous:
             self._sample_monitor(result, powered=True)
 
     # ------------------------------------------------------------------
@@ -398,9 +392,7 @@ class IntermittentSimulator:
         self._trace_event("completion")
         result.committed_outputs.append(list(machine.committed_out))
         machine.committed_out.clear()
-        if not self.config.restart_on_halt:
-            self.state = DeviceState.OFF
-            return
+        # Applications loop forever: a halt restarts the program.
         self._reset_program_state()
 
     def _reset_program_state(self) -> None:

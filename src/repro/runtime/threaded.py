@@ -44,18 +44,14 @@ and the CI cross-check):
   ``instr_count`` reflecting only the instructions *before* the faulting
   one (the interpreter charges cost after dispatch).
 * **Hooks** — a fault hook registered via :meth:`Machine.attach` is
-  *armed* until its one-shot ``fired`` flag flips.  An armed hook that
-  declares ``trigger_step`` — the first ``instr_count`` at which its
-  ``before_step`` can act — lets blocks and regions run up to that step
-  (the budget is capped at ``trigger_step - instr_count``), then is
-  single-stepped from the trigger until it fires: before the trigger,
-  :meth:`~repro.faultsim.injector.FaultInjector.before_step` returns
-  False with no side effect, so skipping those calls is observationally
-  identical.  An armed hook without ``trigger_step`` is single-stepped
-  on every instruction until it fires.  Once fired, whole-block
-  execution resumes (``before_step`` of a fired hook is a no-op).  A
-  hook without a ``fired`` attribute pins the whole slice to the
-  reference path.
+  *armed* until its one-shot ``fired`` flag flips, and declares
+  ``trigger_step``, the first ``instr_count`` at which its
+  ``before_step`` can act.  An armed hook lets blocks and regions run up
+  to that step (the budget is capped at ``trigger_step - instr_count``),
+  then is single-stepped from the trigger until it fires: before the
+  trigger ``before_step`` returns False with no side effect, so skipping
+  those calls is observationally identical.  Once fired, whole-block
+  execution resumes (``before_step`` of a fired hook is a no-op).
 * **Profiling** — with a profiler attached, plain blocks run (no
   regions) and each adds its per-opcode-class cycle sums, precomputed
   at compile time, after it runs; a trap attributes only the
@@ -568,14 +564,6 @@ class ThreadedBackend:
         cycles_start = machine.cycles
         try:
             hook = machine._fault_hook
-            if hook is not None and not hasattr(hook, "fired"):
-                # A hook without a one-shot ``fired`` flag may act on any
-                # step: the whole slice runs on the reference path.
-                for _ in range(budget):
-                    if machine.halted:
-                        break
-                    machine.step()
-                return machine.cycles - cycles_start, None
             program = machine.program
             cache = _blocks_for(program)
             size = len(program.instrs)
@@ -594,8 +582,8 @@ class ThreadedBackend:
                     # Armed fault hook: run ahead up to its declared
                     # trigger, then step exactly until it fires (only a
                     # step can fire it, so the cap is lifted there).
-                    trigger = getattr(hook, "trigger_step", None)
-                    if trigger is None or machine.instr_count >= trigger:
+                    trigger = hook.trigger_step
+                    if machine.instr_count >= trigger:
                         machine.step()
                         executed += 1
                         limit = budget

@@ -151,14 +151,11 @@ class TortureCorpus:
     def open(cls, root: str) -> "TortureCorpus":
         return cls(ResultStore(root))
 
-    def add(self, case: ReproCase,
-            extra_meta: Optional[dict] = None) -> Tuple[str, bool]:
+    def add(self, case: ReproCase) -> Tuple[str, bool]:
         """Persist ``case`` durably; returns ``(digest, was_new)``."""
         meta = {"kind": CORPUS_KIND, "oracle": case.oracle,
                 "workload": case.workload, "scheme": case.scheme,
                 "events": len(case.events)}
-        if extra_meta:
-            meta.update(extra_meta)
         digest = case.digest
         return digest, self.store.put(digest, case.to_dict(), meta=meta,
                                       fsync=True)

@@ -162,9 +162,10 @@ def build_target(workload: str, scheme: str,
 class _StepFaultHook:
     """Queue of one-shot architectural faults, applied at the next
     instruction boundary.  ``fired`` lets the threaded backend resume
-    whole-block execution once nothing is armed; there is no
-    ``trigger_step`` to run ahead to, since a queued fault acts on the
-    very next step."""
+    whole-block execution once nothing is armed; ``trigger_step`` is 0
+    because a queued fault acts on the very next step."""
+
+    trigger_step = 0
 
     def __init__(self) -> None:
         self._armed: List[Tuple[str, int, int]] = []

@@ -156,8 +156,7 @@ def generate_case(spec: TortureSpec, index: int,
 
 
 def run_campaign(spec: TortureSpec, workers: int = 1,
-                 policy: Optional[RetryPolicy] = None,
-                 progress=None) -> TortureReport:
+                 policy: Optional[RetryPolicy] = None) -> TortureReport:
     """Run the whole campaign; deterministic for a given spec.
 
     ``workers > 1`` fans cases out through the resilient pool; the
@@ -189,8 +188,6 @@ def run_campaign(spec: TortureSpec, workers: int = 1,
         outcome_digest.append((result.index,
                                content_digest(case.outcome.to_dict())
                                if result.ok else "error"))
-        if progress is not None:
-            progress(case)
 
     report.fingerprint = content_digest(outcome_digest)
 

@@ -21,7 +21,7 @@ from repro.emi import (
 
 class TestADCMonitor:
     def test_quantisation_resolution(self):
-        monitor = ADCMonitor(bits=10, v_ref=3.6)
+        monitor = ADCMonitor()
         value = monitor.quantise(1.80001)
         assert abs(value - 1.8) < 3.6 / 1023
 

@@ -366,7 +366,10 @@ class TestTrapEquivalence:
 # The attach() hook API and its deprecation shims.
 # ----------------------------------------------------------------------
 class _Hook:
-    """Minimal fault-hook shape: fired flag + a no-op before_step."""
+    """Minimal fault-hook shape: fired flag, trigger_step and a no-op
+    before_step."""
+
+    trigger_step = 0
 
     def __init__(self):
         self.fired = True
@@ -793,8 +796,10 @@ class TestFastForward:
 
 
 class _FiresAfter:
-    """A one-shot hook with ``fired`` but no ``trigger_step``: it acts on
-    its ``shots``-th armed step, so every armed step must reach it."""
+    """A one-shot hook armed from step 0: it acts on its ``shots``-th
+    armed step, so every armed step must reach it."""
+
+    trigger_step = 0
 
     def __init__(self, shots: int):
         self.shots = shots
@@ -814,7 +819,7 @@ class _FiresAfter:
 
 
 @pytest.mark.parametrize("shots", [1, 57, 700])
-def test_hook_without_trigger_step_sees_every_armed_step(shots):
+def test_hook_armed_from_step_0_sees_every_armed_step(shots):
     """(e) Exact stepping until the hook fires: the same before_step
     calls, at the same instruction counts, as the interpreter."""
     linked = _linked("crc16/nvp")

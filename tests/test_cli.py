@@ -98,24 +98,24 @@ class TestTorture:
         assert "blink/gecko-jit: 3 cases, 0 violations" in out
         assert "fingerprint:" in out
 
-    def test_corpus_round_trip(self, capsys, tmp_path, monkeypatch):
-        import repro.periph.hub as hub_mod
+    def test_corpus_round_trip(self, capsys, tmp_path):
+        from .planted import heal_skipped
 
-        monkeypatch.setattr(hub_mod, "UNSAFE_SKIP_STALE_FRAME_HEAL", True)
         root = str(tmp_path / "corpus")
-        code, out = run_cli(capsys, "torture", "run", "heartbeat",
-                            "--scheme", "gecko-rollback", "--cases", "6",
-                            "--seed", "0", "--shrink-budget", "60",
-                            "--corpus", root)
-        assert code == 1                     # violations found
-        assert "violations" in out and "corpus" in out
+        with heal_skipped():
+            code, out = run_cli(capsys, "torture", "run", "heartbeat",
+                                "--scheme", "gecko-rollback", "--cases", "6",
+                                "--seed", "0", "--shrink-budget", "60",
+                                "--corpus", root)
+            assert code == 1                     # violations found
+            assert "violations" in out and "corpus" in out
 
-        code, out = run_cli(capsys, "torture", "corpus", root)
-        assert code == 0 and "heartbeat" in out
+            code, out = run_cli(capsys, "torture", "corpus", root)
+            assert code == 0 and "heartbeat" in out
 
-        code, out = run_cli(capsys, "torture", "replay", root)
-        assert code == 0
-        assert "all cases reproduced" in out
+            code, out = run_cli(capsys, "torture", "replay", root)
+            assert code == 0
+            assert "all cases reproduced" in out
 
     def test_replay_of_missing_corpus_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

@@ -119,11 +119,11 @@ class TestUnderAttack:
         assert relative_throughput(attacked, benign) > 0.5
 
     def test_attack_rf_charges_harvester(self):
-        # With harvest_attack_rf, the tone itself feeds the capacitor.
+        # The tone itself feeds the capacitor.
         power = PowerSystem(capacitor=Capacitor(4.7e-6),
                             harvester=ConstantSupply(0.0))
         program = compile_nvp(SRC)
-        config = SimConfig(harvest_attack_rf=True)
+        config = SimConfig()
         result = simulate_program(
             program, duration_s=0.05, power=power,
             attack=AttackSchedule.always(EMISource(300e6, 35)),  # off-peak

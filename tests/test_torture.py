@@ -4,18 +4,18 @@ the planted-bug acceptance drill.
 This is the successor to the hand-written crash-consistency sweep: the
 fuzzer generates the interleavings nobody thought to write down.  The
 acceptance test plants a real consistency bug (the stale-ISR-frame heal
-skipped behind ``UNSAFE_SKIP_STALE_FRAME_HEAL``) and requires the
-seeded campaign to find it, shrink it to a handful of events, and
-replay it bit-identically from the corpus on both backends.
+skipped, see :mod:`tests.planted`) and requires the seeded campaign to
+find it, shrink it to a handful of events, and replay it bit-identically
+from the corpus on both backends.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.periph.hub as hub_mod
 from repro.core import compile_scheme
 from repro.errors import InvariantViolation
 from repro.runtime import Machine
+from repro.runtime.threaded import _blocks_for
 from repro.torture import (
     AMPLE_BUDGET,
     ReproCase,
@@ -41,6 +41,8 @@ from repro.torture.oracles import (
 )
 from repro.workloads import source
 
+from .planted import heal_skipped
+
 #: The planted-bug campaign the acceptance criteria are written against.
 PLANTED_SPEC = TortureSpec(workload="heartbeat", scheme="gecko-rollback",
                            seed=0, cases=15, shrink_budget=150)
@@ -59,17 +61,14 @@ def blink_target():
 @pytest.fixture(scope="module")
 def planted_violation():
     """The first planted-bug violation the seeded campaign generates
-    (found once per module; tests re-arm the flag themselves)."""
-    hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = True
-    try:
+    (found once per module; tests re-plant the bug themselves)."""
+    with heal_skipped():
         target = build_target(PLANTED_SPEC.workload, PLANTED_SPEC.scheme)
         for index in range(PLANTED_SPEC.cases):
             schedule = generate_case(PLANTED_SPEC, index, target.profile)
             outcome = run_schedule(target, schedule)
             if outcome.violations:
                 return target, schedule, outcome
-    finally:
-        hub_mod.UNSAFE_SKIP_STALE_FRAME_HEAL = False
     pytest.fail("planted bug escaped the seeded campaign budget")
 
 
@@ -147,6 +146,28 @@ class TestEngine:
             threaded = run_schedule(blink_target, schedule, "threaded")
             assert interp.fingerprint == threaded.fingerprint
 
+    def test_queued_data_faults_match_across_backends(self, blink_target):
+        """The step hook is armed from step 0: a fault landing mid-block,
+        then a reg_flip and an instr_skip queued at one cycle, act on the
+        same instructions under both backends."""
+        leaders = _blocks_for(blink_target.linked).leaders
+        probe = Machine(blink_target.linked)
+        while probe.cycles < 500 or probe.pc in leaders:
+            probe.step()
+        mid_block = probe.cycles
+        schedule = TortureSchedule(events=(
+            TortureEvent(kind="data_fault", at_cycle=mid_block,
+                         model="instr_skip"),
+            TortureEvent(kind="data_fault", at_cycle=mid_block + 300,
+                         model="reg_flip", reg=4, bit=2),
+            TortureEvent(kind="data_fault", at_cycle=mid_block + 300,
+                         model="instr_skip")))
+        interp = run_schedule(blink_target, schedule, "interpreter")
+        threaded = run_schedule(blink_target, schedule, "threaded")
+        assert interp.triggered == 3
+        assert interp.to_dict() == threaded.to_dict()
+        assert interp.fingerprint == threaded.fingerprint
+
     def test_committed_output_survives_repeated_failures(self,
                                                         blink_target):
         schedule = TortureSchedule(events=(
@@ -187,23 +208,21 @@ class TestShrinker:
         assert not result.minimal
         assert result.runs == 1
 
-    def test_shrink_reduces_to_a_handful_of_events(self, monkeypatch,
-                                                   planted_violation):
-        monkeypatch.setattr(hub_mod, "UNSAFE_SKIP_STALE_FRAME_HEAL", True)
+    def test_shrink_reduces_to_a_handful_of_events(self, planted_violation):
         target, schedule, outcome = planted_violation
         oracle = outcome.violations[0].oracle
-        result = shrink_schedule(target, schedule, oracle, run_budget=150)
-        assert result.events <= min(8, len(schedule))
-        # The minimized schedule must still be a genuine repro.
-        again = run_schedule(target, result.schedule)
-        assert oracle in again.oracles()
+        with heal_skipped():
+            result = shrink_schedule(target, schedule, oracle, run_budget=150)
+            assert result.events <= min(8, len(schedule))
+            # The minimized schedule must still be a genuine repro.
+            again = run_schedule(target, result.schedule)
+            assert oracle in again.oracles()
 
-    def test_budget_exhaustion_keeps_best_so_far(self, monkeypatch,
-                                                 planted_violation):
-        monkeypatch.setattr(hub_mod, "UNSAFE_SKIP_STALE_FRAME_HEAL", True)
+    def test_budget_exhaustion_keeps_best_so_far(self, planted_violation):
         target, schedule, outcome = planted_violation
         oracle = outcome.violations[0].oracle
-        result = shrink_schedule(target, schedule, oracle, run_budget=1)
+        with heal_skipped():
+            result = shrink_schedule(target, schedule, oracle, run_budget=1)
         assert result.runs == 1
         assert not result.minimal
         assert result.schedule == schedule   # no probe beat the original
@@ -265,39 +284,37 @@ class TestCampaign:
 # Acceptance: the planted consistency bug.
 # ----------------------------------------------------------------------
 class TestPlantedBugAcceptance:
-    def test_fuzzer_finds_shrinks_and_replays_the_bug(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setattr(hub_mod, "UNSAFE_SKIP_STALE_FRAME_HEAL", True)
-        report = run_campaign(PLANTED_SPEC)
-        assert report.errors == 0
-        assert report.violations >= 1, \
-            "the planted bug escaped the bounded seeded budget"
-        assert report.repro_cases
-        oracles = {case.oracle for case in report.repro_cases}
-        assert oracles <= {TORN_STATE, ISR_AT_LEAST_ONCE, GOLDEN_OUTPUT,
-                           "forward_progress"}
+    def test_fuzzer_finds_shrinks_and_replays_the_bug(self, tmp_path):
+        with heal_skipped():
+            report = run_campaign(PLANTED_SPEC)
+            assert report.errors == 0
+            assert report.violations >= 1, \
+                "the planted bug escaped the bounded seeded budget"
+            assert report.repro_cases
+            oracles = {case.oracle for case in report.repro_cases}
+            assert oracles <= {TORN_STATE, ISR_AT_LEAST_ONCE, GOLDEN_OUTPUT,
+                               "forward_progress"}
 
-        corpus = TortureCorpus.open(str(tmp_path / "corpus"))
-        for case in report.repro_cases:
-            assert len(case.events) <= 8, case.digest
-            digest, was_new = corpus.add(case)
-            assert was_new
+            corpus = TortureCorpus.open(str(tmp_path / "corpus"))
+            for case in report.repro_cases:
+                assert len(case.events) <= 8, case.digest
+                digest, was_new = corpus.add(case)
+                assert was_new
 
-        # Bit-identical replay on both backends, straight from disk.
-        for digest, case in corpus.cases():
-            assert set(case.fingerprints) == {"interpreter", "threaded"}
-            for result in corpus.replay(case):
-                assert result.reproduced, (digest, result.backend)
-                assert result.bit_identical, (digest, result.backend)
+            # Bit-identical replay on both backends, straight from disk.
+            for digest, case in corpus.cases():
+                assert set(case.fingerprints) == {"interpreter", "threaded"}
+                for result in corpus.replay(case):
+                    assert result.reproduced, (digest, result.backend)
+                    assert result.bit_identical, (digest, result.backend)
 
-        # Strict replay escalates to the non-retryable executor class.
-        first = report.repro_cases[0]
-        with pytest.raises(InvariantViolation):
-            run_schedule(first.target(), first.schedule(), strict=True)
+            # Strict replay escalates to the non-retryable executor class.
+            first = report.repro_cases[0]
+            with pytest.raises(InvariantViolation):
+                run_schedule(first.target(), first.schedule(), strict=True)
 
         # With the heal restored, the stored cases stop reproducing —
         # the corpus now stands as the regression suite for the fix.
-        monkeypatch.setattr(hub_mod, "UNSAFE_SKIP_STALE_FRAME_HEAL", False)
         for digest, case in corpus.cases():
             for result in corpus.replay(case):
                 assert not result.reproduced, (digest, result.backend)

@@ -5,7 +5,7 @@ import pytest
 from repro.compiler import allocate_module, form_regions, split_regions
 from repro.compiler.splitting import verify_region_budget
 from repro.errors import WCETError
-from repro.ir import function_wcet, max_region_gap, module_wcet, UNBOUNDED
+from repro.ir import function_wcet, module_wcet
 from repro.ir.wcet import region_gap
 from repro.isa import Opcode
 from repro.lang import compile_source
@@ -204,14 +204,6 @@ class TestRegionGap:
         fn = self._prepared("void main() { out(1 / 1); }")
         with pytest.raises(WCETError):
             split_regions(fn, 4)
-
-    def test_point_level_gap_detects_unbounded(self):
-        fn = self._prepared(
-            "void main() { int s = 0; "
-            "for (int i = 0; i < 8; i = i + 1) { s = s + i; } out(s); }"
-        )
-        # The legacy point-level analysis has no loop-bound knowledge.
-        assert max_region_gap(fn) is UNBOUNDED
 
     def test_mark_resets_gap(self):
         fn = self._prepared("void main() { out(1); out(2); out(3); }")
