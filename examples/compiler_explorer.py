@@ -20,6 +20,7 @@ from repro.compiler import (
 from repro.core import compile_gecko, compile_nvp
 from repro.core.pruning import prune_function, readonly_symbols
 from repro.core.plans import SliceExec, SlotLoad
+from repro.ir.sites import SiteMap
 from repro.ir.wcet import region_gap
 from repro.isa import Opcode
 from repro.lang import compile_source
@@ -75,6 +76,7 @@ def main() -> None:
     print("\n== step 5a: checkpoint insertion (region register inputs) ==")
     print(f"  checkpoint stores inserted: {inserted_ckpts}")
 
+    before_pruning = SiteMap(main_fn)
     result = prune_function(main_fn, readonly_symbols(module))
     print("\n== step 5b: checkpoint pruning (§VI-C) ==")
     print(f"  pruned {result.pruned} of {result.total} "
@@ -86,7 +88,8 @@ def main() -> None:
             kinds = [type(e).__name__.replace("Element", "")
                      for e in info.slice_elements]
             extra = f" <- recovery block [{', '.join(kinds)}]"
-        print(f"    R{info.reg_index:<2} at {info.site}  {state}{extra}")
+        site = before_pruning.of(info.instr)
+        print(f"    R{info.reg_index:<2} at {site}  {state}{extra}")
 
     # The full pipeline, for the finished artifact.
     program = compile_gecko(src)

@@ -324,6 +324,10 @@ def cmd_profile(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .eval import fmt_pct, frequency_sweep_mhz, sweep_device
+    if args.step <= 0 or args.start > args.stop:
+        raise SystemExit(
+            f"error: bad sweep range {args.start:g}..{args.stop:g} step "
+            f"{args.step:g} (want START <= STOP and STEP > 0)")
     freqs = frequency_sweep_mhz(start=args.start, stop=args.stop,
                                 step=args.step, sparse_to=args.stop)
     result = sweep_device(args.device, args.monitor, freqs_mhz=freqs,
@@ -350,8 +354,9 @@ def _parse_axis(text: str) -> List[float]:
             while value <= stop + 1e-9:
                 values.append(value)
                 value += step
-            return values
-        values = [float(part) for part in text.split(",") if part.strip()]
+        else:
+            values = [float(part) for part in text.split(",")
+                      if part.strip()]
         if not values:
             raise ValueError
         return values

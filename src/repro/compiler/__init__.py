@@ -1,25 +1,19 @@
 """Compiler substrate: regalloc, codegen, regions, splitting, checkpoints."""
 
-from .checkpoint import (
-    count_checkpoints,
-    insert_checkpoints,
-    insert_module_checkpoints,
-)
+from .checkpoint import count_checkpoints, insert_checkpoints
 from .codegen import lower_function, lower_module
 from .regalloc import AllocationResult, allocate_function, allocate_module
 from .region import (
     RegionStats,
-    form_module_regions,
     form_regions,
     renumber_regions,
     unsatisfied_antideps,
 )
-from .splitting import split_module_regions, split_regions
+from .splitting import split_regions
 
 __all__ = [
     "AllocationResult", "RegionStats", "allocate_function", "allocate_module",
-    "count_checkpoints", "form_module_regions", "form_regions",
-    "insert_checkpoints", "insert_module_checkpoints", "lower_function",
-    "lower_module", "renumber_regions", "split_module_regions",
-    "split_regions", "unsatisfied_antideps",
+    "count_checkpoints", "form_regions", "insert_checkpoints",
+    "lower_function", "lower_module", "renumber_regions", "split_regions",
+    "unsatisfied_antideps",
 ]

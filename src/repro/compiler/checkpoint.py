@@ -16,11 +16,11 @@ point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from ..isa.instructions import Instr, Opcode, ckpt
 from ..isa.operands import NUM_REGS, PReg
-from ..ir.cfg import Function, Module
+from ..ir.cfg import Function
 from ..ir.liveness import liveness
 
 #: Registers eligible for checkpointing (R0 is hardwired zero).
@@ -59,14 +59,6 @@ def _inputs_of_boundary(function: Function, live, block: str, index: int,
         if isinstance(reg, PReg) and reg.index in CHECKPOINTABLE:
             regs.add(reg.index)
     return sorted(regs)
-
-
-def insert_module_checkpoints(module: Module, policy: str = "gecko") -> Dict[str, int]:
-    """Insert checkpoints in every function; returns per-function counts."""
-    return {
-        name: insert_checkpoints(fn, policy)
-        for name, fn in module.functions.items()
-    }
 
 
 def count_checkpoints(function: Function) -> int:

@@ -22,14 +22,13 @@ idempotence when a split broke a WARAW protection (§VI-B, last paragraph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from ..isa.instructions import Instr, Opcode, mark
 from ..ir.cfg import Function, Module
 from ..ir.dependence import AntiDep, memory_antideps
-
-Site = Tuple[str, int]
+from ..ir.sites import Site, markfree_reaches, next_sites
 
 
 @dataclass
@@ -62,15 +61,6 @@ def form_regions(function: Function, loop_headers: bool = False) -> RegionStats:
         1 for _, _, instr in function.instructions() if instr.op is Opcode.MARK
     )
     return stats
-
-
-def form_module_regions(module: Module,
-                        loop_headers: bool = False) -> Dict[str, RegionStats]:
-    """Run region formation over every function of a module."""
-    return {
-        name: form_regions(fn, loop_headers=loop_headers)
-        for name, fn in module.functions.items()
-    }
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +157,7 @@ def unsatisfied_antideps(function: Function) -> List[AntiDep]:
 
 def _is_satisfied(function: Function, dep: AntiDep) -> bool:
     """A pair is fine if every load->store path crosses a MARK, or WARAW holds."""
-    if not _markfree_path_exists(function, dep.load, dep.store):
+    if not markfree_reaches(function, dep.load, {dep.store}):
         return True
     for protector in dep.protectors:
         # WARAW protection is valid only while the protecting store shares
@@ -177,43 +167,15 @@ def _is_satisfied(function: Function, dep: AntiDep) -> bool:
     return False
 
 
-def _next_sites(function: Function, site: Site) -> List[Site]:
-    block, index = site
-    instrs = function.blocks[block].instrs
-    instr = instrs[index]
-    if instr.op is Opcode.JMP:
-        return [(instr.target.name, 0)]
-    if instr.op is Opcode.BNZ:
-        return [(instr.target.name, 0), (block, index + 1)]
-    if instr.op in (Opcode.RET, Opcode.HALT):
-        return []
-    if index + 1 < len(instrs):
-        return [(block, index + 1)]
-    return []
-
-
-def _markfree_path_exists(function: Function, src: Site, dst: Site) -> bool:
-    """Is there a path from just after ``src`` to ``dst`` crossing no MARK?"""
-    seen: Set[Site] = set()
-    stack = _next_sites(function, src)
-    while stack:
-        site = stack.pop()
-        if site in seen:
-            continue
-        seen.add(site)
-        if site == dst:
-            return True
-        instr = function.blocks[site[0]].instrs[site[1]]
-        if instr.op is Opcode.MARK:
-            continue
-        stack.extend(_next_sites(function, site))
-    return False
-
-
 def _marked_path_exists(function: Function, src: Site, dst: Site) -> bool:
-    """Is there a path from after ``src`` to ``dst`` that crosses a MARK?"""
+    """Is there a path from after ``src`` to ``dst`` that crosses a MARK?
+
+    Unlike :func:`~repro.ir.sites.path_through`, a path may pass ``src``
+    again: on the loop ``st x; ld x; mark; bnz loop`` the store's value
+    does not survive into the next iteration's load.
+    """
     seen: Set[Tuple[Site, bool]] = set()
-    stack = [(site, False) for site in _next_sites(function, src)]
+    stack = [(site, False) for site in next_sites(function, src)]
     while stack:
         site, crossed = stack.pop()
         if (site, crossed) in seen:
@@ -223,7 +185,7 @@ def _marked_path_exists(function: Function, src: Site, dst: Site) -> bool:
             return True
         instr = function.blocks[site[0]].instrs[site[1]]
         here = crossed or instr.op is Opcode.MARK
-        for nxt in _next_sites(function, site):
+        for nxt in next_sites(function, site):
             stack.append((nxt, here))
     return False
 

@@ -25,11 +25,9 @@ break a WARAW protection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from ..errors import WCETError
 from ..isa.instructions import Instr, Opcode, mark
-from ..ir.cfg import Function, Module
+from ..ir.cfg import Function
 from ..ir.wcet import DEFAULT_LOOP_BOUND, GapAnalysis, instr_cycles, region_gap
 
 #: Cycle cost charged for a MARK when budgeting (its own commit stores).
@@ -161,11 +159,3 @@ def verify_region_budget(function: Function, budget: int,
             f"power-on budget {budget}"
         )
     return analysis.worst
-
-
-def split_module_regions(module: Module, budget: int) -> Dict[str, int]:
-    """Split every function's regions; returns per-function insert counts."""
-    return {
-        name: split_regions(fn, budget)
-        for name, fn in module.functions.items()
-    }

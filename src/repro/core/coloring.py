@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..compiler.checkpoint import CHECKPOINTABLE
 from ..errors import CompileError
-from ..isa.instructions import Instr, Opcode, ckpt as make_ckpt, jmp, mark
-from ..isa.operands import Label, NUM_REGS, PReg
+from ..isa.instructions import Instr, ckpt as make_ckpt, jmp, mark
+from ..isa.operands import Label, PReg
 from ..ir.cfg import BasicBlock, Function
 from ..ir.liveness import liveness
-from .pruning import locate_instr
-from .recovery import CkptInfo
-
-Site = Tuple[str, int]
+from ..ir.sites import Site, SiteMap, next_sites
+from .recovery import CkptInfo, find_restore_source
 
 
 @dataclass
@@ -105,9 +104,10 @@ def _try_color_register(function: Function, infos: List[CkptInfo],
                         reg_index: int) -> Optional["_Conflict"]:
     """2-color one register's checkpoints; returns the first conflict."""
     group = [i for i in infos if i.kept and i.reg_index == reg_index]
+    sites = SiteMap(function)
     current: Dict[int, Site] = {}
     for info in group:
-        site = locate_instr(function, info.instr)
+        site = sites.of(info.instr)
         if site is None:
             raise CompileError("checkpoint registry out of sync with IR")
         current[id(info.instr)] = site
@@ -164,7 +164,7 @@ def _adjacent_ckpts(function: Function, site: Site,
     seen: Set[Site] = set()
     parent: Dict[Site, Optional[Site]] = {}
     stack: List[Site] = []
-    for nxt in _next_sites(function, site):
+    for nxt in next_sites(function, site):
         if nxt not in parent:
             parent[nxt] = None
             stack.append(nxt)
@@ -182,26 +182,11 @@ def _adjacent_ckpts(function: Function, site: Site,
             path.reverse()
             results.append((here, path))
             continue  # do not traverse past another checkpoint
-        for nxt in _next_sites(function, here):
+        for nxt in next_sites(function, here):
             if nxt not in parent:
                 parent[nxt] = here
                 stack.append(nxt)
     return results
-
-
-def _next_sites(function: Function, site: Site) -> List[Site]:
-    block, index = site
-    instrs = function.blocks[block].instrs
-    instr = instrs[index]
-    if instr.op is Opcode.JMP:
-        return [(instr.target.name, 0)]
-    if instr.op is Opcode.BNZ:
-        return [(instr.target.name, 0), (block, index + 1)]
-    if instr.op in (Opcode.RET, Opcode.HALT):
-        return []
-    if index + 1 < len(instrs):
-        return [(block, index + 1)]
-    return []
 
 
 def _fix_conflict(function: Function, infos: List[CkptInfo],
@@ -230,8 +215,8 @@ def _fix_conflict(function: Function, infos: List[CkptInfo],
                                (block_name, index), conflict.reg_index):
             return None
         new_mark = mark(0)
-        new_instrs, added = _boundary_instrs(
-            infos, [conflict.reg_index], new_mark, (block_name, index)
+        new_instrs, added = boundary_instrs(
+            infos, [conflict.reg_index], new_mark
         )
         function.blocks[block_name].instrs[index:index] = new_instrs
         if not _repair_holds(function, infos, new_mark,
@@ -249,8 +234,8 @@ def _fix_conflict(function: Function, infos: List[CkptInfo],
         return None
     new_name = function.new_label("recolor")
     new_mark = mark(0)
-    new_instrs, added = _boundary_instrs(
-        infos, [conflict.reg_index], new_mark, (new_name, 0)
+    new_instrs, added = boundary_instrs(
+        infos, [conflict.reg_index], new_mark
     )
     new_block = BasicBlock(new_name, instrs=new_instrs + [jmp(Label(target_block))])
     function.blocks[new_name] = new_block
@@ -280,33 +265,17 @@ def _repair_holds(function: Function, infos: List[CkptInfo],
     register falls back to the dynamic index instead of dying at
     plan-attachment with "no restore path".
     """
-    from .recovery import find_restore_source
-    from ..ir.dominators import dominators
-
-    mark_site: Optional[Site] = None
-    for name, index, instr in function.instructions():
-        if instr is new_mark:
-            mark_site = (name, index)
-            break
+    sites = SiteMap(function)
+    mark_site = sites.of(new_mark)
     if mark_site is None:
         return False
     live = liveness(function, ignore_ckpt_uses=True)
-    dom = dominators(function)
-    site_cache: Dict[int, Optional[Site]] = {}
-
-    def site_of(info: CkptInfo) -> Optional[Site]:
-        key = id(info.instr)
-        if key not in site_cache:
-            site_cache[key] = locate_instr(function, info.instr)
-        return site_cache[key]
-
     for reg in live.live_at(function, mark_site[0], mark_site[1] + 1):
-        if not isinstance(reg, PReg) or not 1 <= reg.index < NUM_REGS:
+        if not isinstance(reg, PReg) or reg.index not in CHECKPOINTABLE:
             continue
         if reg.index == conflict_reg:     # restored by its own boundary
             continue                      # checkpoint
-        if find_restore_source(function, infos, reg.index, mark_site,
-                               dom=dom, site_of=site_of) is None:
+        if find_restore_source(sites, infos, reg.index, mark_site) is None:
             return False
     return True
 
@@ -314,38 +283,26 @@ def _repair_holds(function: Function, infos: List[CkptInfo],
 def _repair_is_free(function: Function, infos: List[CkptInfo], live_regs,
                     mark_site: Site, conflict_reg: int) -> bool:
     """Whether every non-conflict live input has a restore source already."""
-    from .recovery import find_restore_source
-
-    site_cache: Dict[int, Optional[Site]] = {}
-
-    def site_of(info: CkptInfo) -> Optional[Site]:
-        key = id(info.instr)
-        if key not in site_cache:
-            site_cache[key] = locate_instr(function, info.instr)
-        return site_cache[key]
-
+    sites = SiteMap(function)
     for reg in live_regs:
-        if not isinstance(reg, PReg) or not 1 <= reg.index < NUM_REGS:
+        if not isinstance(reg, PReg) or reg.index not in CHECKPOINTABLE:
             continue
         if reg.index == conflict_reg:
             continue
-        if find_restore_source(function, infos, reg.index, mark_site,
-                               site_of=site_of) is None:
+        if find_restore_source(sites, infos, reg.index, mark_site) is None:
             return False
     return True
 
 
-def _boundary_instrs(infos: List[CkptInfo], inputs: List[int],
-                     new_mark: Instr, site: Site):
+def boundary_instrs(infos: List[CkptInfo], inputs: List[int],
+                    new_mark: Instr):
     """Build [CKPT..., MARK] and register the checkpoints."""
     instrs: List[Instr] = []
-    for offset, reg_index in enumerate(inputs):
+    for reg_index in inputs:
         ck = make_ckpt(PReg(reg_index), reg_index=reg_index, color=None)
         instrs.append(ck)
         infos.append(
-            CkptInfo(instr=ck, site=(site[0], site[1] + offset),
-                     mark_site=(site[0], site[1] + len(inputs)),
-                     reg_index=reg_index, mark_instr=new_mark)
+            CkptInfo(instr=ck, reg_index=reg_index, mark_instr=new_mark)
         )
     instrs.append(new_mark)
     return instrs, len(inputs)
@@ -371,13 +328,14 @@ def verify_coloring(function: Function, infos: Sequence[CkptInfo]) -> None:
     alternation by construction.
     """
     kept = [i for i in infos if i.kept]
+    positions = SiteMap(function)
     sites: Dict[Site, CkptInfo] = {}
     dynamic_regs: Set[int] = set()
     for info in kept:
         if info.instr.meta.get("per_reg"):
             dynamic_regs.add(info.reg_index)
             continue
-        site = locate_instr(function, info.instr)
+        site = positions.of(info.instr)
         if site is None:
             raise CompileError("checkpoint registry out of sync with IR")
         sites[site] = info

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Union
 
 from ..errors import CompileError
-from ..isa.instructions import Instr, Opcode
+from ..isa.instructions import Opcode
 from ..isa.program import LinkedProgram, link
 from ..ir.cfg import Function, Module
-from ..ir.dominators import dominators
+from ..ir.sites import SiteMap
 from ..lang.lowering import compile_source
-from ..compiler.checkpoint import insert_checkpoints
+from ..compiler.checkpoint import CHECKPOINTABLE, insert_checkpoints
 from ..compiler.codegen import lower_module
 from ..compiler.regalloc import allocate_module
 from ..compiler.region import (
@@ -36,17 +36,23 @@ from ..compiler.region import (
     unsatisfied_antideps,
 )
 from ..compiler.splitting import split_regions, verify_region_budget
-from .coloring import color_function, verify_coloring
+from .coloring import boundary_instrs, color_function, verify_coloring
 from .plans import RegionPlan, SliceExec, SlotLoad
 from .pruning import (
     PruneResult,
     collect_checkpoints,
-    locate_instr,
     prune_function,
     readonly_symbols,
     unprune,
 )
-from .recovery import CkptInfo, SlotElement, materialize_slice
+from .recovery import (
+    CkptInfo,
+    SlotElement,
+    find_dominating_slot,
+    find_restore_source,
+    materialize_slice,
+    slot_clobbered,
+)
 
 #: Default guaranteed power-on budget in cycles (one full capacitor charge
 #: under worst-case draw — see PowerSystem.guaranteed_cycles(); a 1 mF
@@ -334,22 +340,12 @@ def _color_and_validate(function: Function, infos: List[CkptInfo],
 def _stale_slices(function: Function,
                   infos: List[CkptInfo]) -> List[CkptInfo]:
     """Pruned checkpoints whose slot references are no longer safe."""
-    from .recovery import _path_through_exists  # shared path utility
-
-    dom = dominators(function)
-    current: Dict[int, object] = {}
-
-    def site_of(instr: Instr):
-        key = id(instr)
-        if key not in current:
-            current[key] = locate_instr(function, instr)
-        return current[key]
-
+    sites = SiteMap(function)
     stale: List[CkptInfo] = []
     for info in infos:
         if info.kept or not info.slice_elements:
             continue
-        mark_site = site_of(info.mark_instr)
+        mark_site = sites.of(info.mark_instr)
         if mark_site is None:
             stale.append(info)
             continue
@@ -357,31 +353,13 @@ def _stale_slices(function: Function,
             if not isinstance(element, SlotElement):
                 continue
             source = infos[element.source_index]
-            source_site = site_of(source.instr)
-            if source_site is None or not source.kept:
-                stale.append(info)
-                break
-            if not _dominates(dom, source_site, mark_site):
-                stale.append(info)
-                break
-            others = {
-                site_of(other.instr)
-                for other in infos
-                if other.kept and other is not source
-                and other.reg_index == source.reg_index
-                and site_of(other.instr) is not None
-            }
-            if others and _path_through_exists(function, source_site,
-                                               mark_site, others):
+            source_site = sites.of(source.instr)
+            if (source_site is None or not source.kept
+                    or not sites.dominates(source_site, mark_site)
+                    or slot_clobbered(sites, infos, source, mark_site)):
                 stale.append(info)
                 break
     return stale
-
-
-def _dominates(dom, a, b) -> bool:
-    if a[0] == b[0]:
-        return a[1] < b[1]
-    return a[0] in dom.get(b[0], set())
 
 
 def _insert_boundary_before(function: Function, infos: List[CkptInfo],
@@ -391,46 +369,22 @@ def _insert_boundary_before(function: Function, infos: List[CkptInfo],
     Live inputs restorable from an existing dominating slot are left to the
     plan builder; checkpointing them here would disturb their coloring.
     """
-    from ..isa.instructions import ckpt as make_ckpt, mark
+    from ..isa.instructions import mark
     from ..isa.operands import PReg
     from ..ir.liveness import liveness
-    from .pruning import locate_instr as _locate
-    from .recovery import find_dominating_slot
 
     block_name, index = store_site
     live = liveness(function, ignore_ckpt_uses=True)
     live_here = live.live_at(function, block_name, index)
-
-    site_cache: Dict[int, object] = {}
-
-    def site_of(info: CkptInfo):
-        key = id(info.instr)
-        if key not in site_cache:
-            site_cache[key] = _locate(function, info.instr)
-        return site_cache[key]
-
+    sites = SiteMap(function)
     inputs = []
     for reg in sorted(live_here, key=lambda r: getattr(r, "index", 99)):
-        if not isinstance(reg, PReg) or not 1 <= reg.index < 16:
+        if not isinstance(reg, PReg) or reg.index not in CHECKPOINTABLE:
             continue
-        slot = find_dominating_slot(function, infos, reg.index,
-                                    (block_name, index), site_of=site_of)
-        if slot is None:
+        if find_dominating_slot(sites, infos, reg.index, store_site) is None:
             inputs.append(reg.index)
-
-    block = function.blocks[block_name]
-    new_mark = mark(0)
-    new_instrs: List[Instr] = []
-    for reg_index in inputs:
-        ck = make_ckpt(PReg(reg_index), reg_index=reg_index, color=None)
-        new_instrs.append(ck)
-        infos.append(
-            CkptInfo(instr=ck, site=(block_name, index),
-                     mark_site=(block_name, index),
-                     reg_index=reg_index, mark_instr=new_mark)
-        )
-    new_instrs.append(new_mark)
-    block.instrs[index:index] = new_instrs
+    new_instrs, _ = boundary_instrs(infos, inputs, mark(0))
+    function.blocks[block_name].instrs[index:index] = new_instrs
 
 
 # ----------------------------------------------------------------------
@@ -444,25 +398,15 @@ def _attach_plans(function: Function, infos: List[CkptInfo]) -> None:
     a dominating checkpoint slot from an earlier boundary (covers repair
     boundaries that deliberately checkpoint only the conflicted register).
     """
-    from ..ir.dominators import dominators
     from ..ir.liveness import liveness
     from ..isa.operands import PReg
-    from .pruning import locate_instr as _locate
-    from .recovery import find_restore_source
 
     by_mark: Dict[int, List[CkptInfo]] = {}
     for info in infos:
         by_mark.setdefault(id(info.mark_instr), []).append(info)
 
     live = liveness(function, ignore_ckpt_uses=True)
-    dom = dominators(function)
-    site_cache: Dict[int, object] = {}
-
-    def site_of(info: CkptInfo):
-        key = id(info.instr)
-        if key not in site_cache:
-            site_cache[key] = _locate(function, info.instr)
-        return site_cache[key]
+    sites = SiteMap(function)
 
     for name in function.block_order:
         for index, instr in enumerate(function.blocks[name].instrs):
@@ -481,13 +425,13 @@ def _attach_plans(function: Function, infos: List[CkptInfo]) -> None:
                         instrs=materialize_slice(infos, info.slice_elements),
                     )
             for reg in live.live_at(function, name, index + 1):
-                if not isinstance(reg, PReg) or not 1 <= reg.index < 16:
+                if not isinstance(reg, PReg) \
+                        or reg.index not in CHECKPOINTABLE:
                     continue
                 if reg.index in plan.restores:
                     continue
-                found = find_restore_source(function, infos, reg.index,
-                                            (name, index), dom=dom,
-                                            site_of=site_of)
+                found = find_restore_source(sites, infos, reg.index,
+                                            (name, index))
                 if found is None:
                     raise CompileError(
                         f"{function.name}: live input R{reg.index} of the "

@@ -16,15 +16,14 @@ boundary) and values recomputable from constants or read-only tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List
 
 from ..isa.instructions import Instr, Opcode
 from ..isa.operands import PReg
 from ..ir.cfg import Function, Module
 from ..ir.reaching import reaching_definitions
+from ..ir.sites import SiteMap
 from .recovery import CkptInfo, MAX_SLICE_LEN, SliceBuilder
-
-Site = Tuple[str, int]
 
 
 @dataclass
@@ -59,15 +58,15 @@ def collect_checkpoints(function: Function) -> List[CkptInfo]:
     infos: List[CkptInfo] = []
     for name in function.block_order:
         instrs = function.blocks[name].instrs
-        pending: List[Tuple[Site, Instr]] = []
-        for index, instr in enumerate(instrs):
+        pending: List[Instr] = []
+        for instr in instrs:
             if instr.op is Opcode.CKPT:
-                pending.append(((name, index), instr))
+                pending.append(instr)
             elif instr.op is Opcode.MARK:
-                for site, ck in pending:
+                for ck in pending:
                     infos.append(
-                        CkptInfo(instr=ck, site=site, mark_site=(name, index),
-                                 reg_index=ck.reg_index, mark_instr=instr)
+                        CkptInfo(instr=ck, reg_index=ck.reg_index,
+                                 mark_instr=instr)
                     )
                 pending = []
             elif pending:
@@ -87,16 +86,15 @@ def prune_function(function: Function, readonly: FrozenSet[str],
         return result
 
     reaching = reaching_definitions(function)
-    for info in infos:
-        defs = reaching.defs_reaching_use(info.site, PReg(info.reg_index))
-        info.unique_def = next(iter(defs)) if len(defs) == 1 else None
-
-    builder = SliceBuilder(function, reaching, readonly, infos,
+    sites = SiteMap(function)
+    builder = SliceBuilder(sites, reaching, readonly, infos,
                            max_len=max_slice_len)
     for info in infos:
         if info.referenced_by:
             continue  # locked: another slice restores from this slot
-        if info.unique_def is None:
+        defs = reaching.defs_reaching_use(sites.of(info.instr),
+                                          PReg(info.reg_index))
+        if len(defs) != 1:
             continue
         elements = builder.try_build(info)
         if elements is None:
@@ -129,20 +127,11 @@ def _remove_pruned(function: Function, infos: List[CkptInfo]) -> None:
         ]
 
 
-def locate_instr(function: Function, target: Instr) -> Optional[Site]:
-    """Current position of an instruction object (identity lookup)."""
-    for name in function.block_order:
-        for index, instr in enumerate(function.blocks[name].instrs):
-            if instr is target:
-                return (name, index)
-    return None
-
-
 def unprune(function: Function, info: CkptInfo) -> None:
     """Re-insert a pruned checkpoint before its MARK (validation fallback)."""
     if info.kept:
         return
-    site = locate_instr(function, info.mark_instr)
+    site = SiteMap(function).of(info.mark_instr)
     if site is None:
         raise AssertionError(
             f"could not locate owning MARK to unprune R{info.reg_index}"

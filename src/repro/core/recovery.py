@@ -31,30 +31,26 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..isa.instructions import BINOPS, Instr, Opcode, UNOPS
 from ..isa.operands import Imm, PReg, Sym
-from ..ir.cfg import Function
-from ..ir.dominators import dominators
 from ..ir.reaching import ReachingResult
-
-Site = Tuple[str, int]
+from ..ir.sites import Site, SiteMap, markfree_reaches, path_through
 
 #: Default cap on recovery-block length (the paper reports ~6 instructions).
 MAX_SLICE_LEN = 8
 
 
-@dataclass
+@dataclass(eq=False)
 class CkptInfo:
-    """One checkpoint store and its boundary association."""
+    """One checkpoint store and its boundary association.
+
+    Passes hold instruction objects, not positions: positions shift with
+    every edit, so they are looked up in a :class:`~repro.ir.sites.SiteMap`.
+    Infos compare by identity.
+    """
 
     instr: Instr                  # the CKPT instruction object (mutated later)
-    site: Site                    # position at pruning time
-    mark_site: Site               # position of the owning MARK (pruning time)
     reg_index: int
-    #: The owning MARK instruction object — positions shift across passes,
-    #: object identity does not.
-    mark_instr: Optional[Instr] = None
+    mark_instr: Instr             # the owning MARK instruction object
     kept: bool = True
-    #: Unique reaching definition of the register at this site (or None).
-    unique_def: Optional[Site] = None
     #: Checkpoints whose slices reference this one (must stay kept).
     referenced_by: List["CkptInfo"] = field(default_factory=list)
     #: Abstract slice elements when pruned.
@@ -86,17 +82,16 @@ SliceElement = Union[InstrElement, SlotElement]
 class SliceBuilder:
     """Builds recovery slices for one function's checkpoints."""
 
-    def __init__(self, function: Function, reaching: ReachingResult,
+    def __init__(self, sites: SiteMap, reaching: ReachingResult,
                  readonly_symbols: FrozenSet[str],
                  checkpoints: Sequence[CkptInfo],
                  max_len: int = MAX_SLICE_LEN) -> None:
-        self._fn = function
+        self._sites = sites
+        self._fn = sites.function
         self._reaching = reaching
-        self._dom = dominators(function)
         self._readonly = readonly_symbols
         self._ckpts = list(checkpoints)
         self._max_len = max_len
-        self._def_site_cache: Dict[int, Set[Site]] = {}
         self._alias_site_cache: Dict[Tuple, Set[Site]] = {}
         #: kept checkpoints per register index, for slot termination.
         self._by_reg: Dict[int, List[int]] = {}
@@ -108,7 +103,8 @@ class SliceBuilder:
         """Attempt a slice for ``target``; returns elements or ``None``."""
         state = _BuildState()
         ok = self._resolve_use(
-            target.site, PReg(target.reg_index), target, state
+            self._sites.of(target.instr), PReg(target.reg_index), target,
+            state
         )
         if not ok or len(state.elements) > self._max_len:
             return None
@@ -186,10 +182,10 @@ class SliceBuilder:
         aliasing = self._aliasing_sites(load)
         if not aliasing:
             return True
-        if _path_through_exists(self._fn, def_site, target.mark_site,
-                                aliasing):
+        mark_site = self._sites.of(target.mark_instr)
+        if path_through(self._fn, def_site, mark_site, aliasing):
             return False
-        if _markfree_reaches(self._fn, target.mark_site, aliasing):
+        if markfree_reaches(self._fn, mark_site, aliasing):
             return False
         return True
 
@@ -228,55 +224,28 @@ class SliceBuilder:
         most one later same-register checkpoint — of the other color — can
         run before the crash).
         """
-        def_sites = self._def_sites(reg)
+        sites = self._sites
+        def_sites = sites.def_sites(reg.index)
+        mark_site = sites.of(target.mark_instr)
         for index in self._by_reg.get(reg.index, ()):
             info = self._ckpts[index]
             if info is target or not info.kept:
                 continue
-            if not self._site_dominates(info.site, target.mark_site):
+            site = sites.of(info.instr)
+            if not sites.dominates(site, mark_site):
                 continue
-            if self._site_dominates(info.site, use_site):
-                if _path_through_exists(self._fn, info.site, use_site,
-                                        def_sites):
+            if sites.dominates(site, use_site):
+                if path_through(self._fn, site, use_site, def_sites):
                     continue
-            elif self._site_dominates(use_site, info.site):
-                if _path_through_exists(self._fn, use_site, info.site,
-                                        def_sites):
+            elif sites.dominates(use_site, site):
+                if path_through(self._fn, use_site, site, def_sites):
                     continue
             else:
                 continue
-            if self._kept_ckpt_between(info, target.mark_site):
+            if slot_clobbered(sites, self._ckpts, info, mark_site):
                 continue
             return index
         return None
-
-    def _def_sites(self, reg: PReg) -> "Set[Site]":
-        cached = self._def_site_cache.get(reg.index)
-        if cached is None:
-            cached = {
-                (name, i)
-                for name, i, instr in self._fn.instructions()
-                if any(isinstance(d, PReg) and d.index == reg.index
-                       for d in instr.defs())
-            }
-            self._def_site_cache[reg.index] = cached
-        return cached
-
-    def _site_dominates(self, a: Site, b: Site) -> bool:
-        if a[0] == b[0]:
-            return a[1] < b[1]
-        return a[0] in self._dom.get(b[0], set())
-
-    def _kept_ckpt_between(self, source: CkptInfo, mark_site: Site) -> bool:
-        """Any kept same-register checkpoint strictly between source and B?"""
-        others = {
-            self._ckpts[i].site
-            for i in self._by_reg.get(source.reg_index, ())
-            if self._ckpts[i].kept and self._ckpts[i] is not source
-        }
-        if not others:
-            return False
-        return _path_through_exists(self._fn, source.site, mark_site, others)
 
 
 @dataclass
@@ -287,73 +256,26 @@ class _BuildState:
     slot_sources: List[int] = field(default_factory=list)
 
 
-# ----------------------------------------------------------------------
-# Path utilities (instruction-point granularity).
-# ----------------------------------------------------------------------
-def _next_sites(function: Function, site: Site) -> List[Site]:
-    block, index = site
-    instrs = function.blocks[block].instrs
-    instr = instrs[index]
-    if instr.op is Opcode.JMP:
-        return [(instr.target.name, 0)]
-    if instr.op is Opcode.BNZ:
-        return [(instr.target.name, 0), (block, index + 1)]
-    if instr.op in (Opcode.RET, Opcode.HALT):
-        return []
-    if index + 1 < len(instrs):
-        return [(block, index + 1)]
-    return []
+def slot_clobbered(sites: SiteMap, infos: Sequence[CkptInfo],
+                   source: CkptInfo, mark_site: Site) -> bool:
+    """Whether another kept checkpoint of ``source``'s register lies on a
+    path from ``source`` to the boundary at ``mark_site``.
 
-
-def _markfree_reaches(function: Function, src: Site,
-                      targets: Set[Site]) -> bool:
-    """Whether any ``targets`` site is reachable from ``src`` without
-    crossing a MARK (i.e. lies inside the region starting at ``src``)."""
-    seen: Set[Site] = set()
-    stack = _next_sites(function, src)
-    while stack:
-        site = stack.pop()
-        if site in seen:
-            continue
-        seen.add(site)
-        if site in targets:
-            return True
-        instr = function.blocks[site[0]].instrs[site[1]]
-        if instr.op is Opcode.MARK:
-            continue
-        stack.extend(_next_sites(function, site))
-    return False
-
-
-def _path_through_exists(function: Function, src: Site, dst: Site,
-                         through: Set[Site]) -> bool:
-    """Is there a path src -> dst visiting a ``through`` site?
-
-    Paths that revisit ``src`` are not followed: the analysis always asks
-    about the segment after the *last* execution of ``src``, so anything
-    before a revisit is irrelevant (e.g. a loop-carried definition that
-    precedes the next execution of a loop-header checkpoint).
+    Such a checkpoint may have overwritten ``source``'s slot before a
+    crash, so the boundary cannot restore from it.
     """
-    seen: Set[Tuple[Site, bool]] = set()
-    stack = [(s, False) for s in _next_sites(function, src)]
-    while stack:
-        site, crossed = stack.pop()
-        if site == src:
-            continue  # a revisit resets the segment of interest
-        if (site, crossed) in seen:
-            continue
-        seen.add((site, crossed))
-        if site == dst and crossed:
-            return True
-        here = crossed or site in through
-        for nxt in _next_sites(function, site):
-            stack.append((nxt, here))
-    return False
+    others = {
+        sites.of(other.instr)
+        for other in infos
+        if other.kept and other is not source
+        and other.reg_index == source.reg_index
+    }
+    return bool(others) and path_through(
+        sites.function, sites.of(source.instr), mark_site, others)
 
 
-def find_dominating_slot(function: Function, infos: Sequence[CkptInfo],
-                         reg_index: int, mark_site: Site,
-                         dom=None, site_of=None) -> Optional[int]:
+def find_dominating_slot(sites: SiteMap, infos: Sequence[CkptInfo],
+                         reg_index: int, mark_site: Site) -> Optional[int]:
     """A kept checkpoint whose slot restores ``reg_index`` at ``mark_site``.
 
     Conditions (same soundness argument as slice slot termination): the
@@ -364,47 +286,25 @@ def find_dominating_slot(function: Function, infos: Sequence[CkptInfo],
     of a live register and when deciding the minimal checkpoint set of a
     coloring-repair boundary.
     """
-    from ..ir.dominators import dominators as _dominators
-
-    if dom is None:
-        dom = _dominators(function)
-
-    def current_site(info: CkptInfo) -> Optional[Site]:
-        return site_of(info) if site_of is not None else info.site
-
-    def_sites = {
-        (name, i)
-        for name, i, instr in function.instructions()
-        if any(isinstance(d, PReg) and d.index == reg_index
-               for d in instr.defs())
-    }
-    kept = [
-        (index, current_site(info))
-        for index, info in enumerate(infos)
-        if info.kept and info.reg_index == reg_index
-    ]
-    kept_sites = {site for _, site in kept if site is not None}
-    for index, c2 in kept:
-        if c2 is None or c2 == mark_site:
+    def_sites = sites.def_sites(reg_index)
+    for index, info in enumerate(infos):
+        if not info.kept or info.reg_index != reg_index:
             continue
-        if c2[0] == mark_site[0]:
-            if c2[1] >= mark_site[1]:
-                continue
-        elif c2[0] not in dom.get(mark_site[0], set()):
+        c2 = sites.of(info.instr)
+        if c2 is None or not sites.dominates(c2, mark_site):
             continue
-        others = kept_sites - {c2}
-        if others and _path_through_exists(function, c2, mark_site, others):
+        if slot_clobbered(sites, infos, info, mark_site):
             continue
-        if def_sites and _path_through_exists(function, c2, mark_site,
-                                              def_sites):
+        if def_sites and path_through(sites.function, c2, mark_site,
+                                      def_sites):
             continue
         return index
     return None
 
 
-def find_restore_source(function: Function, infos: Sequence[CkptInfo],
-                        reg_index: int, mark_site: Site,
-                        dom=None, site_of=None) -> Optional[Tuple[str, int]]:
+def find_restore_source(sites: SiteMap, infos: Sequence[CkptInfo],
+                        reg_index: int,
+                        mark_site: Site) -> Optional[Tuple[str, int]]:
     """How a boundary lacking an own checkpoint of ``reg_index`` restores it.
 
     Returns ``("slot", i)`` when a dominating kept checkpoint works (see
@@ -414,83 +314,31 @@ def find_restore_source(function: Function, infos: Sequence[CkptInfo],
     reads remains clobber-protected up to this boundary.  ``None`` means
     the boundary must carry its own checkpoint.
     """
-    from ..ir.dominators import dominators as _dominators
-
-    if dom is None:
-        dom = _dominators(function)
-    slot = find_dominating_slot(function, infos, reg_index, mark_site,
-                                dom=dom, site_of=site_of)
+    slot = find_dominating_slot(sites, infos, reg_index, mark_site)
     if slot is not None:
         return ("slot", slot)
-
-    def current_site(info: CkptInfo) -> Optional[Site]:
-        return site_of(info) if site_of is not None else info.site
-
-    def dominates(a: Site, b: Site) -> bool:
-        if a == b:
-            return False
-        if a[0] == b[0]:
-            return a[1] < b[1]
-        return a[0] in dom.get(b[0], set())
-
-    def_sites = {
-        (name, i)
-        for name, i, instr in function.instructions()
-        if any(isinstance(d, PReg) and d.index == reg_index
-               for d in instr.defs())
-    }
-    mark_cache: Dict[int, Optional[Site]] = {}
-
-    def mark_pos(info: CkptInfo) -> Optional[Site]:
-        key = id(info.mark_instr)
-        if key not in mark_cache:
-            found = None
-            for name, i, instr in function.instructions():
-                if instr is info.mark_instr:
-                    found = (name, i)
-                    break
-            mark_cache[key] = found
-        return mark_cache[key]
-
+    def_sites = sites.def_sites(reg_index)
     for index, info in enumerate(infos):
         if info.kept or info.reg_index != reg_index:
             continue
         if not info.slice_elements:
             continue
-        prev_mark = mark_pos(info)
-        if prev_mark is None or not dominates(prev_mark, mark_site):
+        prev_mark = sites.of(info.mark_instr)
+        if prev_mark is None or not sites.dominates(prev_mark, mark_site):
             continue
-        if def_sites and _path_through_exists(function, prev_mark, mark_site,
-                                              def_sites):
+        if def_sites and path_through(sites.function, prev_mark, mark_site,
+                                      def_sites):
             continue
+        sources = [infos[element.source_index]
+                   for element in info.slice_elements
+                   if isinstance(element, SlotElement)]
         if all(
-            _slot_source_valid(function, infos, element, mark_site,
-                               current_site)
-            for element in info.slice_elements
-            if isinstance(element, SlotElement)
+            source.kept and sites.of(source.instr) is not None
+            and not slot_clobbered(sites, infos, source, mark_site)
+            for source in sources
         ):
             return ("slice", index)
     return None
-
-
-def _slot_source_valid(function: Function, infos: Sequence[CkptInfo],
-                       element: "SlotElement", mark_site: Site,
-                       current_site) -> bool:
-    source = infos[element.source_index]
-    if not source.kept:
-        return False
-    c2 = current_site(source)
-    if c2 is None:
-        return False
-    others = {
-        current_site(other)
-        for other in infos
-        if other.kept and other is not source
-        and other.reg_index == source.reg_index
-        and current_site(other) is not None
-    }
-    return not (others and _path_through_exists(function, c2, mark_site,
-                                                others))
 
 
 def materialize_slice(ckpts: Sequence[CkptInfo],

@@ -45,6 +45,7 @@ from ..obs import (
     merge_flat,
 )
 from ..runtime import IntermittentSimulator, Machine, SimResult, runtime_for
+from ..runtime.metrics import forward_progress_rate
 from ..store.digest import jsonable as _jsonable
 from ..store.digest import content_digest, run_digest
 from .common import REMOTE_DISTANCE_M, REMOTE_TX_DBM, VictimConfig
@@ -668,11 +669,8 @@ class CampaignRunner:
                 base = baselines[baseline_slot[run.baseline_key()]].result
                 outcome.baseline = base
                 if base is not None:
-                    outcome.progress_rate = (
-                        min(1.0,
-                            tr.result.executed_cycles / base.executed_cycles)
-                        if base.executed_cycles > 0 else 0.0
-                    )
+                    outcome.progress_rate = forward_progress_rate(
+                        tr.result, base)
             outcomes.append(outcome)
         stats.failures = sum(1 for o in outcomes + baselines if o.error)
         stats.wall_time_s = time.perf_counter() - start

@@ -16,7 +16,7 @@ from ..core import CompiledProgram, compile_scheme
 from ..emi import AttackSchedule, DPIPath, EMISource, RemotePath, DeviceProfile, device
 from ..emi.devices import EVALUATION_BOARD
 from ..energy import Capacitor, ConstantSupply, PowerSystem, SquareWaveHarvester
-from ..runtime import SimConfig, SimResult
+from ..runtime import SimConfig, SimResult, forward_progress_rate
 from ..workloads import source
 
 #: The paper's remote-attack rig: up to 35 dBm, 5 m, directional antenna.
@@ -177,10 +177,7 @@ def forward_progress(victim: VictimConfig, attack: AttackSchedule,
         baseline = run_attack(victim, AttackSchedule.silent(), path=path,
                               compiled=compiled)
     attacked = run_attack(victim, attack, path=path, compiled=compiled)
-    if baseline.executed_cycles <= 0:
-        return 0.0, attacked, baseline
-    rate = min(1.0, attacked.executed_cycles / baseline.executed_cycles)
-    return rate, attacked, baseline
+    return forward_progress_rate(attacked, baseline), attacked, baseline
 
 
 def frequency_sweep_mhz(start: float = 5, stop: float = 60, step: float = 2,
@@ -192,6 +189,8 @@ def frequency_sweep_mhz(start: float = 5, stop: float = 60, step: float = 2,
     below ~50 MHz, so the default grid keeps full resolution there and
     samples the quiet region above.
     """
+    if step <= 0 or sparse_step <= 0:
+        raise ValueError("frequency sweep steps must be positive")
     freqs: List[float] = []
     f = start
     while f <= stop:

@@ -81,7 +81,7 @@ def sweep_device(device_name: str, monitor_kind: str = "adc",
 
     victim = VictimConfig(device_name=device_name, monitor_kind=monitor_kind,
                           duration_s=duration_s)
-    freqs = list(freqs_mhz or frequency_sweep_mhz())
+    freqs = list(frequency_sweep_mhz() if freqs_mhz is None else freqs_mhz)
     runner = CampaignRunner(workers=workers)
     campaign = runner.run(ExperimentSpec(
         name=f"sweep:{device_name}:{monitor_kind}:{injection}",

@@ -3,12 +3,7 @@
 from .alias import MemRef, clobbers_all_memory, may_alias, mem_ref, must_alias
 from .cfg import BasicBlock, Function, Module, remove_unreachable, split_block
 from .dependence import AntiDep, memory_antideps
-from .dominators import (
-    control_dependence,
-    dominators,
-    immediate_dominators,
-    postdominators,
-)
+from .dominators import dominators
 from .liveness import (
     LinkedLiveness,
     LivenessResult,
@@ -28,11 +23,10 @@ from .wcet import (
 __all__ = [
     "AntiDep", "BasicBlock", "DEFAULT_LOOP_BOUND", "Function",
     "LinkedLiveness", "LivenessResult", "Loop", "MemRef", "Module",
-    "ReachingResult", "block_cycles", "clobbers_all_memory",
-    "control_dependence", "dominators", "find_loops", "function_wcet",
-    "immediate_dominators", "infer_loop_bounds", "live_intervals",
+    "ReachingResult", "block_cycles", "clobbers_all_memory", "dominators",
+    "find_loops", "function_wcet", "infer_loop_bounds", "live_intervals",
     "linked_liveness", "liveness", "loop_of_block",
     "may_alias", "mem_ref", "memory_antideps",
-    "module_wcet", "must_alias", "postdominators", "reaching_definitions",
+    "module_wcet", "must_alias", "reaching_definitions",
     "remove_unreachable", "split_block",
 ]

@@ -15,9 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..isa.instructions import Opcode
 from .alias import MemRef, clobbers_all_memory, may_alias, mem_ref, must_alias
 from .cfg import Function
-from .dominators import dominators
-
-Site = Tuple[str, int]
+from .sites import Site, SiteMap
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,6 @@ def block_reachability(function: Function) -> Dict[str, Set[str]]:
     return reach
 
 
-def _instr_dominates(dom: Dict[str, Set[str]], a: Site, b: Site) -> bool:
-    """Whether instruction ``a`` dominates instruction ``b``."""
-    if a[0] == b[0]:
-        return a[1] < b[1]
-    return a[0] in dom.get(b[0], set())
-
-
 def memory_antideps(function: Function) -> List[AntiDep]:
     """All load->store anti-dependences of ``function``.
 
@@ -80,7 +71,7 @@ def memory_antideps(function: Function) -> List[AntiDep]:
             writes.append((site, None))
 
     reach = block_reachability(function)
-    dom = dominators(function)
+    sites = SiteMap(function)
     deps: List[AntiDep] = []
     for load_site, load_ref in reads:
         for store_site, store_ref in writes:
@@ -91,7 +82,7 @@ def memory_antideps(function: Function) -> List[AntiDep]:
             if not _site_reaches(reach, load_site, store_site):
                 continue
             protectors = _waraw_protectors(
-                dom, writes, load_site, load_ref, store_ref
+                sites, writes, load_site, load_ref, store_ref
             )
             symbol = (store_ref or load_ref).symbol if (store_ref or load_ref) else "*"
             deps.append(
@@ -117,7 +108,7 @@ def _site_reaches(reach: Dict[str, Set[str]], src: Site, dst: Site) -> bool:
     return dst[0] in reach[src[0]]
 
 
-def _waraw_protectors(dom, writes, load_site: Site,
+def _waraw_protectors(sites: SiteMap, writes, load_site: Site,
                       load_ref: Optional[MemRef],
                       store_ref: Optional[MemRef]) -> Set[Site]:
     """Stores making the pair WARAW-protected (see :class:`AntiDep`)."""
@@ -131,6 +122,6 @@ def _waraw_protectors(dom, writes, load_site: Site,
     for write_site, write_ref in writes:
         if write_ref is None or not must_alias(write_ref, store_ref):
             continue
-        if _instr_dominates(dom, write_site, load_site):
+        if sites.dominates(write_site, load_site):
             protectors.add(write_site)
     return protectors

@@ -1,4 +1,4 @@
-"""Dominator and postdominator analysis on IR functions.
+"""Dominator analysis on IR functions.
 
 Straightforward iterative dataflow over block sets — functions in this
 domain have tens of blocks, so the simple formulation is both clear and
@@ -7,12 +7,9 @@ fast enough.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set
 
 from .cfg import Function
-
-#: Name of the virtual exit node used by the postdominator analysis.
-VIRTUAL_EXIT = "__exit__"
 
 
 def dominators(function: Function) -> Dict[str, Set[str]]:
@@ -35,85 +32,3 @@ def dominators(function: Function) -> Dict[str, Set[str]]:
                 dom[name] = new
                 changed = True
     return dom
-
-
-def immediate_dominators(function: Function) -> Dict[str, Optional[str]]:
-    """Map each reachable block to its immediate dominator (entry -> None)."""
-    dom = dominators(function)
-    idom: Dict[str, Optional[str]] = {}
-    for name, doms in dom.items():
-        if name == function.entry:
-            idom[name] = None
-            continue
-        strict = doms - {name}
-        # The idom is the strict dominator dominated by all other strict doms.
-        idom[name] = next(
-            (c for c in strict if all(c in dom[o] or o == c for o in strict)),
-            None,
-        )
-    return idom
-
-
-def _exit_blocks(function: Function) -> List[str]:
-    return [
-        name
-        for name in function.block_order
-        if not function.blocks[name].successors()
-    ]
-
-
-def postdominators(function: Function) -> Dict[str, Set[str]]:
-    """Map each block to the set of blocks postdominating it.
-
-    A virtual exit (:data:`VIRTUAL_EXIT`) joins all real exits so the
-    analysis tolerates multiple ``RET``/``HALT`` blocks.  Blocks that cannot
-    reach any exit (infinite loops) end up postdominated by everything; the
-    callers in :mod:`repro.ir.dependence` handle that conservatively.
-    """
-    succs = {name: list(function.blocks[name].successors())
-             for name in function.block_order}
-    exits = _exit_blocks(function)
-    succs[VIRTUAL_EXIT] = []
-    for name in exits:
-        succs[name] = succs[name] + [VIRTUAL_EXIT]
-    universe = set(succs)
-    pdom: Dict[str, Set[str]] = {name: set(universe) for name in universe}
-    pdom[VIRTUAL_EXIT] = {VIRTUAL_EXIT}
-    changed = True
-    while changed:
-        changed = False
-        for name in universe:
-            if name == VIRTUAL_EXIT:
-                continue
-            outgoing = [pdom[s] for s in succs[name]]
-            new = set.intersection(*outgoing) if outgoing else set()
-            new = new | {name}
-            if new != pdom[name]:
-                pdom[name] = new
-                changed = True
-    return pdom
-
-
-def control_dependence(function: Function) -> Dict[str, Set[Tuple[str, str]]]:
-    """Ferrante-style control dependence.
-
-    Returns a map ``block -> {(branch block, taken successor), ...}``: the CFG
-    edges the block's execution is control dependent on.  Block ``B`` is
-    control dependent on edge ``A -> S`` when ``B`` postdominates ``S`` but
-    does not postdominate ``A``.
-    """
-    pdom = postdominators(function)
-    deps: Dict[str, Set[Tuple[str, str]]] = {
-        name: set() for name in function.block_order
-    }
-    for a in function.block_order:
-        succs = function.blocks[a].successors()
-        if len(succs) < 2:
-            continue
-        for s in succs:
-            for b in function.block_order:
-                # B depends on A -> S iff B postdominates S but does not
-                # strictly postdominate A.
-                if b in pdom[s] and (b == a or b not in pdom[a]):
-                    deps[b].add((a, s))
-    return deps

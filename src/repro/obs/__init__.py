@@ -88,17 +88,16 @@ class Observability:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def for_tracing(cls, ring: int = 4096,
-                    sample_ring: int = 65536) -> "Observability":
+    def for_tracing(cls) -> "Observability":
         """Bus + metrics on, no profiler: the `--trace-out` configuration."""
-        return cls(bus=EventBus(ring=ring, sample_ring=sample_ring),
+        return cls(bus=EventBus(ring=4096, sample_ring=65536),
                    metrics=MetricsRegistry())
 
     @classmethod
-    def for_telemetry(cls, ring: int = 128) -> "Observability":
+    def for_telemetry(cls) -> "Observability":
         """Campaign-worker configuration: metrics plus a small event ring,
         no voltage samples retained (they dominate memory at scale)."""
-        return cls(bus=EventBus(ring=ring, sample_ring=1),
+        return cls(bus=EventBus(ring=128, sample_ring=1),
                    metrics=MetricsRegistry())
 
     @classmethod

@@ -18,7 +18,6 @@ from .machine import (
 from .metrics import (
     OutputCheck,
     check_outputs,
-    checkpoint_failure_rate,
     forward_progress_rate,
     progress_timeline,
     relative_throughput,
@@ -44,7 +43,7 @@ __all__ = [
     "SimConfig", "SimResult", "StepResult", "ThreadedBackend",
     "TraceEvent", "Tracer",
     "backend_for", "build_region_table",
-    "check_outputs", "checkpoint_failure_rate", "default_sensor_stream",
+    "check_outputs", "default_sensor_stream",
     "drain", "execute_slice", "forward_progress_rate", "progress_timeline",
     "relative_throughput", "run_to_completion",
 ]

@@ -3,7 +3,8 @@
 * Forward-progress rate (§IV-A2): ``R = T_forward / T_guarantee`` — the
   attacked run's useful execution relative to what the same system sustains
   unattacked over the same window.
-* Checkpoint-failure rate (§IV-B2): ``F = N_fail / N_checkpoints``.
+* Checkpoint-failure rate (§IV-B2): ``F = N_fail / N_checkpoints``, the
+  :attr:`SimResult.checkpoint_failure_rate` property.
 * Throughput (§VII-B3): application completions per minute.
 """
 
@@ -20,11 +21,6 @@ def forward_progress_rate(attacked: SimResult, baseline: SimResult) -> float:
     if baseline.executed_cycles <= 0:
         return 0.0
     return min(1.0, attacked.executed_cycles / baseline.executed_cycles)
-
-
-def checkpoint_failure_rate(result: SimResult) -> float:
-    """F = failed checkpoints / attempted checkpoints."""
-    return result.checkpoint_failure_rate
 
 
 def relative_throughput(result: SimResult, baseline: SimResult) -> float:

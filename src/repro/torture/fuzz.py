@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..eval.resilient import ResilientExecutor, RetryPolicy, TaskResult
+from ..eval.resilient import ResilientExecutor, TaskResult
 from ..seeds import spawn_rng
 from ..store.digest import content_digest
 from .corpus import ReproCase
@@ -155,8 +155,7 @@ def generate_case(spec: TortureSpec, index: int,
                              events_max=spec.events_max)
 
 
-def run_campaign(spec: TortureSpec, workers: int = 1,
-                 policy: Optional[RetryPolicy] = None) -> TortureReport:
+def run_campaign(spec: TortureSpec, workers: int = 1) -> TortureReport:
     """Run the whole campaign; deterministic for a given spec.
 
     ``workers > 1`` fans cases out through the resilient pool; the
@@ -167,7 +166,7 @@ def run_campaign(spec: TortureSpec, workers: int = 1,
                           region_budget=spec.region_budget)
     schedules = [generate_case(spec, index, target.profile)
                  for index in range(spec.cases)]
-    executor = ResilientExecutor(_run_case, workers=workers, policy=policy,
+    executor = ResilientExecutor(_run_case, workers=workers,
                                  context=(spec, target))
     results: List[TaskResult] = executor.run(list(enumerate(schedules)))
 

@@ -89,6 +89,49 @@ class TestSweep:
         assert "most effective tone: 27 MHz" in out
 
 
+class TestBadRanges:
+    """Empty or non-advancing ranges stop with an error line, unsimulated.
+
+    A zero or negative sweep step used to loop forever, a reversed sweep
+    ran the default grid instead, and an empty campaign axis crashed.
+    """
+
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        from repro.runtime import IntermittentSimulator
+
+        calls = []
+
+        def simulate(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a bad range reached the simulator")
+
+        monkeypatch.setattr(IntermittentSimulator, "run", simulate)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--step", "0"],
+        ["sweep", "--step", "-4"],
+        ["sweep", "--start", "45", "--stop", "5"],
+        ["campaign", "blink", "--freqs", "45:5:4"],
+        ["campaign", "blink", "--distances", "5:1:1"],
+    ], ids=["zero-step", "negative-step", "reversed-sweep",
+            "empty-freqs", "empty-distances"])
+    def test_rejected_before_simulating(self, argv, simulated):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith("error:")
+        assert simulated == []
+
+    def test_frequency_grid_needs_a_positive_step(self):
+        from repro.eval import frequency_sweep_mhz
+
+        with pytest.raises(ValueError):
+            frequency_sweep_mhz(step=0)
+        with pytest.raises(ValueError):
+            frequency_sweep_mhz(sparse_step=-50)
+
+
 class TestTorture:
     def test_clean_run_reports_and_exits_zero(self, capsys):
         code, out = run_cli(capsys, "torture", "run", "blink",

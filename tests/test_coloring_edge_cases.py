@@ -10,6 +10,7 @@ from repro.compiler import (
 from repro.core import compile_gecko
 from repro.core.coloring import color_function, verify_coloring
 from repro.core.pruning import collect_checkpoints, prune_function, readonly_symbols
+from repro.core.recovery import SlotElement
 from repro.isa import Opcode
 from repro.lang import compile_source
 from repro.runtime import (
@@ -139,6 +140,90 @@ class TestConflicts:
                 runtime.on_reboot(machine)
                 machine.write_word("__mode", 0, 1)
         assert machine.committed_out == golden
+
+
+def pruned(src):
+    module = compile_source(src)
+    allocate_module(module)
+    fn = module.functions["main"]
+    form_regions(fn)
+    insert_checkpoints(fn, policy="gecko")
+    return fn, prune_function(fn, readonly_symbols(module)).checkpoints
+
+
+class TestPostColoringRepairs:
+    """The two repairs the pipeline applies after coloring edits the IR.
+
+    No bundled workload reaches either one, so each is driven directly.
+    """
+
+    def test_stale_slices_reports_slices_of_a_clobbered_slot(self):
+        from repro.core.gecko import _stale_slices
+        from repro.isa.instructions import ckpt as make_ckpt, mark
+        from repro.isa.operands import PReg
+
+        fn, infos = pruned("""
+        void main() {
+            int v = sense();
+            out(v);
+            out(v + 1);
+            out(v + 2);
+        }
+        """)
+        assert _stale_slices(fn, infos) == []
+        r5_users = [
+            info for info in infos
+            if not info.kept and info.reg_index == 5
+            and any(isinstance(e, SlotElement)
+                    and infos[e.source_index].reg_index == 4
+                    for e in info.slice_elements)
+        ]
+        assert len(r5_users) == 3
+        # A kept R4 checkpoint and its own MARK before the first user's
+        # boundary sit between R4's slot and every user.
+        block = fn.blocks["entry"]
+        at = next(i for i, instr in enumerate(block.instrs)
+                  if instr is r5_users[0].mark_instr)
+        new_ck = make_ckpt(PReg(4), reg_index=4, color=None)
+        block.instrs[at:at] = [new_ck, mark(0)]
+        infos.extend(i for i in collect_checkpoints(fn) if i.instr is new_ck)
+        stale = _stale_slices(fn, infos)
+        assert [id(i) for i in stale] == [id(i) for i in r5_users]
+
+    def test_insert_boundary_before_checkpoints_only_unrestorable_inputs(self):
+        from repro.core.gecko import _attach_plans, _insert_boundary_before
+        from repro.core.plans import SlotLoad
+
+        fn, infos = pruned("""
+        int x;
+        void main() {
+            int v = sense();
+            int w = sense();
+            x = v + w;
+            out(x + w + v);
+        }
+        """)
+        block = fn.blocks["entry"]
+        at = next(i for i, instr in enumerate(block.instrs)
+                  if instr.op is Opcode.ST)
+        store = block.instrs[at]
+        before = len(infos)
+        _insert_boundary_before(fn, infos, ("entry", at))
+        # No slot still holds R4 (the stored sum) or R6 (w), so the new
+        # boundary checkpoints them; R5 (v) is live too, but the dominating
+        # checkpoint of v still holds it.
+        added = infos[before:]
+        assert [i.reg_index for i in added] == [4, 6]
+        new_mark = block.instrs[at + 2]
+        assert new_mark.op is Opcode.MARK
+        assert block.instrs[at + 3] is store
+        assert [id(i) for i in block.instrs[at:at + 2]] == \
+            [id(i.instr) for i in added]
+        assert all(i.mark_instr is new_mark for i in added)
+        _attach_plans(fn, infos)
+        restores = new_mark.meta["plan"].restores
+        assert sorted(restores) == [4, 5, 6]
+        assert restores[5] == SlotLoad(reg_index=5, color=None)
 
 
 class TestDynamicFallback:

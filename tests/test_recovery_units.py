@@ -5,7 +5,6 @@ import pytest
 from repro.compiler import allocate_module, form_regions, insert_checkpoints
 from repro.core.pruning import (
     collect_checkpoints,
-    locate_instr,
     prune_function,
     readonly_symbols,
     unprune,
@@ -15,9 +14,9 @@ from repro.core.recovery import (
     SliceBuilder,
     SlotElement,
     find_dominating_slot,
-    find_restore_source,
 )
 from repro.ir.reaching import reaching_definitions
+from repro.ir.sites import SiteMap
 from repro.isa import Opcode
 from repro.lang import compile_source
 
@@ -44,11 +43,12 @@ class TestFindDominatingSlot:
     def test_dominating_slot_found_for_unchanged_register(self):
         module, fn = prepared(STRAIGHT)
         infos = collect_checkpoints(fn)
+        sites = SiteMap(fn)
         # Find a later boundary where the sensed register is live and ask
         # whether an earlier slot can restore it there.
-        later = max(infos, key=lambda i: i.mark_site)
-        slot = find_dominating_slot(fn, infos, later.reg_index,
-                                    later.mark_site)
+        later = max(infos, key=lambda i: sites.of(i.mark_instr))
+        slot = find_dominating_slot(sites, infos, later.reg_index,
+                                    sites.of(later.mark_instr))
         assert slot is not None
         assert infos[slot].reg_index == later.reg_index
 
@@ -62,17 +62,18 @@ class TestFindDominatingSlot:
         }
         """)
         infos = collect_checkpoints(fn)
-        later = max(infos, key=lambda i: i.mark_site)
+        sites = SiteMap(fn)
+        later = max(infos, key=lambda i: sites.of(i.mark_instr))
         earlier = [i for i in infos if i is not later
                    and i.reg_index == later.reg_index]
         if earlier:
-            slot = find_dominating_slot(fn, infos, later.reg_index,
-                                        later.mark_site)
+            slot = find_dominating_slot(sites, infos, later.reg_index,
+                                        sites.of(later.mark_instr))
             # The only acceptable answer is a checkpoint *after* the
             # redefinition (same boundary), never the stale one.
             if slot is not None:
-                assert infos[slot].site >= later.site or \
-                    infos[slot].mark_site == later.mark_site
+                assert sites.of(infos[slot].instr) >= sites.of(later.instr) \
+                    or infos[slot].mark_instr is later.mark_instr
 
     def test_pruned_checkpoints_are_not_sources(self):
         module, fn = prepared(STRAIGHT)
@@ -80,21 +81,17 @@ class TestFindDominatingSlot:
         for info in infos:
             info.kept = False
         later = infos[-1]
-        assert find_dominating_slot(fn, infos, later.reg_index,
-                                    later.mark_site) is None
+        sites = SiteMap(fn)
+        assert find_dominating_slot(sites, infos, later.reg_index,
+                                    sites.of(later.mark_instr)) is None
 
 
 class TestSliceBuilder:
     def _builder(self, module, fn):
         infos = collect_checkpoints(fn)
         reaching = reaching_definitions(fn)
-        for info in infos:
-            defs = reaching.defs_reaching_use(
-                info.site, type(info.instr.a)(info.reg_index)
-            )
-            info.unique_def = next(iter(defs)) if len(defs) == 1 else None
-        return infos, SliceBuilder(fn, reaching, readonly_symbols(module),
-                                   infos)
+        return infos, SliceBuilder(SiteMap(fn), reaching,
+                                   readonly_symbols(module), infos)
 
     def test_constant_slice_is_single_li(self):
         module, fn = prepared("""
@@ -116,7 +113,8 @@ class TestSliceBuilder:
     def test_slot_chain_slice(self):
         module, fn = prepared(STRAIGHT)
         infos, builder = self._builder(module, fn)
-        later = max(infos, key=lambda i: i.mark_site)
+        sites = SiteMap(fn)
+        later = max(infos, key=lambda i: sites.of(i.mark_instr))
         elements = builder.try_build(later)
         assert elements is not None
         assert any(isinstance(e, SlotElement) for e in elements)
@@ -129,15 +127,16 @@ class TestSliceBuilder:
         }
         """)
         infos, builder = self._builder(module, fn)
-        first = min(infos, key=lambda i: i.mark_site)
+        sites = SiteMap(fn)
+        first = min(infos, key=lambda i: sites.of(i.mark_instr))
         assert builder.try_build(first) is None
 
     def test_cap_zero_blocks_everything(self):
         module, fn = prepared(STRAIGHT)
         infos = collect_checkpoints(fn)
         reaching = reaching_definitions(fn)
-        builder = SliceBuilder(fn, reaching, readonly_symbols(module),
-                               infos, max_len=0)
+        builder = SliceBuilder(SiteMap(fn), reaching,
+                               readonly_symbols(module), infos, max_len=0)
         assert all(builder.try_build(i) is None for i in infos)
 
 
@@ -158,7 +157,7 @@ class TestUnprune:
         )
         assert after == before + 1
         assert target.kept
-        assert locate_instr(fn, target.instr) is not None
+        assert SiteMap(fn).of(target.instr) is not None
         # Idempotent: a second unprune is a no-op.
         unprune(fn, target)
         assert sum(
