@@ -30,7 +30,7 @@ from ..eval.campaign import (
     PathSpec,
 )
 from ..eval.resilient import RetryPolicy
-from ..eval.common import VictimConfig
+from ..eval.common import VictimConfig, fault_victim
 from ..obs import ADVERSARY_CANDIDATE, ADVERSARY_ROUND, Observability
 from ..runtime import SimResult
 from ..store.digest import content_digest
@@ -60,13 +60,8 @@ def adversary_victim(workload: str = "blink", scheme: str = "nvp",
     """The Fig. 13 detection rig as the search target: an outage-driven
     harvester and a small storage capacitor, so checkpoints, shutdowns,
     and (for GECKO) the detection protocol run throughout the window."""
-    victim = VictimConfig(
-        workload=workload, scheme=scheme, duration_s=duration_s,
-        capacitance=22e-6, supply_w=None, outage_period_s=0.05,
-        outage_duty=0.4, outage_power_w=8e-3, sleep_min_s=1e-3, quantum=64,
-        region_budget=20_000,
-    )
-    return victim.with_overrides(**overrides) if overrides else victim
+    return fault_victim(workload, scheme, duration_s,
+                        **{"region_budget": 20_000, **overrides})
 
 
 @dataclass

@@ -28,7 +28,7 @@ from __future__ import annotations
 from ..errors import WCETError
 from ..isa.instructions import Instr, Opcode, mark
 from ..ir.cfg import Function
-from ..ir.wcet import DEFAULT_LOOP_BOUND, GapAnalysis, instr_cycles, region_gap
+from ..ir.wcet import DEFAULT_LOOP_BOUND, GapAnalysis, region_gap
 
 #: Cycle cost charged for a MARK when budgeting (its own commit stores).
 _MARK_COST = mark(0).cycles
@@ -93,20 +93,11 @@ def _placement(function: Function, analysis: GapAnalysis,
                 # witness); cut at its end as a safe fallback.
                 return block, _block_end_cut(function, block)
         # The gap already exceeds on arrival (or at the first instruction):
-        # the cut belongs upstream, in the predecessor feeding the largest
-        # gap.  A collapsed-loop predecessor is split at its header.
-        scored = []
-        for p in preds.get(block, []):
-            node = analysis.member_of.get(p, p)
-            if node not in analysis.gap_in:
-                continue
-            if node in analysis.collapsed:
-                exit_gap = analysis.gap_in[node] + analysis.collapsed[node]
-            else:
-                exit_gap = analysis.gap_in[node] + sum(
-                    i.cycles for i in function.blocks[node].instrs
-                )
-            scored.append((exit_gap, node))
+        # the cut belongs upstream, in the predecessor with the largest
+        # exit gap.  A collapsed-loop predecessor is split at its header.
+        nodes = {analysis.member_of.get(p, p) for p in preds.get(block, [])}
+        scored = [(analysis.gap_out[node], node) for node in nodes
+                  if node in analysis.gap_out]
         if not scored:
             return block, 0
         _, best = max(scored)

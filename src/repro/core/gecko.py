@@ -148,7 +148,7 @@ def _prepare(source: SourceOrModule, optimize: bool = True) -> Module:
         # Step 1 of the paper's pipeline: traditional optimizations on the
         # IR before any crash-consistency instrumentation.  Constant
         # propagation also exposes loop limits that were variables in the
-        # source, so re-run bound inference at the IR level afterwards.
+        # source, so bound inference (first run by lowering) runs again.
         from ..compiler.optimize import optimize_module
         from ..ir.loops import infer_loop_bounds
         optimize_module(module)

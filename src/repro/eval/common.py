@@ -129,6 +129,22 @@ class VictimConfig:
         return device(self.device_name)
 
 
+def fault_victim(workload: str = "crc16", scheme: str = "nvp",
+                 duration_s: float = 0.25, **overrides) -> VictimConfig:
+    """A victim whose window genuinely exercises the checkpoint machinery.
+
+    The Fig. 13 detection rig: a small storage capacitor on an
+    outage-driven harvester, so JIT checkpoints, shutdowns, and reboots
+    recur throughout the window instead of never happening on bench power.
+    """
+    victim = VictimConfig(
+        workload=workload, scheme=scheme, duration_s=duration_s,
+        capacitance=22e-6, supply_w=None, outage_period_s=0.05,
+        outage_duty=0.4, outage_power_w=8e-3, sleep_min_s=1e-3, quantum=64,
+    )
+    return victim.with_overrides(**overrides) if overrides else victim
+
+
 def run_attack(victim: VictimConfig,
                attack: Optional[AttackSchedule] = None,
                path=None,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..emi.devices import EVALUATION_BOARD
 from ..runtime import SimResult
 from .campaign import AttackSpec, CampaignRunner, ExperimentSpec, PathSpec
-from .common import REMOTE_TX_DBM, VictimConfig
+from .common import REMOTE_TX_DBM, fault_victim
 
 #: The paper's six scenarios, as attack windows in fractions of the run
 #: (Fig. 13: attacks at minute marks of a 50-minute window).
@@ -69,12 +69,10 @@ def detection_spec(scenarios: Sequence[object],
     """
     windows = [SCENARIOS[s] if isinstance(s, str) else tuple(s)
                for s in scenarios]
-    victim = VictimConfig(
-        device_name=device_name, monitor_kind="adc", workload=workload,
-        scheme=schemes[0], capacitance=capacitance_f, supply_w=None,
-        outage_period_s=outage_period_s, outage_duty=outage_duty,
-        outage_power_w=8e-3, duration_s=total_s, sleep_min_s=1e-3,
-        quantum=64, region_budget=region_budget,
+    victim = fault_victim(
+        workload, schemes[0], total_s, device_name=device_name,
+        capacitance=capacitance_f, outage_period_s=outage_period_s,
+        outage_duty=outage_duty, region_budget=region_budget,
     )
     return ExperimentSpec(
         name="fig13-detection",

@@ -143,9 +143,9 @@ def table_one(freqs_mhz: Optional[List[float]] = None,
               duration_s: float = 0.04) -> List[TableOneRow]:
     """Reproduce Table I across all nine platforms."""
     rows: List[TableOneRow] = []
+    base = frequency_sweep_mhz() if freqs_mhz is None else freqs_mhz
     for name in device_names():
         profile = device(name)
-        base = freqs_mhz or frequency_sweep_mhz()
         # Make sure each board's own resonances are sampled even on a
         # coarse grid (the paper sweeps at 1 MHz resolution).
         dev_freqs = sorted(

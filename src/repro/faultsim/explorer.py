@@ -32,7 +32,7 @@ from ..eval.campaign import (
     ExperimentSpec,
     PathSpec,
 )
-from ..eval.common import VictimConfig
+from ..eval.common import VictimConfig, fault_victim
 from ..eval.resilient import RetryPolicy
 from ..isa.operands import NUM_REGS
 from ..seeds import spawn_rng
@@ -59,22 +59,6 @@ DEFAULT_POINTS = 50
 
 #: Bus events kept per injection record (the "what led up to it" excerpt).
 EXCERPT_EVENTS = 12
-
-
-def fault_victim(workload: str = "crc16", scheme: str = "nvp",
-                 duration_s: float = 0.25, **overrides) -> VictimConfig:
-    """A victim whose window genuinely exercises the checkpoint machinery.
-
-    Same shape as the Fig. 13 detection rig: a small storage capacitor on
-    an outage-driven harvester, so JIT checkpoints, shutdowns, and reboots
-    recur throughout the window instead of never happening on bench power.
-    """
-    victim = VictimConfig(
-        workload=workload, scheme=scheme, duration_s=duration_s,
-        capacitance=22e-6, supply_w=None, outage_period_s=0.05,
-        outage_duty=0.4, outage_power_w=8e-3, sleep_min_s=1e-3, quantum=64,
-    )
-    return victim.with_overrides(**overrides) if overrides else victim
 
 
 def profile_execution(linked) -> ExecutionProfile:

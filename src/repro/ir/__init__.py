@@ -11,7 +11,7 @@ from .liveness import (
     live_intervals,
     liveness,
 )
-from .loops import Loop, find_loops, infer_loop_bounds, loop_of_block
+from .loops import Loop, find_loops, infer_loop_bounds
 from .reaching import ReachingResult, reaching_definitions
 from .wcet import (
     DEFAULT_LOOP_BOUND,
@@ -25,7 +25,7 @@ __all__ = [
     "LinkedLiveness", "LivenessResult", "Loop", "MemRef", "Module",
     "ReachingResult", "block_cycles", "clobbers_all_memory", "dominators",
     "find_loops", "function_wcet", "infer_loop_bounds", "live_intervals",
-    "linked_liveness", "liveness", "loop_of_block",
+    "linked_liveness", "liveness",
     "may_alias", "mem_ref", "memory_antideps",
     "module_wcet", "must_alias", "reaching_definitions",
     "remove_unreachable", "split_block",

@@ -1,4 +1,4 @@
-"""Natural-loop discovery (backedges via dominators)."""
+"""Natural loops (backedges via dominators) and their trip bounds."""
 
 from __future__ import annotations
 
@@ -6,8 +6,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import CompileError
+from ..isa.instructions import Instr, Opcode
+from ..isa.operands import Imm
 from .cfg import Function
 from .dominators import dominators
+from .reaching import DefSite, reaching_definitions
+
+#: Register -> every ``(block, instruction)`` that defines it.
+_Defs = Dict[object, List[Tuple[str, Instr]]]
 
 
 @dataclass
@@ -17,10 +23,9 @@ class Loop:
     header: str
     body: Set[str] = field(default_factory=set)
     backedges: List[Tuple[str, str]] = field(default_factory=list)
-    #: Static trip-count bound (from lowering annotations), if known.
+    #: Static trip-count bound (``bound(N)`` or inferred), if known.
     bound: Optional[int] = None
-    #: Loops strictly nested inside this one.
-    children: List["Loop"] = field(default_factory=list)
+    #: The smallest loop strictly enclosing this one.
     parent: Optional["Loop"] = None
 
     @property
@@ -44,7 +49,10 @@ def find_loops(function: Function) -> List[Loop]:
     because the WCET analysis (and the paper's region formation, which places
     boundaries in loop headers) require reducibility.
     """
-    dom = dominators(function)
+    return _find_loops(function, dominators(function))
+
+
+def _find_loops(function: Function, dom: Dict[str, Set[str]]) -> List[Loop]:
     succs = function.successors()
     by_header: Dict[str, Loop] = {}
     rpo = function.reverse_postorder()
@@ -67,14 +75,12 @@ def find_loops(function: Function) -> List[Loop]:
     for loop in loops:
         loop.bound = function.blocks[loop.header].meta.get("loop_bound")
 
-    # Build the nesting forest: parent = smallest strictly-enclosing loop.
+    # The nesting forest: parent = smallest strictly-enclosing loop.
     loops.sort(key=lambda lp: len(lp.body))
     for i, inner in enumerate(loops):
-        for outer in loops[i + 1:]:
-            if inner.header in outer.body and inner is not outer:
-                inner.parent = outer
-                outer.children.append(inner)
-                break
+        inner.parent = next(
+            (outer for outer in loops[i + 1:] if inner.header in outer.body),
+            None)
     loops.sort(key=lambda lp: (lp.depth, lp.header))
     return loops
 
@@ -96,46 +102,47 @@ def _natural_loop_body(function: Function, src: str, header: str) -> Set[str]:
 
 
 def infer_loop_bounds(function: Function) -> int:
-    """Derive trip bounds for canonical counted loops at the IR level.
+    """Derive trip bounds for canonical counted loops.
 
-    Runs after constant propagation, so limits that were variables in the
-    source (``int n = 9; ... i < n``) have become immediates.  A loop gets
-    a bound when its header compares an induction register against an
-    immediate, the register has exactly one in-loop definition that adds a
-    constant step, and exactly one loop-entry definition loading a constant.
-    Bounds are written to the header block's ``loop_bound`` meta (existing
-    annotations win).  Returns how many loops were newly bounded.
+    Lowering runs this on every function, and the compiler runs it again
+    after constant propagation has turned limits that were variables in
+    the source (``int n = 9; ... i < n``) into immediates.  A loop gets a
+    bound when its header compares an induction register against an
+    immediate, every in-loop definition of the register adds the same
+    constant step, one of them dominates every backedge, and exactly one
+    definition from outside the loop reaches the header and loads a
+    constant.  A counter held in a global is loaded afresh in the header,
+    so it never qualifies.  Bounds are written to the header block's
+    ``loop_bound`` meta (existing bounds win).  Returns how many loops
+    were newly bounded.
     """
-    from ..isa.instructions import Opcode
-    from ..isa.operands import Imm, VReg
-    from .reaching import reaching_definitions
-
-    loops = find_loops(function)
-    if not loops:
+    dom = dominators(function)
+    unbounded = [loop for loop in _find_loops(function, dom)
+                 if loop.bound is None]
+    if not unbounded:
         return 0
-    reaching = reaching_definitions(function)
+    reach_in = reaching_definitions(function).reach_in
+    defs: _Defs = {}
+    for name, _, instr in function.instructions():
+        for reg in instr.defs():
+            defs.setdefault(reg, []).append((name, instr))
     inferred = 0
-
-    for loop in loops:
+    for loop in unbounded:
         header = function.blocks[loop.header]
-        if header.meta.get("loop_bound") is not None:
-            continue
-        bound = _header_bound(function, loop, header, reaching)
+        bound = _header_bound(function, loop, defs,
+                              reach_in[loop.header], dom)
         if bound is not None:
             header.meta["loop_bound"] = bound
             inferred += 1
     return inferred
 
 
-_RELATIONAL = None  # populated lazily to avoid import cycles
-
-
-def _header_bound(function: Function, loop: Loop, header, reaching):
-    from ..isa.instructions import Opcode
-    from ..isa.operands import Imm, VReg
-
+def _header_bound(function: Function, loop: Loop, defs: _Defs,
+                  reach_in: Dict[object, Set[DefSite]],
+                  dom: Dict[str, Set[str]]) -> Optional[int]:
     # Header must end with BNZ cond -> loop body; find the compare that
     # defines cond inside the header.
+    header = function.blocks[loop.header]
     if len(header.instrs) < 2 or header.instrs[-2].op is not Opcode.BNZ:
         return None
     branch = header.instrs[-2]
@@ -150,42 +157,40 @@ def _header_bound(function: Function, loop: Loop, header, reaching):
     if compare is None or not isinstance(compare.b, Imm):
         return None
     induction = compare.a
-    if not isinstance(induction, (VReg, type(induction))):
-        return None
     limit = compare.b.value
 
-    # Classify the induction register's definitions: in-loop chains must all
-    # add the same constant, and the loop enters with one constant value.
+    # In-loop definitions must all add the same constant.
     step = None
-    start = None
     step_sites = []
-    for name, i, instr in function.instructions():
-        if induction not in instr.defs():
-            continue
-        inside = name in loop.body
-        if inside:
-            delta = _step_of(function, instr, induction, (name, i), loop)
+    for name, instr in defs.get(induction, ()):
+        if name in loop.body:
+            delta = _step_of(instr, induction, defs, loop)
             if delta is None or (step is not None and step != delta):
                 return None
             step = delta
             step_sites.append(name)
-        else:
-            if instr.op is not Opcode.LI or start is not None:
-                return None
-            start = instr.a.value
-    if step in (None, 0) or start is None:
+    if step in (None, 0):
         return None
+
+    # The loop enters with one constant: of the definitions reaching the
+    # header, the loop's own steps aside, exactly one remains and it is an
+    # LI.  Definitions elsewhere (a sibling loop reusing the counter) do
+    # not reach and do not matter.
+    entering = [(name, index) for name, index in reach_in.get(induction, ())
+                if name not in loop.body]
+    if len(entering) != 1:
+        return None
+    name, index = entering[0]
+    init = function.blocks[name].instrs[index]
+    if init.op is not Opcode.LI:
+        return None
+    start = init.a.value
 
     # Soundness: the increment must run on *every* iteration, else the loop
     # can spin without progressing and any bound would understate the WCET.
     # Require some increment block to dominate every backedge source.
-    from .dominators import dominators as _dominators
-    dom = _dominators(function)
-    if not any(
-        all(site == src or site in dom.get(src, set())
-            for src, _ in loop.backedges)
-        for site in step_sites
-    ):
+    if not any(all(site in dom.get(src, ()) for src, _ in loop.backedges)
+               for site in step_sites):
         return None
 
     if compare.op is Opcode.SLT and step > 0:
@@ -203,42 +208,19 @@ def _header_bound(function: Function, loop: Loop, header, reaching):
     return -(-span // abs(step))
 
 
-def _step_of(function: Function, instr, induction, site, loop):
+def _step_of(instr: Instr, induction, defs: _Defs,
+             loop: Loop) -> Optional[int]:
     """The constant increment this in-loop definition applies, or None."""
-    from ..isa.instructions import Opcode
-    from ..isa.operands import Imm
-
-    if instr.op is Opcode.ADD and instr.a == induction \
-            and isinstance(instr.b, Imm) and instr.dst == induction:
-        return instr.b.value
-    if instr.op is Opcode.SUB and instr.a == induction \
-            and isinstance(instr.b, Imm) and instr.dst == induction:
-        return -instr.b.value
     if instr.op is Opcode.MOV:
-        # i = t where t = i +/- C defined in the loop (the lowering shape).
-        source = instr.a
-        producer = None
-        for name, i, candidate in function.instructions():
-            if source in candidate.defs():
-                if producer is not None:
-                    return None  # ambiguous temp
-                producer = (name, candidate)
-        if producer is None or producer[0] not in loop.body:
+        # i = t where t = i +/- C is defined once, in the loop (the
+        # lowering shape).
+        producers = defs.get(instr.a, ())
+        if len(producers) != 1 or producers[0][0] not in loop.body:
             return None
-        temp = producer[1]
-        if temp.op is Opcode.ADD and temp.a == induction \
-                and isinstance(temp.b, Imm):
-            return temp.b.value
-        if temp.op is Opcode.SUB and temp.a == induction \
-                and isinstance(temp.b, Imm):
-            return -temp.b.value
+        instr = producers[0][1]
+    if instr.a == induction and isinstance(instr.b, Imm):
+        if instr.op is Opcode.ADD:
+            return instr.b.value
+        if instr.op is Opcode.SUB:
+            return -instr.b.value
     return None
-
-
-def loop_of_block(loops: List[Loop], block: str) -> Optional[Loop]:
-    """The innermost loop containing ``block`` (or ``None``)."""
-    best: Optional[Loop] = None
-    for loop in loops:
-        if block in loop.body and (best is None or len(loop.body) < len(best.body)):
-            best = loop
-    return best

@@ -1,26 +1,26 @@
 """Worst-case execution time (WCET) analysis.
 
-Two flavours are provided:
+Both analyses first fold natural loops into their headers, innermost
+first: a folded loop costs its trip bound x its longest single-iteration
+path (:func:`_fold_loops`).
 
-* :func:`function_wcet` — whole-function WCET in cycles, computed by
-  collapsing natural loops innermost-first (loop cost = trip bound x longest
-  single-iteration path) and then taking the longest path through the
-  resulting DAG.  Calls cost the callee's WCET; the module-level driver
-  processes the call graph callee-first.
+* :func:`function_wcet` — whole-function WCET in cycles: every loop is
+  folded and the longest path is taken through the resulting DAG.  Calls
+  cost the callee's WCET; the module-level driver processes the call graph
+  callee-first.
 
 * :func:`region_gap` — the longest ``MARK``-free path, i.e. the
   worst-case cycles any idempotent region can consume.  This is the
   quantity GECKO compares against the guaranteed power-on budget (§VI-B,
   step 3): if a region can outlive one capacitor charge the program cannot
-  make forward progress under rollback recovery.  Boundary-free loops with
-  a trip bound collapse into one node; a cycle that avoids every ``MARK``
-  and resists collapsing is reported as divergent, the header the
-  region-splitting pass must cut first.
+  make forward progress under rollback recovery.  Only boundary-free loops
+  fold; a cycle that avoids every ``MARK`` and resists folding is reported
+  as divergent, the header the region-splitting pass must cut first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import WCETError
 from ..isa.instructions import Instr, Opcode
@@ -45,6 +45,65 @@ def block_cycles(function: Function, name: str,
     return sum(instr_cycles(i, callee_wcet) for i in function.blocks[name].instrs)
 
 
+def _fold_loops(function: Function, weight: Dict[str, float],
+                bound_of: Callable[[Loop], int],
+                keep: Callable[[Loop], bool] = lambda loop: True,
+                ) -> Tuple[Dict[str, str], Dict[str, float]]:
+    """Fold the loops ``keep`` accepts into their headers, innermost first.
+
+    ``weight`` holds each reachable block's cycles; a folded header's entry
+    becomes the whole loop's cost, ``bound_of(loop)`` x the longest single
+    iteration.  Returns the node owning each block (itself, or the header
+    of the outermost folded loop around it) and each folded header's cost.
+    """
+    owner = {name: name for name in weight}
+    folded: Dict[str, float] = {}
+    for loop in sorted(find_loops(function), key=lambda lp: -lp.depth):
+        if not keep(loop):
+            continue
+        members = [b for b in loop.body if b in owner]
+        succs = _node_succs(function, members, owner)
+        for targets in succs.values():
+            targets.discard(loop.header)  # the backedges
+        iteration = _longest_path(loop.header, succs, weight)
+        weight[loop.header] = folded[loop.header] = bound_of(loop) * iteration
+        for block in members:
+            owner[block] = loop.header
+    return owner, folded
+
+
+def _node_succs(function: Function, blocks: List[str],
+                owner: Dict[str, str]) -> Dict[str, Set[str]]:
+    """Edges between the nodes owning ``blocks``, self-edges dropped."""
+    succs: Dict[str, Set[str]] = {owner[name]: set() for name in blocks}
+    for name in blocks:
+        for succ in function.blocks[name].successors():
+            target = owner[succ]
+            if target in succs and target != owner[name]:
+                succs[owner[name]].add(target)
+    return succs
+
+
+def _longest_path(entry: str, succs: Dict[str, Set[str]],
+                  weight: Dict[str, float]) -> float:
+    """Longest weighted path from ``entry`` over an acyclic graph."""
+    memo: Dict[str, float] = {}
+    on_stack: Set[str] = set()
+
+    def visit(node: str) -> float:
+        if node in memo:
+            return memo[node]
+        if node in on_stack:
+            raise WCETError(f"unexpected cycle through {node} in WCET DAG")
+        on_stack.add(node)
+        best = max((visit(succ) for succ in succs[node]), default=0.0)
+        on_stack.discard(node)
+        memo[node] = weight[node] + best
+        return memo[node]
+
+    return visit(entry)
+
+
 def function_wcet(function: Function,
                   callee_wcet: Optional[Dict[str, int]] = None,
                   default_bound: Optional[int] = DEFAULT_LOOP_BOUND,
@@ -57,96 +116,21 @@ def function_wcet(function: Function,
         default_bound: trip bound assumed for unannotated loops.
         strict: raise :class:`WCETError` instead of assuming a default bound.
     """
-    loops = find_loops(function)
-    reachable = function.reverse_postorder()
-    weight: Dict[str, float] = {
-        name: block_cycles(function, name, callee_wcet) for name in reachable
-    }
-    rep: Dict[str, str] = {name: name for name in reachable}
+    def bound_of(loop: Loop) -> int:
+        if loop.bound is not None:
+            return loop.bound
+        if strict or default_bound is None:
+            raise WCETError(
+                f"loop at {function.name}:{loop.header} has no trip bound"
+            )
+        return default_bound
 
-    def find(name: str) -> str:
-        while rep[name] != name:
-            rep[name] = rep[rep[name]]
-            name = rep[name]
-        return name
-
-    succs = {name: set(function.blocks[name].successors()) for name in reachable}
-    backedges: Set[Tuple[str, str]] = set()
-    for loop in loops:
-        backedges.update(loop.backedges)
-
-    # Innermost loops first.
-    for loop in sorted(loops, key=lambda lp: -lp.depth):
-        bound = loop.bound
-        if bound is None:
-            if strict or default_bound is None:
-                raise WCETError(
-                    f"loop at {function.name}:{loop.header} has no trip bound"
-                )
-            bound = default_bound
-        body_reps = {find(b) for b in loop.body if b in rep}
-        header = find(loop.header)
-        iter_cost = _longest_path(
-            header, body_reps,
-            lambda n: {find(s) for src in _members(rep, n)
-                       for s in succs.get(src, ())
-                       if (src, s) not in backedges
-                       and find(s) in body_reps and find(s) != n},
-            weight,
-        )
-        weight[header] = bound * iter_cost
-        for block in body_reps - {header}:
-            rep[block] = header
-            weight[block] = 0.0
-
-    entry = find(function.entry)
-    nodes = {find(name) for name in reachable}
-
-    def dag_succs(node: str) -> Set[str]:
-        result = set()
-        for src in _members(rep, node):
-            for s in succs.get(src, ()):  # skip backedges: now self-loops
-                tgt = find(s)
-                if tgt != node and (src, s) not in backedges:
-                    result.add(tgt)
-        return result
-
-    total = _longest_path(entry, nodes, dag_succs, weight)
-    return int(total)
-
-
-def _members(rep: Dict[str, str], node: str) -> List[str]:
-    """All original blocks currently collapsed into ``node``."""
-    out = []
-    for name in rep:
-        cursor = name
-        while rep[cursor] != cursor:
-            cursor = rep[cursor]
-        if cursor == node:
-            out.append(name)
-    return out
-
-
-def _longest_path(entry: str, nodes: Set[str], succs_of, weight) -> float:
-    """Longest weighted path from ``entry`` over an acyclic node set."""
-    memo: Dict[str, float] = {}
-    on_stack: Set[str] = set()
-
-    def visit(node: str) -> float:
-        if node in memo:
-            return memo[node]
-        if node in on_stack:
-            raise WCETError(f"unexpected cycle through {node} in WCET DAG")
-        on_stack.add(node)
-        best = 0.0
-        for succ in succs_of(node):
-            if succ in nodes:
-                best = max(best, visit(succ))
-        on_stack.discard(node)
-        memo[node] = weight.get(node, 0.0) + best
-        return memo[node]
-
-    return visit(entry)
+    order = function.reverse_postorder()
+    weight = {name: block_cycles(function, name, callee_wcet)
+              for name in order}
+    owner, _ = _fold_loops(function, weight, bound_of)
+    dag = _node_succs(function, order, owner)
+    return int(_longest_path(owner[function.entry], dag, weight))
 
 
 def module_wcet(module, default_bound: Optional[int] = DEFAULT_LOOP_BOUND,
@@ -173,6 +157,7 @@ class GapAnalysis:
             splitting pass should insert a boundary.  For a gap peaking
             inside a collapsed (boundary-free, bounded) loop the witness is
             the loop header at index 0, i.e. "make this loop per-iteration".
+            Ties go to the node first in reverse postorder.
         divergent_loop: header of a cycle that neither contains a MARK on
             every path nor could be collapsed (no static bound usable) —
             the caller must place a boundary in this header first.
@@ -184,15 +169,17 @@ class GapAnalysis:
         self.divergent_loop: Optional[str] = None
         #: gap at each (collapsed-graph) node entry, for split placement.
         self.gap_in: Dict[str, float] = {}
+        #: gap at each node's exit: the cycles after its last MARK, or
+        #: ``gap_in`` plus the whole node for a MARK-free one.
+        self.gap_out: Dict[str, float] = {}
         #: collapsed boundary-free loops: header -> whole-loop cost.
         self.collapsed: Dict[str, float] = {}
         #: block -> collapsed-loop header it was folded into.
         self.member_of: Dict[str, str] = {}
 
 
-def _block_mark_profile(function: Function, name: str,
-                        callee_wcet: Optional[Dict[str, int]] = None):
-    """(pre, internal, post, has_mark, first_exceed_walker) for one block.
+def _block_mark_profile(instrs: List[Instr]):
+    """(pre, internal, post, has_mark) for one block's instructions.
 
     ``pre``  — cycles from block entry through the first MARK (inclusive);
     ``internal`` — the longest MARK-free run strictly between two MARKs;
@@ -203,10 +190,9 @@ def _block_mark_profile(function: Function, name: str,
     post = 0.0
     internal = 0.0
     has_mark = False
-    for instr in function.blocks[name].instrs:
-        cost = instr_cycles(instr, callee_wcet)
+    for instr in instrs:
         if instr.op is Opcode.MARK:
-            segment = post + cost
+            segment = post + instr.cycles
             if not has_mark:
                 pre = segment
             else:
@@ -214,14 +200,14 @@ def _block_mark_profile(function: Function, name: str,
             has_mark = True
             post = 0.0
         else:
-            post += cost
+            post += instr.cycles
     if not has_mark:
         pre = post
     return pre, internal, post, has_mark
 
 
-def region_gap(function: Function, default_bound: int = DEFAULT_LOOP_BOUND,
-               callee_wcet: Optional[Dict[str, int]] = None) -> GapAnalysis:
+def region_gap(function: Function,
+               default_bound: int = DEFAULT_LOOP_BOUND) -> GapAnalysis:
     """Worst-case cycles any idempotent region consumes, loop-aware.
 
     Boundary-free loops with a static (or default) trip bound are collapsed
@@ -231,113 +217,51 @@ def region_gap(function: Function, default_bound: int = DEFAULT_LOOP_BOUND,
     every MARK resets the running gap.  A cycle that avoids every MARK and
     resists collapsing is reported as divergent.
     """
-    from .loops import find_loops
-
     analysis = GapAnalysis()
     order = function.reverse_postorder()
-    profile = {
-        name: _block_mark_profile(function, name, callee_wcet)
-        for name in order
-    }
-
-    # Collapse boundary-free loops, innermost first.
-    loops = sorted(find_loops(function), key=lambda lp: -lp.depth)
-    collapsed: Dict[str, float] = {}   # header -> whole-loop cost
-    member_of: Dict[str, str] = {}     # block -> collapsed header
-    backedges: Set[Tuple[str, str]] = set()
-    for loop in loops:
-        backedges.update(loop.backedges)
-
-    def rep(name: str) -> str:
-        seen = set()
-        while name in member_of and name not in seen:
-            seen.add(name)
-            name = member_of[name]
-        return name
-
-    for loop in loops:
-        members = {b for b in loop.body if b in profile}
-        if any(profile[b][3] for b in members):
-            continue  # contains a boundary: handled by propagation
-        if any(rep(b) != b and rep(b) not in members for b in members):
-            continue
-        bound = loop.bound if loop.bound is not None else default_bound
-        reps = {rep(b) for b in members}
-
-        def iter_succs(node: str) -> Set[str]:
-            out = set()
-            for src in [b for b in members if rep(b) == node]:
-                for s in function.blocks[src].successors():
-                    if (src, s) in backedges:
-                        continue
-                    target = rep(s)
-                    if target in reps and target != node:
-                        out.add(target)
-            return out
-
-        weights = {}
-        for node in reps:
-            if node in collapsed:
-                weights[node] = collapsed[node]
-            else:
-                weights[node] = float(sum(
-                    instr_cycles(i, callee_wcet)
-                    for i in function.blocks[node].instrs
-                ))
-        try:
-            iteration = _longest_path(rep(loop.header), reps, iter_succs,
-                                      weights)
-        except WCETError:
-            analysis.divergent_loop = loop.header
-            return analysis
-        total = bound * iteration
-        header_rep = rep(loop.header)
-        collapsed[header_rep] = total
-        for member in reps - {header_rep}:
-            member_of[member] = header_rep
+    profile = {name: _block_mark_profile(function.blocks[name].instrs)
+               for name in order}
+    marked = {name for name in order if profile[name][3]}
+    weight = {name: block_cycles(function, name) for name in order}
+    owner, collapsed = _fold_loops(
+        function, weight,
+        lambda loop: default_bound if loop.bound is None else loop.bound,
+        keep=lambda loop: not loop.body & marked,
+    )
 
     # Block-level gap propagation over the collapsed graph.
-    nodes = {rep(name) for name in order}
-    node_cost: Dict[str, float] = {}
-    node_profile = {}
-    for node in nodes:
-        if node in collapsed:
-            node_profile[node] = (collapsed[node], 0.0, collapsed[node], False)
-        else:
-            node_profile[node] = profile[node]
-
-    succs: Dict[str, Set[str]] = {node: set() for node in nodes}
-    for name in order:
-        for s in function.blocks[name].successors():
-            a, b = rep(name), rep(s)
-            if a != b:
-                succs[a].add(b)
+    nodes = [name for name in order if owner[name] == name]
+    node_profile = {
+        node: (collapsed[node], 0.0, collapsed[node], False)
+        if node in collapsed else profile[node]
+        for node in nodes
+    }
+    succs = _node_succs(function, order, owner)
 
     # A cycle that avoids every boundary makes region length unbounded;
     # after collapsing, any remaining cycle through only MARK-free nodes is
     # exactly that.  Report a node on the cycle so the splitter can cut it.
-    cycle_node = _markless_cycle_node(nodes, succs, node_profile,
+    cycle_node = _markless_cycle_node(set(nodes), succs, node_profile,
                                       avoid=set(collapsed))
     if cycle_node is not None:
         analysis.divergent_loop = cycle_node
         return analysis
 
+    preds: Dict[str, List[str]] = {node: [] for node in nodes}
+    for node in nodes:
+        for succ in succs[node]:
+            preds[succ].append(node)
     gap_in: Dict[str, float] = {node: 0.0 for node in nodes}
-    entry = rep(function.entry)
-    worst = 0.0
-    witness: Optional[Tuple[str, int]] = None
+
+    def gap_out(node: str) -> float:
+        _, _, post, has_mark = node_profile[node]
+        return post if has_mark else gap_in[node] + post
 
     for sweep in range(len(nodes) + 3):
         changed = False
         for node in nodes:
-            incoming = 0.0
-            for pred in nodes:
-                if node in succs[pred]:
-                    pre_p, _, post_p, has_mark_p = node_profile[pred]
-                    out = post_p if has_mark_p else gap_in[pred] + post_p
-                    incoming = max(incoming, out)
-            if node == entry:
-                incoming = max(incoming, 0.0)
+            incoming = max((gap_out(pred) for pred in preds[node]),
+                           default=0.0)
             if incoming > gap_in[node] + 1e-9:
                 gap_in[node] = incoming
                 changed = True
@@ -346,23 +270,25 @@ def region_gap(function: Function, default_bound: int = DEFAULT_LOOP_BOUND,
     else:  # pragma: no cover - ruled out by the cycle check above
         raise WCETError("region-gap fixpoint failed to converge")
 
+    worst = 0.0
+    witness: Optional[Tuple[str, int]] = None
     for node in nodes:
         pre, internal, post, has_mark = node_profile[node]
         peak = gap_in[node] + pre
         if peak > worst:
             worst = peak
             witness = (node, 0) if node in collapsed \
-                else _witness_in_block(function, node, gap_in[node],
-                                       callee_wcet)
+                else _witness_in_block(function, node, gap_in[node])
         if internal > worst:
             worst = internal
-            witness = _witness_in_block(function, node, 0.0, callee_wcet,
+            witness = _witness_in_block(function, node, 0.0,
                                         after_first_mark=True)
     analysis.worst = worst
     analysis.witness = witness
     analysis.gap_in = gap_in
-    analysis.collapsed = dict(collapsed)
-    analysis.member_of = {b: rep(b) for b in member_of}
+    analysis.gap_out = {node: gap_out(node) for node in nodes}
+    analysis.collapsed = collapsed
+    analysis.member_of = {b: node for b, node in owner.items() if b != node}
     return analysis
 
 
@@ -411,7 +337,7 @@ def _markless_cycle_node(nodes: Set[str], succs: Dict[str, Set[str]],
 
 
 def _witness_in_block(function: Function, name: str, gap_in: float,
-                      callee_wcet=None, after_first_mark: bool = False):
+                      after_first_mark: bool = False):
     """The instruction index where the running gap peaks within a block."""
     gap = gap_in
     best = (name, 0)
@@ -424,7 +350,7 @@ def _witness_in_block(function: Function, name: str, gap_in: float,
             continue
         if after_first_mark and not seen_mark:
             continue
-        gap += instr_cycles(instr, callee_wcet)
+        gap += instr.cycles
         if gap > best_gap:
             best_gap = gap
             best = (name, index)

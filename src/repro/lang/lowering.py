@@ -8,8 +8,9 @@ Conventions:
   return values through ``__ret_<f>``.  The static-frame convention forbids
   recursion (rejected later by :meth:`repro.ir.cfg.Module.call_order`).
 * ``&&``/``||`` short-circuit via control flow.
-* ``for`` loops with constant init/limit/step and an unmodified induction
-  variable get an inferred trip bound; ``bound(N)`` annotations override.
+* ``bound(N)`` annotations go to the loop header; every other loop's trip
+  bound is inferred on the lowered IR
+  (:func:`repro.ir.loops.infer_loop_bounds`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..isa.instructions import ALU, Instr, Opcode
 from ..isa.operands import Imm, Label, Sym, VReg, wrap32
 from ..isa.program import ISR_SOURCES
 from ..ir.cfg import BasicBlock, Function, Module, remove_unreachable
+from ..ir.loops import infer_loop_bounds
 from . import ast
 from .parser import parse
 
@@ -122,6 +124,8 @@ def lower_program(program: ast.ProgramAst, entry: str = "main") -> Module:
     # allocation may still grow frames with spill slots, so code generation
     # owns the final frame sizes.
     module.verify()
+    for function in module.functions.values():
+        infer_loop_bounds(function)
     return module
 
 
@@ -318,9 +322,8 @@ class _FunctionLowerer:
         after = self._fn.new_label("after")
         self._emit(ins.jmp(Label(header)))
         self._start_block(name=header)
-        bound = stmt.bound if stmt.bound is not None else _infer_for_bound(stmt)
-        if bound is not None:
-            self._block.meta["loop_bound"] = bound
+        if stmt.bound is not None:
+            self._block.meta["loop_bound"] = stmt.bound
         if stmt.cond is not None:
             cond = self._as_reg(self._lower_expr(stmt.cond))
             self._branch(cond, body_name, after)
@@ -603,68 +606,3 @@ def _fold_binary(op: str, a: int, b: int, line: int) -> int:
     if b == 0 and opcode in (Opcode.DIV, Opcode.REM):
         raise SemanticError(f"line {line}: constant division by zero")
     return ALU[opcode](a, b)
-
-
-def _infer_for_bound(stmt: ast.For) -> Optional[int]:
-    """Infer a trip bound for a canonical counted ``for`` loop."""
-    init = stmt.init
-    if isinstance(init, ast.VarDecl) and isinstance(init.init, ast.Num):
-        var, start = init.name, init.init.value
-    elif (isinstance(init, ast.Assign) and init.index is None
-          and isinstance(init.value, ast.Num)):
-        var, start = init.target, init.value.value
-    else:
-        return None
-    cond = stmt.cond
-    if not (isinstance(cond, ast.Binary) and isinstance(cond.left, ast.Var)
-            and cond.left.name == var and isinstance(cond.right, ast.Num)
-            and cond.op in ("<", "<=", ">", ">=")):
-        return None
-    limit = cond.right.value
-    step_stmt = stmt.step
-    if not (isinstance(step_stmt, ast.Assign) and step_stmt.target == var
-            and step_stmt.index is None):
-        return None
-    step_expr = step_stmt.value
-    if not (isinstance(step_expr, ast.Binary) and step_expr.op in ("+", "-")
-            and isinstance(step_expr.left, ast.Var)
-            and step_expr.left.name == var
-            and isinstance(step_expr.right, ast.Num)):
-        return None
-    delta = step_expr.right.value
-    if step_expr.op == "-":
-        delta = -delta
-    if delta == 0 or _modifies_var(stmt.body, var):
-        return None
-    if cond.op == "<" and delta > 0:
-        span = limit - start
-    elif cond.op == "<=" and delta > 0:
-        span = limit - start + 1
-    elif cond.op == ">" and delta < 0:
-        span = start - limit
-    elif cond.op == ">=" and delta < 0:
-        span = start - limit + 1
-    else:
-        return None
-    if span <= 0:
-        return 0
-    return -(-span // abs(delta))  # ceil division
-
-
-def _modifies_var(node: object, var: str) -> bool:
-    """Whether any statement under ``node`` assigns to scalar ``var``."""
-    if isinstance(node, ast.Assign):
-        return node.index is None and node.target == var
-    if isinstance(node, ast.VarDecl):
-        return node.name == var  # shadowing: be conservative
-    if isinstance(node, ast.Block):
-        return any(_modifies_var(s, var) for s in node.stmts)
-    if isinstance(node, ast.If):
-        return (_modifies_var(node.then, var)
-                or _modifies_var(node.otherwise, var))
-    if isinstance(node, (ast.While, ast.For)):
-        parts = [node.body]
-        if isinstance(node, ast.For):
-            parts += [node.init, node.step]
-        return any(_modifies_var(p, var) for p in parts if p is not None)
-    return False

@@ -65,6 +65,73 @@ class TestSweeps:
                           freqs_mhz=[27], duration_s=0.02)
         assert p2.min_rate <= p1.min_rate
 
+    def test_table_one_empty_grid_keeps_only_resonances(self, monkeypatch):
+        from repro.emi import device
+        from repro.eval import sweeps
+
+        asked = []
+
+        class Sweep:
+            min_rate = min_rate_freq_mhz = 0.0
+            max_failure_rate = max_failure_freq_mhz = 0.0
+
+        def fake_sweep(name, monitor, freqs_mhz=None, **kwargs):
+            asked.append((name, monitor, list(freqs_mhz)))
+            return Sweep()
+
+        monkeypatch.setattr(sweeps, "sweep_device", fake_sweep)
+        sweeps.table_one(freqs_mhz=[])
+        name, monitor, freqs = asked[0]
+        resonances = device(name).adc_curve.resonant_frequencies()
+        assert monitor == "adc"
+        assert freqs == sorted({f / 1e6 for f in resonances})
+
+
+class TestOutageRig:
+    """The adversary and Fig. 13 victims are the fault rig plus overrides."""
+
+    @staticmethod
+    def _rig(**fields):
+        base = dict(capacitance=22e-6, supply_w=None, outage_period_s=0.05,
+                    outage_duty=0.4, outage_power_w=8e-3, sleep_min_s=1e-3,
+                    quantum=64)
+        return VictimConfig(**{**base, **fields})
+
+    def test_adversary_victim(self):
+        from repro.adversary import adversary_victim
+
+        assert adversary_victim() == self._rig(
+            workload="blink", scheme="nvp", duration_s=0.05,
+            region_budget=20_000)
+        assert adversary_victim("crc16", "gecko", 0.1, region_budget=900,
+                                backend="threaded") == self._rig(
+            workload="crc16", scheme="gecko", duration_s=0.1,
+            region_budget=900, backend="threaded")
+
+    def test_detection_victim(self):
+        from repro.eval.detection import detection_spec
+
+        assert detection_spec(["a-none"], ["gecko", "nvp"]).victim \
+            == self._rig(workload="blink", scheme="gecko", duration_s=0.6,
+                         region_budget=20_000)
+        spec = detection_spec(["a-none"], ["nvp"], workload="crc16",
+                              total_s=0.3, outage_period_s=0.1,
+                              outage_duty=0.5, capacitance_f=47e-6,
+                              device_name="STM32L552ZE",
+                              region_budget=5000)
+        assert spec.victim == self._rig(
+            device_name="STM32L552ZE", workload="crc16", scheme="nvp",
+            duration_s=0.3, outage_period_s=0.1, outage_duty=0.5,
+            capacitance=47e-6, region_budget=5000)
+
+    def test_fault_victim_keeps_its_homes(self):
+        from repro import faultsim
+        from repro.eval import common
+        from repro.faultsim import explorer
+
+        assert faultsim.fault_victim is common.fault_victim
+        assert explorer.fault_victim is common.fault_victim
+
 
 class TestDistance:
     def test_grid_and_reach(self):

@@ -16,7 +16,6 @@ from repro.ir import (
     dominators,
     find_loops,
     liveness,
-    loop_of_block,
     may_alias,
     mem_ref,
     memory_antideps,
@@ -318,12 +317,6 @@ class TestLoops:
         inner = max(loops, key=lambda l: l.depth)
         assert inner.parent is not None
         assert inner.bound == 4
-
-    def test_loop_of_block(self):
-        fn = loop_function()
-        loops = find_loops(fn)
-        assert loop_of_block(loops, "body") is loops[0]
-        assert loop_of_block(loops, "entry") is None
 
 
 class TestAntideps:

@@ -6,6 +6,7 @@ the shortest path to "the compiler implements C semantics".
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import compile_nvp
 from repro.errors import LexError, ParseError, SemanticError
@@ -219,15 +220,55 @@ class TestLoweredSemantics:
         loops = find_loops(module.functions["main"])
         assert loops and loops[0].bound == 5
 
-    def test_for_bound_not_inferred_when_modified(self):
+    def test_global_counter_gets_no_bound(self):
+        # The callee resets the counter: the loop runs 33 times, not 10.
         from repro.ir import find_loops
-        module = compile_source(
-            "void main() { int s = 0; "
-            "for (int i = 0; i < 10; i = i + 1) { i = i + 1; s = s + 1; } "
-            "out(s); }"
-        )
-        loops = find_loops(module.functions["main"])
-        assert loops and loops[0].bound is None
+        src = ("int g; void reset() { g = 0; } "
+               "void main() { int s = 0; "
+               "for (g = 0; g < 10; g = g + 1) { "
+               "s = s + 1; if (s < 25) { reset(); } } out(s); }")
+        for module in (compile_source(src), compile_nvp(src).module):
+            loops = find_loops(module.functions["main"])
+            assert [loop.bound for loop in loops] == [None]
+        assert run_main(src) == [33]
+
+    def test_loops_sharing_a_counter_keep_their_bounds(self):
+        # Each loop sees only the initialization that reaches its header.
+        from repro.ir import find_loops
+        src = ("void main() { int s = 0; int i; "
+               "for (i = 0; i < 4; i = i + 1) { s = s + 1; } "
+               "for (i = 0; i < 8; i = i + 1) { s = s + 10; } out(s); }")
+        for module in (compile_source(src), compile_nvp(src).module):
+            function = module.functions["main"]
+            rpo = function.reverse_postorder().index
+            loops = sorted(find_loops(function), key=lambda lp: rpo(lp.header))
+            assert [loop.bound for loop in loops] == [4, 8]
+        assert run_main(src) == [84]
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.integers(-20, 20), limit=st.integers(-20, 20),
+           step=st.integers(1, 5), op=st.sampled_from(["<", "<=", ">", ">="]),
+           body_step=st.booleans(),
+           counter=st.sampled_from(["for-init", "before", "reused"]))
+    def test_inferred_bound_covers_execution(self, start, limit, step, op,
+                                             body_step, counter):
+        from repro.ir import find_loops
+        advance = f"i + {step}" if op in ("<", "<=") else f"i - {step}"
+        again = f" i = {advance};" if body_step else ""
+        init = f"int i = {start}" if counter == "for-init" else f"i = {start}"
+        before = {"for-init": "", "before": "int i; ",
+                  "reused": "int i; int t = 0; "
+                            "for (i = 0; i < 3; i = i + 1) { t = t + 1; } "}
+        src = (f"void main() {{ int s = 0; {before[counter]}"
+               f"for ({init}; i {op} {limit}; i = {advance}) "
+               f"{{ s = s + 1;{again} }} out(s); }}")
+        function = compile_source(src).functions["main"]
+        rpo = function.reverse_postorder().index
+        loop = max(find_loops(function), key=lambda lp: rpo(lp.header))
+        (iterations,) = run_main(src)
+        assert loop.bound is not None and loop.bound >= iterations
+        if not body_step:
+            assert loop.bound == iterations
 
     def test_main_with_return(self):
         assert run_main("void main() { out(1); return; out(2); }") == [1]

@@ -159,6 +159,18 @@ class TestIsrLanguage:
             compile_scheme(src, "gecko")
         compile_scheme(src, "nvp")  # NVP has no WCET contract
 
+    def test_gecko_bounds_handler_loops_sharing_a_counter(self):
+        src = """
+        int x = 0;
+        isr timer h() {
+            int i;
+            for (i = 0; i < 4; i = i + 1) { x = x + 1; }
+            for (i = 0; i < 8; i = i + 1) { x = x + 2; }
+        }
+        void main() { irq_enable(1); timer_start(50); out(x); }
+        """
+        compile_scheme(src, "gecko")
+
     def test_gecko_rejects_handler_over_region_budget(self):
         src = """
         int x = 0;

@@ -1,8 +1,13 @@
 """WCET analysis and region-gap tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.compiler import allocate_module, form_regions, split_regions
+import repro
+from repro.compiler import allocate_module, form_regions, split_regions, splitting
 from repro.compiler.splitting import verify_region_budget
 from repro.errors import WCETError
 from repro.ir import function_wcet, module_wcet
@@ -10,7 +15,7 @@ from repro.ir.wcet import region_gap
 from repro.isa import Opcode
 from repro.lang import compile_source
 from repro.runtime import run_to_completion
-from repro.core import compile_nvp
+from repro.core import compile_gecko, compile_nvp
 
 
 def test_straight_line_wcet_equals_execution():
@@ -213,3 +218,56 @@ class TestRegionGap:
             i.cycles for _, _, i in fn.instructions()
         )
         assert analysis.worst < total
+
+    def test_witness_is_independent_of_hash_seed(self):
+        # dhrystone's func_2 has two equally long region gaps; the split
+        # witness must not depend on string-hash order.
+        code = ("from repro.core.gecko import _prepare\n"
+                "from repro.ir.wcet import region_gap\n"
+                "from repro.workloads import source\n"
+                "fn = _prepare(source('dhrystone')).functions['func_2']\n"
+                "print(region_gap(fn).witness)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        witnesses = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert witnesses[0] == witnesses[1]
+
+
+DIAMOND = """
+void main() {
+    int x = sense(); int s = 0;
+    if (x & 1) {
+        s = s * 3 + 1; s = s * 5 + 2; s = s * 7 + 3; s = s * 11 + 4;
+    } else {
+        s = s * 3 + 2; s = s * 5 + 3; s = s * 7 + 4; s = s * 11 + 5;
+    }
+    s = s * 13 + x; s = s * 17 + x;
+    out(s);
+}
+"""
+
+
+@pytest.mark.parametrize("budget", [150, 120, 100])
+def test_splitting_a_diamond_converges(budget, monkeypatch):
+    # Once one arm ends in a MARK, the arm leaves only its jump's cycles
+    # behind: the next cut must go elsewhere, not at that arm's end again.
+    placed = []
+    insert = splitting._insert_mark
+
+    def spy(function, block, index):
+        placed.append((block, index))
+        assert len(placed) <= 50, f"{len(placed)} splits and counting"
+        insert(function, block, index)
+
+    monkeypatch.setattr(splitting, "_insert_mark", spy)
+    program = compile_gecko(DIAMOND, region_budget=budget)
+    assert run_to_completion(program.linked).committed_out \
+        == run_to_completion(compile_nvp(DIAMOND).linked).committed_out
