@@ -1,13 +1,14 @@
-"""Resilient dispatch overhead: the async loop vs the old bare pool.map.
+"""Resilient dispatch overhead: the executor's pool vs a bare pool.map.
 
-The resilient executor replaced ``pool.map`` with an async dispatch loop
-(apply_async + beacon + watchdog bookkeeping).  On a *healthy* sweep —
-no crashes, no timeouts, no retries — that machinery must be close to
-free: the acceptance target is a wall-time regression of at most 5% on
-the reference grid.  Both paths get the same compiled cache, the same
-worker count, and pay their own pool spawn, so the measured delta is the
-dispatch mechanism alone (plus completion-detection latency, bounded by
-the executor's poll period).
+The resilient executor replaced ``pool.map`` with a dispatch loop over
+worker processes it owns (one pipe per worker, one run at a time, a
+blocking wait on pipes and exit sentinels, watchdog bookkeeping).  On a
+*healthy* sweep — no crashes, no timeouts, no retries — that machinery
+must be close to free: the acceptance target is a wall-time regression
+of at most 5% on the reference grid.  Both paths get the same compiled
+cache, the same worker count, and pay their own worker start-up, so the
+measured delta is the dispatch mechanism alone (including the one pipe
+round trip per run between a result and the worker's next run).
 """
 
 import multiprocessing

@@ -65,7 +65,6 @@ from .search import (
     Evaluation,
     SearchStats,
     adversary_victim,
-    search_defense,
 )
 from .space import (
     DEFAULT_BOUNDS,
@@ -96,6 +95,5 @@ __all__ = [
     "SearchStrategy", "Trial", "adversary_victim", "compare_defenses",
     "corruption_rate", "isr_attack_space", "make_strategy", "more_robust",
     "objective_fn", "progress_loss", "render_isr_comparison", "replay",
-    "rollback_pressure", "score", "search_defense", "search_isr_defense",
-    "unsimulated",
+    "rollback_pressure", "score", "search_isr_defense", "unsimulated",
 ]

@@ -304,12 +304,3 @@ class AdversarySearch:
                 t=float(stats.rounds))
         stats.wall_time_s = time.perf_counter() - start
         return result
-
-
-def search_defense(workload: str = "blink", scheme: str = "nvp",
-                   duration_s: float = 0.05,
-                   **kwargs) -> AdversaryResult:
-    """One-shot convenience: search one (workload, scheme) victim."""
-    victim = adversary_victim(workload=workload, scheme=scheme,
-                              duration_s=duration_s)
-    return AdversarySearch(victim, **kwargs).run()

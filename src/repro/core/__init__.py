@@ -22,7 +22,6 @@ from .pruning import (
     PruneResult,
     collect_checkpoints,
     prune_function,
-    prune_module,
     readonly_symbols,
 )
 from .recovery import CkptInfo, MAX_SLICE_LEN, SliceBuilder, materialize_slice
@@ -32,6 +31,6 @@ __all__ = [
     "DEFAULT_REGION_BUDGET", "MAX_SLICE_LEN", "PruneResult", "RegionPlan",
     "SliceBuilder", "SliceExec", "SlotLoad", "collect_checkpoints",
     "color_function", "compile_gecko", "compile_nvp", "compile_ratchet",
-    "compile_scheme", "materialize_slice", "prune_function", "prune_module",
+    "compile_scheme", "materialize_slice", "prune_function",
     "readonly_symbols", "slot_symbol", "verify_coloring",
 ]

@@ -16,7 +16,7 @@ boundary) and values recomputable from constants or read-only tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List
+from typing import FrozenSet, List
 
 from ..isa.instructions import Instr, Opcode
 from ..isa.operands import PReg
@@ -140,13 +140,3 @@ def unprune(function: Function, info: CkptInfo) -> None:
     function.blocks[name].instrs.insert(index, info.instr)
     info.kept = True
     info.slice_elements = None
-
-
-def prune_module(module: Module,
-                 max_slice_len: int = MAX_SLICE_LEN) -> Dict[str, PruneResult]:
-    """Prune every function; returns per-function results."""
-    readonly = readonly_symbols(module)
-    return {
-        name: prune_function(fn, readonly, max_slice_len)
-        for name, fn in module.functions.items()
-    }

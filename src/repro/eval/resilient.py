@@ -3,23 +3,24 @@
 The campaign engine's original pool path was a bare ``pool.map``: one
 worker killed by the OS, one pathological grid point hanging in
 wall-clock terms, or one transient exception lost the entire sweep.
-This module replaces it with an async dispatch loop that degrades
-gracefully instead of failing wholesale:
+This module replaces it with a dispatch loop over worker processes the
+parent owns — each on its own pipe, holding at most one run — so it
+always knows which run each worker holds, and degrades gracefully
+instead of failing wholesale:
 
-* a **watchdog** enforces a per-run wall-clock timeout; hung workers
-  cannot be cancelled individually, so the pool is torn down and
-  respawned, and the healthy in-flight runs are re-dispatched without an
-  attempt charge;
-* **crash detection**: every worker announces which run it picked up on
-  a beacon queue, so when a worker pid vanishes the parent knows exactly
-  which run died with it (the pool respawns the worker on its own);
+* a **watchdog** enforces a per-run wall-clock timeout: the hung run's
+  worker alone is killed and replaced, every other in-flight run goes
+  on undisturbed;
+* **crash detection**: a worker process that exits while holding a run
+  fails exactly that run, and is replaced;
 * **bounded retries** with seeded, jittered exponential backoff
   (:meth:`RetryPolicy.delay_s`) re-dispatch failed runs; a run that
   eventually succeeds is tagged :data:`RETRIED_OK`;
 * every terminal failure carries an **error taxonomy** kind —
   :data:`TIMEOUT`, :data:`WORKER_CRASH`, :data:`SIM_ERROR`,
-  :data:`BUDGET_EXCEEDED` — plus the traceback tail, instead of a bare
-  exception name;
+  :data:`INVARIANT_VIOLATION`, :data:`BUDGET_EXCEEDED` — plus the
+  traceback tail, instead of a bare exception name; a result that cannot
+  be pickled back fails its own run as :data:`SIM_ERROR`;
 * a **result sink** (``on_result``) receives each task's final result
   the moment it is known, so callers persist finished work as it lands:
   the campaign runner, the exhaustive mapper and the serve shards write
@@ -46,20 +47,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 import random
 import time
 import traceback
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InvariantViolation, ReproError
 
@@ -92,16 +85,6 @@ ERROR_KINDS = (TIMEOUT, WORKER_CRASH, SIM_ERROR, INVARIANT_VIOLATION,
 
 #: Traceback lines kept per failed attempt (the tail is where the cause is).
 TRACEBACK_TAIL_LINES = 8
-
-#: Dispatch-loop poll period.  Completion detection lags by up to one
-#: poll, so this bounds the per-task latency the loop adds over a bare
-#: ``pool.map`` (measured by ``benchmarks/bench_resilient_overhead.py``);
-#: polling ``AsyncResult.ready()`` at this rate costs negligible CPU.
-_POLL_S = 0.002
-
-#: How long a dispatched run may stay beacon-less after a worker death
-#: before the parent concludes the dead worker took it (see `_run_pool`).
-_BEACON_GRACE_S = 1.0
 
 
 def default_start_method() -> Optional[str]:
@@ -244,14 +227,12 @@ class ExecStats:
 # ----------------------------------------------------------------------
 # Worker-side plumbing (module-level: must pickle under ``spawn``).
 # ----------------------------------------------------------------------
-_BEACON = None   # per-worker: the start-announcement queue
 _CONTEXT = None  # per-worker: the executor's context, handed to each task
 
 
-def _install_worker(beacon, context) -> None:
-    """Pool initializer: wire the beacon and install the context."""
-    global _BEACON, _CONTEXT
-    _BEACON = beacon
+def _install_worker(context) -> None:
+    """Worker start: install the context every task receives."""
+    global _CONTEXT
     _CONTEXT = context
 
 
@@ -265,12 +246,7 @@ def _guarded_call(task_fn: Callable[[Any, Any], Any], index: int,
                   payload: Any) -> Tuple[bool, Any, Optional[str],
                                          Optional[str], Optional[str],
                                          float]:
-    """Announce, execute, and capture — nothing escapes but the tuple."""
-    if _BEACON is not None:
-        try:
-            _BEACON.put((os.getpid(), index))
-        except Exception:
-            pass  # a lost beacon degrades crash attribution, not results
+    """Execute and capture — nothing escapes but the tuple."""
     start = time.perf_counter()
     try:
         return (True, task_fn(_CONTEXT, payload), None, None, None,
@@ -279,6 +255,31 @@ def _guarded_call(task_fn: Callable[[Any, Any], Any], index: int,
         return (False, None, _classify(exc),
                 f"{type(exc).__name__}: {exc}",
                 traceback_tail(), time.perf_counter() - start)
+
+
+def _worker_main(conn, parent_end, task_fn: Callable[[Any, Any], Any],
+                 context: Any) -> None:
+    """One pool worker: install the context, then run each ``(index,
+    payload)`` the parent sends and send back its :func:`_guarded_call`
+    tuple, until the parent kills the worker or goes away."""
+    # A forked worker inherits the parent's end of its own pipe; closing
+    # it lets the parent's death reach ``recv`` as EOF.
+    parent_end.close()
+    _install_worker(context)
+    try:
+        while True:
+            index, payload = conn.recv()
+            outcome = _guarded_call(task_fn, index, payload)
+            try:
+                conn.send(outcome)
+            except Exception as exc:
+                # A result that cannot be pickled fails its own run only.
+                conn.send((False, None, SIM_ERROR,
+                           f"result not picklable: "
+                           f"{type(exc).__name__}: {exc}",
+                           traceback_tail(), outcome[-1]))
+    except (EOFError, OSError):
+        return  # the parent is gone
 
 
 # ----------------------------------------------------------------------
@@ -295,13 +296,13 @@ class _Attempt:
 
 
 @dataclass
-class _Flight:
-    """One in-flight dispatch: the attempt plus where/when it runs."""
+class _Worker:
+    """One worker process, its pipe, and the run it holds (if any)."""
 
-    entry: _Attempt
-    handle: Any                # multiprocessing AsyncResult
-    dispatched_at: float
-    pid: Optional[int] = None  # set when the worker's beacon arrives
+    process: Any                       # multiprocessing Process
+    conn: Any                          # the parent's end of its pipe
+    entry: Optional[_Attempt] = None   # the run it holds
+    since: float = 0.0                 # monotonic dispatch time of entry
 
 
 class ResilientExecutor:
@@ -311,11 +312,21 @@ class ResilientExecutor:
     chaos fixtures share one dispatch loop; the ``context`` is installed
     once per worker (see the module docstring).
 
+    The pool path starts ``min(workers, len(tasks))`` worker processes,
+    each on its own pipe and holding at most one run.  The parent sleeps
+    in :func:`multiprocessing.connection.wait` on the busy workers'
+    pipes and every worker's exit sentinel until the nearest watchdog
+    deadline, retry-backoff gate or budget end.  A worker that exits
+    while holding a run fails exactly that run as :data:`WORKER_CRASH`;
+    a run older than ``timeout_s`` has its own worker killed and fails
+    as :data:`TIMEOUT`.  Either way that one worker is replaced
+    (``stats.worker_restarts``) and every other in-flight run goes on.
+
     ``on_result`` is the result sink: the parent calls it once per task,
     with that task's final :class:`TaskResult`, as soon as the result is
     final — a success, a terminal failure, or a budget give-up — on both
     the serial and the pool path.  An exception it raises leaves
-    :meth:`run` (after the pool is torn down)."""
+    :meth:`run` (after every worker is stopped)."""
 
     def __init__(self, task_fn: Callable[[Any, Any], Any], workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
@@ -389,155 +400,94 @@ class ResilientExecutor:
             return self._succeed(entry, value, elapsed)
 
     # ------------------------------------------------------------------
-    # Pool path: async dispatch + beacon + watchdog + respawn.
+    # Pool path: one pipe per worker process, watchdog, replacement.
     # ------------------------------------------------------------------
     def _run_pool(self, todo: List[_Attempt],
                   results: Dict[int, TaskResult]) -> None:
         ctx = multiprocessing.get_context(self.start_method)
-        processes = min(self.workers, len(todo))
-        # Without a watchdog the clock doesn't matter, so keep a backlog
-        # queued in the pool — a worker that finishes picks up its next
-        # task without waiting for the parent's poll.  With a timeout,
-        # in-flight work stays bounded by the worker count so that
-        # dispatch time ≈ start time and the watchdog clock is honest.
-        depth = processes * 2 if self.policy.timeout_s is None \
-            else processes
+        timeout_s = self.policy.timeout_s
         pending: List[_Attempt] = list(todo)
-        inflight: Dict[int, _Flight] = {}
-        pool = beacon = None
-        last_death_at: Optional[float] = None
-        unattributed = 0           # observed deaths not yet blamed on a run
+        workers: List[_Worker] = []
         try:
-            pool, beacon, known_pids = self._spawn(ctx, processes)
-            while pending or inflight:
+            for _ in range(min(self.workers, len(todo))):
+                workers.append(self._start(ctx))
+            while True:
+                now = time.monotonic()
+                if self._budget_exhausted():
+                    for entry in pending + [worker.entry for worker in workers
+                                            if worker.entry is not None]:
+                        self._give_up(results, entry)
+                    return
+                for worker in workers:
+                    if worker.entry is None:
+                        entry = self._next_ready(pending, now)
+                        if entry is None:
+                            break
+                        self._dispatch(worker, entry, now)
+                busy = [worker for worker in workers
+                        if worker.entry is not None]
+                if not busy and not pending:
+                    return
+
+                # Sleep until a result or a worker exit arrives, or the
+                # nearest watchdog deadline, backoff gate or budget end.
+                gates = [] if self._deadline is None else [self._deadline]
+                if timeout_s is not None:
+                    gates += [worker.since + timeout_s for worker in busy]
+                if pending and len(busy) < len(workers):
+                    gates.append(min(entry.not_before for entry in pending))
+                ready = wait([worker.conn for worker in busy]
+                             + [worker.process.sentinel for worker in workers],
+                             max(0.0, min(gates) - now) if gates else None)
                 now = time.monotonic()
 
-                if self._budget_exhausted():
-                    for entry in pending + [flight.entry
-                                            for flight in inflight.values()]:
-                        self._give_up(results, entry)
-                    pending.clear()
-                    inflight.clear()
-                    break
-
-                # Dispatch into free slots.  In-flight work is bounded by
-                # the worker count, so a dispatched run starts (nearly)
-                # immediately and the watchdog clock is honest.
-                progressed = False
-                while len(inflight) < depth:
-                    entry = self._next_ready(pending, now)
-                    if entry is None:
-                        break
-                    inflight[entry.index] = self._dispatch(pool, entry, now)
-                    progressed = True
-
-                # Beacons attribute runs to worker pids.
-                self._drain_beacon(beacon, inflight)
-
-                # Completed runs (success or captured exception).
-                ready = [index for index, flight in inflight.items()
-                         if flight.handle.ready()]
-                progressed = progressed or bool(ready)
-                for index in ready:
-                    flight = inflight.pop(index)
-                    ok, value, kind, error, tail, elapsed = \
-                        flight.handle.get()
-                    if ok:
-                        self._finish(results, self._succeed(
-                            flight.entry, value, elapsed))
+                for slot, worker in enumerate(workers):
+                    exited = worker.process.sentinel in ready
+                    if worker.entry is not None and worker.conn in ready \
+                            and not self._receive(worker, results, pending,
+                                                  now):
+                        exited = True          # its pipe broke mid-result
+                    overdue = worker.entry is not None \
+                        and timeout_s is not None \
+                        and now - worker.since >= timeout_s
+                    if not (exited or overdue):
+                        continue
+                    # Replace this one worker; every other run goes on.
+                    self._stop(worker)
+                    workers[slot] = self._start(ctx)
+                    self.stats.worker_restarts += 1
+                    if worker.entry is None:
+                        continue               # died idle: no run lost
+                    if exited:
+                        self.stats.worker_crashes += 1
+                        kind, error = WORKER_CRASH, (
+                            f"worker process died (pid {worker.process.pid},"
+                            f" exit code {worker.process.exitcode})")
                     else:
-                        self._fail(results, pending, flight.entry,
-                                   kind, error, tail, elapsed, now)
-
-                # Crashed workers: a vanished pid takes its run with it
-                # (the pool replaces the worker on its own).  Runs whose
-                # beacons matched a dead pid are failed directly; beyond
-                # those, at most one beacon-less run per unattributed
-                # death is assumed lost too (oldest dispatch first, after
-                # a grace period) — re-running a live run is safe
-                # (deterministic sims; first result wins), losing one is
-                # not, and the bound keeps backlog runs that merely sat
-                # queued through a death from being blamed for it.
-                pids = self._pool_pids(pool)
-                dead = known_pids - pids
-                if dead:
-                    last_death_at = now
-                    self.stats.worker_restarts += len(dead)
-                    unattributed += len(dead)
-                for index, flight in list(inflight.items()):
-                    if flight.pid is not None and flight.pid in dead:
-                        inflight.pop(index)
-                        unattributed -= 1
-                        self._crash(results, pending, flight, now)
-                if unattributed > 0 and last_death_at is not None:
-                    suspects = sorted(
-                        (flight for flight in inflight.values()
-                         if flight.pid is None
-                         and last_death_at >= flight.dispatched_at
-                         and now - flight.dispatched_at > _BEACON_GRACE_S),
-                        key=lambda flight: flight.dispatched_at)
-                    for flight in suspects[:unattributed]:
-                        inflight.pop(flight.entry.index)
-                        unattributed -= 1
-                        self._crash(results, pending, flight, now)
-                known_pids = pids
-
-                # Watchdog: a hung worker cannot be cancelled one run at
-                # a time, so tear the whole pool down; healthy in-flight
-                # runs re-dispatch without an attempt charge.
-                if self.policy.timeout_s is not None and inflight:
-                    expired = {index for index, flight in inflight.items()
-                               if now - flight.dispatched_at
-                               > self.policy.timeout_s}
-                    if expired:
-                        self.stats.timeouts += len(expired)
-                        for index, flight in list(inflight.items()):
-                            inflight.pop(index)
-                            if index in expired:
-                                self._fail(
-                                    results, pending, flight.entry, TIMEOUT,
-                                    f"run exceeded the "
-                                    f"{self.policy.timeout_s:g}s wall-clock "
-                                    f"timeout", None,
-                                    now - flight.dispatched_at, now)
-                            else:
-                                flight.entry.attempts -= 1
-                                flight.entry.not_before = 0.0
-                                pending.append(flight.entry)
-                        self._teardown(pool, beacon)
-                        pool, beacon, known_pids = self._spawn(ctx,
-                                                               processes)
-                        self.stats.worker_restarts += processes
-                        last_death_at = None
-                        unattributed = 0
-
-                # Sleep only when nothing moved: a completed run frees a
-                # slot that refills on the very next iteration, so the
-                # loop adds at most one poll of latency per task.
-                if not progressed:
-                    time.sleep(_POLL_S)
+                        self.stats.timeouts += 1
+                        kind, error = TIMEOUT, (
+                            f"run exceeded the {timeout_s:g}s wall-clock "
+                            f"timeout")
+                    self._fail(results, pending, worker.entry, kind, error,
+                               None, now - worker.since, now)
         finally:
-            self._teardown(pool, beacon)
+            for worker in workers:
+                self._stop(worker)
 
     # ------------------------------------------------------------------
-    def _spawn(self, ctx, processes: int):
-        beacon = ctx.Queue()
-        pool = ctx.Pool(processes=processes, initializer=_install_worker,
-                        initargs=(beacon, self.context))
-        return pool, beacon, self._pool_pids(pool)
+    def _start(self, ctx) -> _Worker:
+        conn, child = ctx.Pipe()
+        process = ctx.Process(target=_worker_main,
+                              args=(child, conn, self.task_fn, self.context))
+        process.start()
+        child.close()
+        return _Worker(process=process, conn=conn)
 
     @staticmethod
-    def _teardown(pool, beacon) -> None:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        if beacon is not None:
-            beacon.close()
-
-    @staticmethod
-    def _pool_pids(pool) -> set:
-        return {proc.pid for proc in getattr(pool, "_pool", [])
-                if proc.pid is not None}
+    def _stop(worker: _Worker) -> None:
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
 
     @staticmethod
     def _next_ready(pending: List[_Attempt],
@@ -548,24 +498,30 @@ class ResilientExecutor:
                 return entry
         return None
 
-    def _dispatch(self, pool, entry: _Attempt, now: float) -> _Flight:
+    def _dispatch(self, worker: _Worker, entry: _Attempt,
+                  now: float) -> None:
         entry.attempts += 1
-        handle = pool.apply_async(_guarded_call,
-                                  (self.task_fn, entry.index, entry.payload))
-        return _Flight(entry=entry, handle=handle, dispatched_at=now)
+        worker.entry, worker.since = entry, now
+        try:
+            worker.conn.send((entry.index, entry.payload))
+        except OSError:
+            pass  # the worker already exited: its sentinel fails the run
 
-    @staticmethod
-    def _drain_beacon(beacon, inflight: Dict[int, _Flight]) -> None:
-        while True:
-            try:
-                pid, index = beacon.get_nowait()
-            except queue.Empty:
-                return
-            except (OSError, ValueError):
-                return  # queue torn down under us during a respawn
-            flight = inflight.get(index)
-            if flight is not None:
-                flight.pid = pid
+    def _receive(self, worker: _Worker, results: Dict[int, TaskResult],
+                 pending: List[_Attempt], now: float) -> bool:
+        """Settle the run ``worker`` holds from the outcome on its pipe;
+        False when the pipe broke instead (the worker died sending)."""
+        try:
+            ok, value, kind, error, tail, elapsed = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        entry, worker.entry = worker.entry, None
+        if ok:
+            self._finish(results, self._succeed(entry, value, elapsed))
+        else:
+            self._fail(results, pending, entry, kind, error, tail, elapsed,
+                       now)
+        return True
 
     # ------------------------------------------------------------------
     def _budget_exhausted(self) -> bool:
@@ -594,14 +550,6 @@ class ResilientExecutor:
                           elapsed_s=elapsed, attempts=entry.attempts,
                           error_kind=RETRIED_OK if entry.attempts > 1
                           else None)
-
-    def _crash(self, results: Dict[int, TaskResult],
-               pending: List[_Attempt], flight: _Flight,
-               now: float) -> None:
-        self.stats.worker_crashes += 1
-        self._fail(results, pending, flight.entry, WORKER_CRASH,
-                   f"worker process died (pid {flight.pid})", None,
-                   now - flight.dispatched_at, now)
 
     def _fail(self, results: Dict[int, TaskResult],
               pending: List[_Attempt], entry: _Attempt, kind: str,

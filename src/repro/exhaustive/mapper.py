@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..eval.campaign import AttackSpec, CampaignRunner, ExperimentSpec, PathSpec
+from ..eval.campaign import CampaignRunner
 from ..eval.resilient import ResilientExecutor, RetryPolicy, TaskResult
 from ..faultsim.classify import Outcome
-from ..faultsim.explorer import classify_outcomes
+from ..faultsim.explorer import FaultCampaignSpec, classify_outcomes
 from ..faultsim.models import FaultSimError, FaultSpec
 from ..faultsim.report import VulnerabilityMap
 from ..ir.liveness import linked_liveness
@@ -200,15 +200,8 @@ def _run_time_models(spec: ExhaustiveSpec, models: Tuple[str, ...],
     plans = {model: enumerate_time_model(spec, model) for model in models}
     flat: List[FaultSpec] = [f for model in models for f in plans[model]]
     stats.campaign_points = len(flat)
-    experiment = ExperimentSpec(
-        name=f"{spec.name}:{spec.victim.workload}:{spec.victim.scheme}",
-        victim=spec.victim,
-        attack=AttackSpec.silent(),
-        path=PathSpec.remote(),
-        sweep={"fault": flat},
-        baseline=True,
-        telemetry=True,
-    )
+    experiment = FaultCampaignSpec(victim=spec.victim, name=spec.name) \
+        .experiment_spec(flat)
     campaign = runner.run(experiment)
     stats.campaign_store_hits = campaign.stats.store_hits
     stats.campaign_executed = campaign.stats.store_misses \

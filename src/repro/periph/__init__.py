@@ -12,21 +12,19 @@ under the interpreter and the threaded backend.  This package provides:
   NVM words so checkpoint/rollback machinery sees it for free;
 * :mod:`~repro.periph.attack` — golden-trace extraction and the
   ISR-aware attack vocabulary: EMI bursts phase-locked to interrupt
-  arrival, and fault injections targeted inside handler bodies.
+  arrival.
 """
 
 from .attack import (
     MCU_CLOCK_HZ,
     PeriphError,
     isr_arrivals,
-    isr_fault_specs,
     isr_trace,
     phase_locked_windows,
-    spans_seconds,
 )
 from .hub import IsrSpan, PeriphHub
 
 __all__ = [
     "IsrSpan", "MCU_CLOCK_HZ", "PeriphError", "PeriphHub", "isr_arrivals",
-    "isr_fault_specs", "isr_trace", "phase_locked_windows", "spans_seconds",
+    "isr_trace", "phase_locked_windows",
 ]

@@ -1,4 +1,4 @@
-"""ISR-aware attack planning: golden traces, phase-locked EMI, ISR faults.
+"""ISR-aware attack planning: golden traces and phase-locked EMI.
 
 Reactive firmware concentrates its critical work inside interrupt
 handlers, and the hub's frame push / sentinel pop around every activation
@@ -15,11 +15,10 @@ attack material:
   device's interrupt cadence would lock onto;
 * :func:`phase_locked_windows` — EMI burst windows placed at a fixed
   phase offset around each arrival (the timing-precise analogue of the
-  paper's fixed-minute tones);
-* :func:`isr_fault_specs` — architectural :class:`~repro.faultsim.
-  models.FaultSpec` injections whose trigger steps land *inside* ISR
-  bodies, tagged ``isr:<vector>`` so vulnerability maps separate
-  handler-resident faults from main-line ones.
+  paper's fixed-minute tones).
+
+Handler-resident fault injections are drawn by
+``FaultCampaignSpec(isr_window=True)`` (:mod:`repro.faultsim.explorer`).
 
 All cycle→second conversions use the simulated MCU clock
 (:data:`MCU_CLOCK_HZ`, the :class:`~repro.energy.power_system.MCUParams`
@@ -31,8 +30,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..isa.operands import NUM_REGS
-from ..seeds import spawn_rng
 from .hub import IsrSpan
 
 #: Simulated MCU clock (matches ``MCUParams.clock_hz``).
@@ -102,63 +99,3 @@ def phase_locked_windows(arrivals: Sequence[float], phase: float,
         else:
             merged.append((start, end))
     return tuple(merged)
-
-
-def isr_fault_specs(spans: Sequence[IsrSpan], points: int,
-                    seed: int = 0,
-                    models: Sequence[str] = ("reg_flip", "instr_skip")
-                    ) -> List["FaultSpec"]:
-    """Architectural faults whose trigger steps land inside ISR bodies.
-
-    Draws ``points`` injections per model from a seeded RNG, uniformly
-    over the union of handler activation step ranges, each tagged
-    ``isr:<vector>`` for map attribution.  Duplicate draws collapse, so
-    fewer than ``len(models) * points`` specs may come back.
-    """
-    from ..faultsim.models import STEP_MODELS, FaultSpec
-
-    closed = [s for s in spans if s.closed and s.exit_step > s.entry_step]
-    if not closed:
-        raise PeriphError("no closed isr activations to target")
-    for model in models:
-        if model not in STEP_MODELS:
-            raise PeriphError(
-                f"isr fault specs need step-triggered models, got {model!r}")
-    # Flatten activation ranges into a cumulative step lattice so one
-    # randrange picks uniformly over every handler-resident step.
-    lattice: List[Tuple[int, IsrSpan]] = []
-    total = 0
-    for span in closed:
-        lattice.append((total, span))
-        total += span.exit_step - span.entry_step
-    specs: List[FaultSpec] = []
-    seen = set()
-    for model in models:
-        # Per-model spawned stream: the reg_flip draws never shift the
-        # instr_skip draws (and vice versa) when points change.
-        rng = spawn_rng(seed, "periph.attack", "model", model)
-        for _ in range(points):
-            flat = rng.randrange(total)
-            span = next(s for base, s in reversed(lattice) if flat >= base)
-            base = next(b for b, s in lattice if s is span)
-            step = span.entry_step + (flat - base)
-            region = f"isr:{span.vector}"
-            if model == "reg_flip":
-                spec = FaultSpec(model=model, trigger_step=step,
-                                 target=rng.randrange(NUM_REGS),
-                                 bit=rng.randrange(32), region=region)
-            else:
-                spec = FaultSpec(model=model, trigger_step=step,
-                                 region=region)
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
-
-
-def spans_seconds(spans: Sequence[IsrSpan],
-                  clock_hz: float = MCU_CLOCK_HZ
-                  ) -> Tuple[Tuple[float, float], ...]:
-    """Each closed activation as an (entry, exit) wall-time pair."""
-    return tuple((span.entry_cycles / clock_hz, span.exit_cycles / clock_hz)
-                 for span in spans if span.closed)

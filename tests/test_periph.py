@@ -36,7 +36,6 @@ from repro.isa.program import ISR_SOURCES, PERIPH_CONTROL_SYMBOLS
 from repro.periph import (
     PeriphError,
     isr_arrivals,
-    isr_fault_specs,
     isr_trace,
     phase_locked_windows,
 )
@@ -420,20 +419,6 @@ class TestIsrFaultPlanning:
             models=("reg_flip",), points=2, isr_window=True)
         with pytest.raises(FaultSimError, match="no interrupts"):
             spec.plan()
-
-    def test_isr_fault_specs_land_inside_spans(self, glucose_nvp):
-        spans, _ = isr_trace(glucose_nvp.linked)
-        specs = isr_fault_specs(spans, points=8, seed=1)
-        assert specs
-        ranges = [(s.entry_step, s.exit_step) for s in spans]
-        for spec in specs:
-            assert spec.region == "isr:1"
-            assert any(a <= spec.trigger_step < b for a, b in ranges)
-
-    def test_isr_fault_specs_need_step_models(self, glucose_nvp):
-        spans, _ = isr_trace(glucose_nvp.linked)
-        with pytest.raises(PeriphError, match="step-triggered"):
-            isr_fault_specs(spans, points=1, models=("ckpt_corrupt",))
 
     def test_isr_trace_requires_peripherals(self):
         linked = compile_scheme(source("crc16"), "nvp").linked

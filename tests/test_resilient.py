@@ -11,6 +11,7 @@ points and assert the sweep degrades instead of dying.
 import dataclasses
 import json
 import multiprocessing
+import threading
 
 import pytest
 
@@ -47,6 +48,11 @@ def _task(_context, payload):
     return value * 2
 
 
+def _lock_task(_context, payload):
+    """A result no pipe can carry for a ``None`` payload."""
+    return threading.Lock() if payload is None else payload * 2
+
+
 def _tasks(*payloads):
     return [(index, payload) for index, payload in enumerate(payloads)]
 
@@ -79,6 +85,16 @@ class TestTaxonomy:
     def test_unknown_chaos_kind_rejected(self):
         with pytest.raises(ResilienceError):
             ChaosSpec("explode")
+
+    def test_unpicklable_result_fails_only_its_own_task(self):
+        results = ResilientExecutor(_lock_task, workers=2).run(
+            _tasks(1, None, 3))
+        a, locked, b = results
+        assert a.ok and a.result == 2
+        assert b.ok and b.result == 6
+        assert locked.error_kind == SIM_ERROR
+        assert "result not picklable" in locked.error
+        assert locked.traceback
 
 
 class TestRetries:
@@ -169,8 +185,8 @@ class TestCrashRecovery:
         assert "died" in crashed.error
         assert a.ok and a.result == 4
         assert b.ok and b.result == 6
-        assert stats.worker_crashes >= 1
-        assert stats.worker_restarts >= 1
+        assert stats.worker_crashes == 1
+        assert stats.worker_restarts == stats.timeouts + stats.worker_crashes
 
     def test_crash_retried_until_success(self, tmp_path):
         chaos = ChaosSpec("crash", arm=1, latch=str(tmp_path / "latch"))
@@ -184,6 +200,7 @@ class TestCrashRecovery:
         assert revived.attempts >= 2
         assert healthy.ok
         assert stats.worker_crashes >= 1
+        assert stats.worker_restarts == stats.timeouts + stats.worker_crashes
 
 
 class TestTimeouts:
@@ -198,7 +215,7 @@ class TestTimeouts:
         assert "wall-clock" in hung.error
         assert a.ok and b.ok
         assert stats.timeouts == 1
-        assert stats.worker_restarts >= 2     # pool torn down + respawned
+        assert stats.worker_restarts == 1     # only the hung worker
 
     def test_timeout_then_retry_succeeds(self, tmp_path):
         chaos = ChaosSpec("hang", arm=1, hang_s=60.0,
@@ -212,6 +229,26 @@ class TestTimeouts:
         assert revived.ok and revived.result == 14
         assert revived.error_kind == RETRIED_OK
         assert stats.timeouts == 1
+        assert stats.worker_restarts == stats.timeouts + stats.worker_crashes
+
+    def test_timeout_spares_healthy_runs(self, tmp_path):
+        """A timeout kills only the hung run's worker: the run another
+        worker is still executing when the watchdog fires finishes on
+        its first attempt (its latch counts one start)."""
+        latch = tmp_path / "latch"
+        healthy = ChaosSpec("hang", arm=99, hang_s=2.5, latch=str(latch))
+        stats = ExecStats()
+        results = _run([(ChaosSpec("hang", hang_s=60.0), 1),
+                        (ChaosSpec("hang", hang_s=1.0), 2),
+                        (healthy, 3)],
+                       workers=2, policy=RetryPolicy(timeout_s=3.0),
+                       stats=stats)
+        hung, short, spared = results
+        assert hung.error_kind == TIMEOUT
+        assert short.ok and spared.ok and spared.result == 6
+        assert latch.read_text() == "1"
+        assert spared.attempts == 1
+        assert stats.worker_restarts == 1
 
 
 class TestResultSink:
@@ -282,7 +319,8 @@ class TestCampaignChaos:
         assert campaign.stats.failures == 1
         assert campaign.stats.retries >= 1
         assert campaign.stats.timeouts >= 1
-        assert campaign.stats.worker_restarts >= 2
+        assert campaign.stats.worker_restarts \
+            == campaign.stats.timeouts + campaign.stats.worker_crashes
         data = hung.to_dict()
         assert data["error_kind"] == TIMEOUT
         assert data["attempts"] == hung.attempts

@@ -6,14 +6,14 @@ torture cases) must draw its child streams through
 :func:`repro.seeds.spawn_seed`, never arithmetic on the root seed —
 overlapping derived integers feed identical Mersenne Twister streams
 and silently collapse a sweep's dimensionality.  The consumer-level
-tests lock the audited call sites (faultsim explorer, ISR attack
-planner, adversary strategies) onto spawned streams for good.
+tests lock the audited call sites (faultsim explorer, including its
+ISR-window draws, and adversary strategies) onto spawned streams for
+good.
 """
 
 import pytest
 
-from repro.periph.attack import isr_fault_specs
-from repro.periph.hub import IsrSpan
+from repro.faultsim import FaultCampaignSpec, fault_victim
 from repro.seeds import spawn_rng, spawn_seed
 
 
@@ -60,23 +60,21 @@ class TestSpawn:
         assert not any(a == b for a, b in zip(draws_lo, draws_hi))
 
 
-def _spans():
-    return [IsrSpan(vector=1, entry_step=100, entry_cycles=200,
-                    exit_step=180, exit_cycles=360),
-            IsrSpan(vector=2, entry_step=400, entry_cycles=800,
-                    exit_step=520, exit_cycles=1040)]
-
-
 class TestConsumerStreams:
     def test_isr_fault_models_draw_independent_streams(self):
-        """Per-model spawned streams: growing one model's draw count
-        must not shift the other model's draws."""
-        few = isr_fault_specs(_spans(), points=3, seed=9)
-        many = isr_fault_specs(_spans(), points=6, seed=9)
-        few_skip = [s.trigger_step for s in few if s.model == "instr_skip"]
-        many_skip = [s.trigger_step for s in many
-                     if s.model == "instr_skip"]
-        assert many_skip[:len(few_skip)] == few_skip
+        """Per-model spawned streams: growing the reg_flip draw count
+        (drawn first) must not shift the handler-resident instr_skip
+        draws."""
+        def skip_steps(points):
+            spec = FaultCampaignSpec(
+                victim=fault_victim("glucose", duration_s=0.02),
+                isr_window=True, points=points, seed=9)
+            return [s.trigger_step for s in spec.plan()
+                    if s.model == "instr_skip"]
+
+        few, many = skip_steps(3), skip_steps(6)
+        assert few
+        assert many[:len(few)] == few
 
     def test_strategies_with_one_root_seed_diverge(self):
         from repro.adversary.space import AttackSpace
