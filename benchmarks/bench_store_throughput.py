@@ -1,9 +1,10 @@
 """Result-store serving throughput: the warm-hit floor.
 
-The store's reason to exist is that a warm hit costs a seek+read instead
-of a simulation.  This bench populates a store with encoded SimResults,
-reopens it cold (so the index is rebuilt from disk, the honest serving
-posture), and measures `get` throughput over a shuffled digest schedule.
+The store's reason to exist is that a warm hit costs one indexed lookup
+in the store's SQLite database instead of a simulation.  This bench
+populates a store with encoded SimResults, reopens it cold (a fresh
+connection, the honest serving posture), and measures `get` throughput
+over a shuffled digest schedule.
 The floor asserted here — 10,000 served results/sec — is the acceptance
 bar for this subsystem; a simulation of the same run costs ~10-100 ms,
 so a warm hit is a 10^3-10^4x win.
@@ -33,7 +34,7 @@ def _fake_result(i: int) -> dict:
 
 
 def _populate(root: str) -> list:
-    store = ResultStore(root, writer_id="bench")
+    store = ResultStore(root)
     digests = []
     for i in range(ENTRIES):
         digest = content_digest(["bench-run", i])
@@ -48,7 +49,7 @@ def test_warm_store_serving_floor(benchmark, tmp_path):
     digests = _populate(root)
 
     def serve():
-        store = ResultStore(root, writer_id="bench-reader")
+        store = ResultStore(root)
         schedule = list(digests) * (READS // ENTRIES)
         random.Random(0).shuffle(schedule)
         start = time.perf_counter()

@@ -661,18 +661,21 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _open_store(args):
+def _open_store(root: str, what: str = "store",
+                hint: str = "by running a campaign with --store"):
+    """The store at ``root`` for a read-only command; exits with an
+    ``error:`` line, creating nothing, unless ``root`` holds one."""
     from .store import ResultStore
+    from .store.store import DATABASE
 
-    if not os.path.isdir(args.root):
-        raise SystemExit(f"error: {args.root!r} is not a store "
-                         f"directory (create one by running a campaign "
-                         f"with --store)")
-    return ResultStore(args.root)
+    if not os.path.isfile(os.path.join(root, DATABASE)):
+        raise SystemExit(f"error: {root!r} is not a {what} directory "
+                         f"(create one {hint})")
+    return ResultStore(root)
 
 
 def cmd_store_ls(args) -> int:
-    store = _open_store(args)
+    store = _open_store(args.root)
     shown = 0
     for digest in sorted(store.digests()):
         entry = store.get(digest)
@@ -694,30 +697,19 @@ def cmd_store_ls(args) -> int:
 
 
 def cmd_store_stats(args) -> int:
-    store = _open_store(args)
+    store = _open_store(args.root)
     stats = store.stats()
     print(f"root:      {args.root}")
     print(f"entries:   {stats.entries}")
-    print(f"buckets:   {stats.buckets}  (segments: {stats.segments})")
     print(f"bytes:     {stats.bytes}")
-    if stats.torn_recovered or stats.corrupt_skipped:
-        print(f"recovery:  torn_recovered={stats.torn_recovered}  "
-              f"corrupt_skipped={stats.corrupt_skipped}")
     return 0
 
 
 def cmd_store_gc(args) -> int:
-    from .store import StoreError
-
-    store = _open_store(args)
-    try:
-        gc = store.gc(max_age_s=args.max_age_s, dry_run=args.dry_run)
-    except StoreError as exc:
-        raise SystemExit(f"error: {exc}")
+    store = _open_store(args.root)
+    gc = store.gc(max_age_s=args.max_age_s, dry_run=args.dry_run)
     verb = "would reclaim" if args.dry_run else "reclaimed"
-    print(f"entries:   kept {gc.kept}, dropped {gc.dropped} "
-          f"({gc.duplicates_dropped} duplicates)")
-    print(f"segments:  {gc.segments_compacted} compacted")
+    print(f"entries:   kept {gc.kept}, dropped {gc.dropped}")
     print(f"bytes:     {verb} {gc.bytes_reclaimed}")
     return 0
 
@@ -768,11 +760,8 @@ def cmd_torture_run(args) -> int:
 def _open_corpus(args):
     from .torture import TortureCorpus
 
-    if not os.path.isdir(args.corpus):
-        raise SystemExit(f"error: {args.corpus!r} is not a corpus "
-                         f"directory (create one with 'torture run "
-                         f"--corpus')")
-    return TortureCorpus.open(args.corpus)
+    return TortureCorpus(_open_store(args.corpus, "corpus",
+                                     "with 'torture run --corpus'"))
 
 
 def _corpus_cases(corpus, digest: Optional[str]):
@@ -1068,14 +1057,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("root", help="store directory")
     q.set_defaults(func=cmd_store_stats)
 
-    q = store_sub.add_parser("gc",
-                             help="compact segments and drop stale "
-                                  "entries")
+    q = store_sub.add_parser("gc", help="drop stale entries")
     q.add_argument("root", help="store directory")
     q.add_argument("--max-age-s", type=float, default=None, metavar="S",
-                   help="also drop entries older than S seconds")
+                   help="drop entries older than S seconds")
     q.add_argument("--dry-run", action="store_true",
-                   help="report what would change without rewriting")
+                   help="report what would be dropped, drop nothing")
     q.set_defaults(func=cmd_store_gc)
 
     p = sub.add_parser("torture",
@@ -1140,8 +1127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .store import StoreError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StoreError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

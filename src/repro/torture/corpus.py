@@ -4,9 +4,10 @@ A :class:`ReproCase` is the end product of the torture pipeline — a
 minimal schedule, the oracle it violates, and the per-backend outcome
 fingerprints recorded when it was found.  Cases are digest-keyed by
 their *identity* (target + schedule + oracle, not the mutable outcome
-facts), stored in the PR 7 :class:`~repro.store.ResultStore` with
-``fsync=True`` puts (a shrunk failure is far more expensive to
-rediscover than an fsync costs), and replayed bit-identically later:
+facts), stored in a :class:`~repro.store.ResultStore` with
+``fsync=True`` puts, which survive power loss as well as a killed
+process (a shrunk failure is far more expensive to rediscover than an
+fsync costs), and replayed bit-identically later:
 :func:`TortureCorpus.replay` re-runs the schedule on each recorded
 backend and demands both that the oracle still fires and that the
 fingerprint matches the recorded one word-for-word.

@@ -163,3 +163,14 @@ class TestTorture:
     def test_replay_of_missing_corpus_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             main(["torture", "replay", str(tmp_path / "nope")])
+
+
+class TestReadOnlyStoreCommands:
+    @pytest.mark.parametrize("argv", [["store", "stats"],
+                                      ["torture", "corpus"]])
+    def test_empty_directory_is_refused_and_left_empty(self, argv,
+                                                      tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(tmp_path)])
+        assert str(exc.value.code).startswith("error:")
+        assert list(tmp_path.iterdir()) == []

@@ -1,17 +1,19 @@
-"""Result-store tests: canonical digests, sharded layout, crash-safe
-appends, gc compaction, and campaign memoization.
+"""Result-store tests: canonical digests, the one-database layout,
+crash-safe puts, gc beside live instances, and campaign memoization.
 
-The crash tests run real child processes (`os._exit` mid-append,
-parallel writers) against one store root — the failure modes campaigns
-actually see, not mocks of them.
+The crash tests run real child processes (`os._exit` mid-transaction,
+SIGKILL, parallel writers) against one store root — the failure modes
+campaigns actually see, not mocks of them.
 """
 
 import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -29,10 +31,22 @@ from repro.store import (
     jsonable,
     run_digest,
 )
+from repro.store.store import DATABASE
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
-def _store(tmp_path, **kwargs) -> ResultStore:
-    return ResultStore(str(tmp_path / "store"), **kwargs)
+def _store(tmp_path) -> ResultStore:
+    return ResultStore(str(tmp_path / "store"))
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports from ``src``."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\nsys.path.insert(0, {SRC!r})\n{code}"],
+        capture_output=True, text=True)
 
 
 def _fill(store, count, prefix="v"):
@@ -148,16 +162,11 @@ class TestStoreBasics:
         for i, digest in enumerate(digests):
             assert reopened.get(digest)["value"] == {"n": i}
 
-    def test_sharded_bucket_layout_on_disk(self, tmp_path):
+    def test_one_database_file_on_disk(self, tmp_path):
         store = _store(tmp_path)
-        digests = _fill(store, 20)
-        buckets_dir = tmp_path / "store" / "buckets"
-        on_disk = {p.name for p in buckets_dir.iterdir()}
-        assert on_disk == {d[:2] for d in digests}
-        for bucket in buckets_dir.iterdir():
-            segs = list(bucket.iterdir())
-            assert segs and all(
-                s.name == f"seg-{store.writer_id}.jsonl" for s in segs)
+        _fill(store, 20)
+        store.close()
+        assert os.listdir(tmp_path / "store") == [DATABASE]
 
     def test_stats_snapshot(self, tmp_path):
         store = _store(tmp_path)
@@ -168,157 +177,185 @@ class TestStoreBasics:
         assert stats.entries == 5
         assert stats.puts == 5
         assert stats.hits == 1 and stats.misses == 1
-        assert stats.buckets == len({d[:2] for d in store.digests()})
         assert stats.bytes > 0
-
-    def test_prefix_len_validated(self, tmp_path):
-        with pytest.raises(StoreError):
-            ResultStore(str(tmp_path / "s"), prefix_len=0)
-        with pytest.raises(StoreError):
-            ResultStore(str(tmp_path / "s"), prefix_len=9)
 
     def test_short_digest_rejected(self, tmp_path):
         with pytest.raises(StoreError):
             _store(tmp_path).put("ab", {"v": 1})
 
+    def test_values_read_back_as_canonical_json(self, tmp_path):
+        # Sorted keys, tuples as lists, int keys as strings: a warm read
+        # decodes to what json.loads(canonical bytes) gives, in any
+        # process.
+        store = _store(tmp_path)
+        digest = content_digest("shape")
+        store.put(digest, {"b": (1, 2), "a": {3: "x"}})
+        value = _store(tmp_path).get(digest)["value"]
+        assert value == {"a": {"3": "x"}, "b": [1, 2]}
+        assert list(value) == ["a", "b"]
+
+    def test_old_layout_root_is_refused(self, tmp_path):
+        # A store written as sharded JSONL segments must not read as an
+        # empty store (a torture corpus would silently vanish).
+        root = tmp_path / "store"
+        segment = root / "buckets" / "ab" / "seg-1.jsonl"
+        segment.parent.mkdir(parents=True)
+        segment.write_text('{"digest":"ab12","value":1,"meta":{}}\n')
+        with pytest.raises(StoreError, match=re.escape(str(root))):
+            ResultStore(str(root))
+        assert not (root / DATABASE).exists()
+
+    def test_garbage_database_raises(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / DATABASE).write_bytes(b"this is not a database\n" * 64)
+        with pytest.raises(StoreError, match=DATABASE):
+            ResultStore(str(root))
+
+    def test_import_does_not_load_sqlite(self):
+        proc = _child("import repro.store\n"
+                      "print('sqlite3' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 # ----------------------------------------------------------------------
-# Crash safety.
+# Crash safety and concurrent instances.
 # ----------------------------------------------------------------------
 class TestCrashSafety:
-    def test_torn_trailing_line_is_recovered(self, tmp_path):
-        store = _store(tmp_path)
-        digests = _fill(store, 3)
-        store.close()
-        # Tear the tail of one segment: keep the file but cut the last
-        # line short of its newline, as a mid-write kill would.
-        path, _, _ = store._index[digests[0]]
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) - 2)
-        reopened = ResultStore(str(tmp_path / "store"),
-                               writer_id=store.writer_id)
-        assert reopened.stats().torn_recovered == 1
-        assert len(reopened) == 2            # the torn entry is gone...
-        survivors = set(reopened.digests())
-        assert digests[0] not in survivors   # ...the rest are intact
-        # Repair truncated the torn bytes, so appends resume cleanly.
-        reopened.put(digests[0], {"again": True})
-        assert len(reopened) == 3
-
-    def test_corrupt_middle_line_skipped_with_warning(self, tmp_path):
-        store = _store(tmp_path)
-        digest_keep = content_digest("keep")
-        segment = tmp_path / "store" / "buckets" / digest_keep[:2] \
-            / "seg-evil.jsonl"
-        segment.parent.mkdir(parents=True, exist_ok=True)
-        good = json.dumps({"digest": digest_keep, "value": 1}) + "\n"
-        segment.write_text("this is not json\n" + good)
-        with pytest.warns(RuntimeWarning, match="corrupt entry"):
-            reopened = _store(tmp_path)
-        assert reopened.get(digest_keep)["value"] == 1
-        assert reopened.stats().corrupt_skipped == 1
-
     def test_kill_mid_append_loses_only_the_torn_entry(self, tmp_path):
+        # Five returned puts, then a sixth insert left uncommitted, then
+        # os._exit without close(): the five survive, the sixth is gone.
         root = str(tmp_path / "store")
-        code = f"""
-import os, sys
-sys.path.insert(0, {os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")!r})
+        proc = _child(f"""
+import os
 from repro.store import ResultStore, content_digest
-store = ResultStore({root!r}, writer_id="victim")
+store = ResultStore({root!r})
 for i in range(5):
     store.put(content_digest(["k", i]), {{"n": i}})
-# Hand-write a partial line straight into a segment, then die hard:
-# exactly the bytes a power-cut mid-append leaves behind.
-handle = store._writer(content_digest(["k", 0])[:2])
-handle.write(b'{{"digest":"deadbeefdeadbeef","value":')
-handle.flush()
+store._db.execute("BEGIN")
+store._db.execute("INSERT INTO entries VALUES (?, ?, ?, ?)",
+                  (content_digest("torn"), "{{}}", "{{}}", 0.0))
 os._exit(1)
-"""
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True)
-        assert proc.returncode == 1
-        reopened = ResultStore(root, writer_id="victim")
+""")
+        assert proc.returncode == 1 and not proc.stderr, proc.stderr
+        reopened = ResultStore(root)
         assert len(reopened) == 5
-        assert reopened.stats().torn_recovered == 1
+        assert not reopened.contains(content_digest("torn"))
         for i in range(5):
             assert reopened.get(content_digest(["k", i]))["value"] \
                 == {"n": i}
 
-    def test_per_put_fsync_overrides_store_default(self, tmp_path,
-                                                   monkeypatch):
-        import repro.store.store as store_mod
-
-        synced = []
-        monkeypatch.setattr(store_mod.os, "fsync",
-                            lambda fd: synced.append(fd))
-        lazy = ResultStore(str(tmp_path / "lazy"))       # default False
-        eager = ResultStore(str(tmp_path / "eager"), fsync=True)
-
-        lazy.put(content_digest("a"), 1)
-        assert not synced                                # default honored
-        lazy.put(content_digest("b"), 2, fsync=True)
-        assert len(synced) == 1                          # opt-in sync
-        eager.put(content_digest("c"), 3)
-        assert len(synced) == 2                          # default honored
-        eager.put(content_digest("d"), 4, fsync=False)
-        assert len(synced) == 2                          # opt-out skip
+    def test_per_put_fsync_overrides_store_default(self, tmp_path):
+        # Commits run with synchronous=NORMAL (they reach the OS, not the
+        # disk); fsync=True, and only that, commits under FULL.
+        store = _store(tmp_path)
+        statements = []
+        store._db.set_trace_callback(statements.append)
+        store.put(content_digest("a"), 1)
+        assert [s.split()[0] for s in statements] == ["INSERT"]
+        statements.clear()
+        store.put(content_digest("b"), 2, fsync=True)
+        assert [s.split()[0] for s in statements] \
+            == ["PRAGMA", "INSERT", "PRAGMA"]
+        assert statements[0] == "PRAGMA synchronous=FULL"
+        assert statements[2] == "PRAGMA synchronous=NORMAL"
+        statements.clear()
+        store.put(content_digest("c"), 3, fsync=False)
+        assert [s.split()[0] for s in statements] == ["INSERT"]
 
     def test_fsynced_put_survives_sigkill(self, tmp_path):
         root = str(tmp_path / "store")
-        code = f"""
-import os, signal, sys
-sys.path.insert(0, {os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")!r})
+        proc = _child(f"""
+import os, signal
 from repro.store import ResultStore, content_digest
-store = ResultStore({root!r}, writer_id="victim")
+store = ResultStore({root!r})
 store.put(content_digest("precious"), {{"shrunk": True}}, fsync=True)
-# SIGKILL: no interpreter cleanup, no atexit flushes — the entry is
-# only safe if the put really reached the disk before returning.
+# SIGKILL: no interpreter cleanup, no atexit flushes.
 os.kill(os.getpid(), signal.SIGKILL)
-"""
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True)
+""")
         assert proc.returncode == -9
-        reopened = ResultStore(root, writer_id="victim")
+        reopened = ResultStore(root)
         assert reopened.get(content_digest("precious"))["value"] \
             == {"shrunk": True}
 
     def test_parallel_writer_processes_share_one_root(self, tmp_path):
         root = str(tmp_path / "store")
-        ResultStore(root).close()          # create the layout
+        ResultStore(root).close()          # create the database
 
         ctx = multiprocessing.get_context("spawn")
         procs = [ctx.Process(target=_parallel_writer,
                              args=(root, worker))
-                 for worker in range(3)]
+                 for worker in range(4)]
         for proc in procs:
             proc.start()
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
         merged = ResultStore(root)
-        assert len(merged) == 3 * 8
-        for worker in range(3):
-            for i in range(8):
+        assert len(merged) == 4 * 50
+        for worker in range(4):
+            for i in range(50):
                 digest = content_digest(["w", worker, i])
                 assert merged.get(digest)["value"] == {"w": worker,
                                                        "n": i}
 
-    def test_refresh_sees_another_writers_appends(self, tmp_path):
+    def test_second_instance_sees_puts_without_refresh(self, tmp_path):
         root = str(tmp_path / "store")
-        reader = ResultStore(root, writer_id="reader")
-        writer = ResultStore(root, writer_id="writer")
+        reader = ResultStore(root)
+        writer = ResultStore(root)
         digest = content_digest("late")
-        writer.put(digest, {"v": 7})
         assert not reader.contains(digest)
-        assert reader.refresh() == 1
+        writer.put(digest, {"v": 7})
+        assert reader.contains(digest)
         assert reader.get(digest)["value"] == {"v": 7}
+        assert reader.digests() == [digest]
+
+
+    def test_threads_share_one_instance(self, tmp_path):
+        # The server's threads share one store: puts, gets and gc passes
+        # from many threads must neither fail nor lose an entry.
+        store = _store(tmp_path)
+        errors = []
+
+        def writer(thread):
+            try:
+                for i in range(50):
+                    digest = content_digest(["t", thread, i])
+                    assert store.put(digest, {"t": thread, "n": i})
+                    assert store.get(digest)["value"]["n"] == i
+            except Exception as exc:       # reported by the main thread
+                errors.append(exc)
+
+        def collector():
+            try:
+                for _ in range(200):
+                    assert store.gc(max_age_s=3600.0).dropped == 0
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,))
+                       for t in range(6)]
+            threads += [threading.Thread(target=collector)
+                        for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = store.stats()
+        assert (stats.entries, stats.puts, stats.hits) == (300, 300, 300)
 
 
 def _parallel_writer(root: str, worker: int) -> None:
-    store = ResultStore(root, writer_id=f"w{worker}")
-    for i in range(8):
+    store = ResultStore(root)
+    for i in range(50):
         store.put(content_digest(["w", worker, i]),
                   {"w": worker, "n": i})
     store.close()
@@ -328,24 +365,13 @@ def _parallel_writer(root: str, worker: int) -> None:
 # GC.
 # ----------------------------------------------------------------------
 class TestGC:
-    def test_gc_drops_rejected_entries_and_compacts(self, tmp_path):
-        store = _store(tmp_path)
-        digests = _fill(store, 6)
-        doomed = set(digests[:2])
-        result = store.gc(keep=lambda d, meta: d not in doomed)
-        assert result.kept == 4 and result.dropped == 2
-        assert result.segments_compacted >= 1
-        assert len(store) == 4
-        for digest in doomed:
-            assert not store.contains(digest)
-        # Survivors still readable from the compacted segments.
-        assert store.get(digests[-1])["value"] == {"n": 5}
-
     def test_gc_dry_run_changes_nothing(self, tmp_path):
         store = _store(tmp_path)
-        _fill(store, 4)
-        result = store.gc(keep=lambda d, meta: False, dry_run=True)
+        for i in range(4):
+            store.put(content_digest(["old", i]), i, meta={"t": 1.0})
+        result = store.gc(max_age_s=3600.0, dry_run=True)
         assert result.dry_run and result.dropped == 4
+        assert result.kept == 0 and result.bytes_reclaimed > 0
         assert len(store) == 4
 
     def test_gc_max_age_drops_stale_entries(self, tmp_path):
@@ -355,91 +381,50 @@ class TestGC:
         store.put(old, 1, meta={"t": 1.0})    # 1970: long stale
         store.put(new, 2)
         result = store.gc(max_age_s=3600.0)
-        assert result.dropped == 1
+        assert result.dropped == 1 and result.kept == 1
         assert not store.contains(old) and store.contains(new)
-
-    def test_gc_dedupes_across_writer_segments(self, tmp_path):
-        root = str(tmp_path / "store")
-        a = ResultStore(root, writer_id="a")
-        digest = content_digest("shared")
-        a.put(digest, {"v": 1})
-        a.close()
-        b = ResultStore(root, writer_id="b")
-        # Segment-level duplicate: another writer stored the same digest
-        # before b refreshed (the race gc exists to clean up).
-        assert not b.contains(content_digest("never"))
-        b._index.pop(digest, None)
-        b.put(digest, {"v": 1})
-        result = b.gc()
-        assert result.duplicates_dropped == 1
-        assert result.kept == 1
 
     def test_dropped_entries_stay_dropped_after_repeated_gc(self,
                                                             tmp_path):
-        # Regression: gc never unlinked its own stale -gc segments, so
-        # an entry dropped by a *second* pass resurrected from the
-        # first pass's compacted file on the next refresh.
         store = _store(tmp_path)
         old = content_digest("old")
         new = content_digest("new")
         store.put(old, 1, meta={"t": 1.0})    # 1970: long stale
         store.put(new, 2)
-        store.gc()                   # both move into the -gc segment
-        result = store.gc(max_age_s=3600.0)
-        assert result.dropped == 1
-        store.refresh()
-        assert not store.contains(old)
-        assert store.get(new)["value"] == 2
-        reopened = _store(tmp_path)  # full rescan from disk
+        assert store.gc().dropped == 0        # no max_age_s: keep all
+        assert store.gc(max_age_s=3600.0).dropped == 1
+        assert store.gc(max_age_s=3600.0).dropped == 0
+        reopened = _store(tmp_path)
         assert not reopened.contains(old)
-        assert reopened.contains(new)
+        assert reopened.get(new)["value"] == 2
 
-    def test_gc_unlinks_other_writers_compacted_segments(self,
-                                                         tmp_path):
-        # Regression: another writer's seg-*-gc.jsonl was never
-        # removed, duplicating its entries on every cross-writer gc.
+    def test_gc_while_another_instance_is_open(self, tmp_path):
         root = str(tmp_path / "store")
-        a = ResultStore(root, writer_id="a")
-        digest = content_digest("x")
-        a.put(digest, {"v": 1})
-        a.gc()                       # leaves seg-a-gc.jsonl behind
-        a.close()
-        b = ResultStore(root, writer_id="b")
-        for _ in range(2):
-            result = b.gc()
-            assert result.kept == 1
-            assert result.duplicates_dropped == 0
-        names = {seg.name
-                 for bucket in (tmp_path / "store" / "buckets").iterdir()
-                 for seg in bucket.iterdir()}
-        assert names == {"seg-b-gc.jsonl"}
-        assert b.get(digest)["value"] == {"v": 1}
-
-    def test_gc_refuses_while_another_writer_is_live(self, tmp_path):
-        root = str(tmp_path / "store")
-        a = ResultStore(root, writer_id="a")
-        a.put(content_digest("a1"), 1)
-        b = ResultStore(root, writer_id="b")
+        a = ResultStore(root)
+        a.put(content_digest("a1"), 1, meta={"t": 1.0})
+        b = ResultStore(root)
         b.put(content_digest("b1"), 2)
-        with pytest.raises(StoreError, match="exclusive"):
-            a.gc()
-        assert a.gc(dry_run=True).kept == 2   # reads never need it
-        b.close()
-        assert a.gc().kept == 2               # quiesced → proceeds
+        result = a.gc(max_age_s=3600.0)       # b is still open
+        assert (result.kept, result.dropped) == (1, 1)
+        late = content_digest("b2")
+        assert b.put(late, 3)                 # b's later put is kept
+        reopened = ResultStore(root)
+        assert sorted(reopened.digests()) \
+            == sorted([content_digest("b1"), late])
 
     def test_reader_survives_concurrent_gc(self, tmp_path):
         root = str(tmp_path / "store")
-        writer = ResultStore(root, writer_id="w")
+        writer = ResultStore(root)
         digests = [content_digest(["gc", i]) for i in range(4)]
         for i, digest in enumerate(digests):
-            writer.put(digest, {"n": i})
-        reader = ResultStore(root, writer_id="r")
+            writer.put(digest, {"n": i}, meta={"t": 1.0} if i < 2 else {})
+        reader = ResultStore(root)
         assert reader.get(digests[0])["value"] == {"n": 0}
-        writer.gc()                      # rewrites segments under reader
-        # Old handles may now point at unlinked or rewritten files; the
-        # reader self-heals by rescanning.
-        for i, digest in enumerate(digests):
-            assert reader.get(digest)["value"] == {"n": i}
+        writer.gc(max_age_s=3600.0)      # deletes under the reader
+        assert reader.get(digests[0]) is None
+        assert reader.get(digests[1]) is None
+        for i in (2, 3):
+            assert reader.get(digests[i])["value"] == {"n": i}
 
 
 # ----------------------------------------------------------------------
@@ -483,3 +468,18 @@ class TestCampaignMemoization:
         warm = CampaignRunner(store=store).run(renamed)
         assert warm.stats.store_hits == 3
         assert warm.stats.store_misses == 0
+
+    def test_pooled_campaign_then_warm_rerun(self, tmp_path):
+        # The store is opened before the pool forks its workers; every
+        # put still happens in the parent, and the rerun is all hits.
+        store = _store(tmp_path)
+        spec = self._spec()
+        cold = CampaignRunner(workers=2, store=store,
+                              start_method="fork").run(spec)
+        assert cold.stats.store_puts == 3
+        warm = CampaignRunner(workers=2, store=store,
+                              start_method="fork").run(spec)
+        assert warm.stats.store_hits == 3
+        assert warm.stats.store_misses == 0
+        assert warm.stats.compiles == 0
+        assert warm.metrics_fingerprint() == cold.metrics_fingerprint()
