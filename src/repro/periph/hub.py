@@ -23,7 +23,9 @@ Design rules that keep every existing guarantee intact:
   :meth:`PeriphHub.event_before` to fall back to exact single-stepping
   for any block whose cycle span contains a device event — so both
   backends observe fires, deliveries, and returns at identical
-  instruction boundaries and stay fingerprint-identical.
+  instruction boundaries and stay fingerprint-identical.  While
+  :meth:`PeriphHub.horizon` shows the hub idle, blocks that end before
+  it skip both calls, which would do nothing there.
 * **Delivery is a hardware context push.**  Entering an ISR saves the
   interrupted ``pc`` and register file into an NVM frame, pushes the
   vector, and seeds the handler's return-address slot with an
@@ -193,10 +195,11 @@ class PeriphHub:
     def event_before(self, machine, block_cycles: int) -> bool:
         """Would anything happen inside a block of ``block_cycles``?
 
-        The threaded backend asks before running each whole block; True
-        demotes execution to exact single-stepping so device fires,
-        deliveries, returns, and healing land at the same instruction
-        boundaries as the interpreter.
+        The threaded backend asks before running a whole block that
+        does not end before :meth:`horizon`; True demotes execution to
+        exact single-stepping so device fires, deliveries, returns, and
+        healing land at the same instruction boundaries as the
+        interpreter.
         """
         mem = machine.mem
         sp = mem[self._sp_a]
@@ -222,6 +225,32 @@ class PeriphHub:
             if period > 0 and base - 1 + (mem[count_a] + 1) * period <= end:
                 return True
         return False
+
+    def horizon(self, machine) -> float:
+        """First cycle at which a block ending there could see a device
+        fire, or -1 unless the hub is idle: no ISR frame stacked,
+        nothing deliverable, and no enabled device waiting to be armed.
+
+        While idle, :meth:`event_before` is False for every block ending
+        before the horizon, and :meth:`on_boundary` is a no-op at every
+        boundary before it.  Only a store to peripheral MMIO can end the
+        idle state inside a slice, and such a store ends its block.
+        """
+        mem = machine.mem
+        if mem[self._sp_a] or self._select(machine) is not None:
+            return -1
+        first = float("inf")
+        for ctrl_a, period_a, base_a, count_a, _fire in self._devices:
+            if not mem[ctrl_a]:
+                continue
+            base = mem[base_a]
+            count = mem[count_a]
+            if base == 0 or count < 0:
+                return -1  # arming, or a fire due at any boundary
+            period = mem[period_a]
+            if period > 0:
+                first = min(first, base - 1 + (count + 1) * period)
+        return first
 
     # ------------------------------------------------------------------
     # Handler return (sentinel pop).

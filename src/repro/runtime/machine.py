@@ -150,6 +150,10 @@ class Machine:
         self._addr_cache: Dict[str, int] = {
             name: base for name, (base, _) in program.symtab.items()
         }
+        #: What :meth:`_commit_region` writes, resolved once.
+        self._commit_addrs = tuple(self._addr_cache[name] for name in (
+            "__region_cur", "__region_pc", "__region_done", "__color",
+            "__rcolor", "__sensor_idx"))
         # Hook registration (see :meth:`attach`): the fault-injection hook
         # (:mod:`repro.faultsim`), the observability bundle
         # (:mod:`repro.obs`), and the pre-resolved profiler (None unless
@@ -199,7 +203,8 @@ class Machine:
         Programs linked with peripheral support carry a
         :class:`~repro.periph.hub.PeriphHub` from construction; its
         ``on_boundary(machine)`` runs after every instruction
-        (interpreter) or block (threaded backend).
+        (interpreter) or block (threaded backend, except where the
+        hub's idle ``horizon`` shows it would do nothing).
         """
         if fault_hook is not _UNSET:
             self._fault_hook = fault_hook
@@ -432,17 +437,28 @@ class Machine:
         return cost
 
     def _commit_region(self, instr: Instr) -> None:
-        self.write_word("__region_cur", 0, instr.region or 0)
-        self.write_word("__region_pc", 0, self.pc + 1)
-        self.write_word("__region_done", 0, self.read_word("__region_done") + 1)
-        self.write_word("__color", 0, 1 - (self.read_word("__color") & 1))
+        # The one commit routine both backends call: each word written
+        # as write_word would (a flipped color bit needs no wrap).
+        mem = self.mem
+        wear = self.wear
+        cur, region_pc, done, color, rcolor, sensor = self._commit_addrs
+        mem[cur] = wrap32(instr.region or 0)
+        wear[cur] += 1
+        mem[region_pc] = wrap32(self.pc + 1)
+        wear[region_pc] += 1
+        mem[done] = wrap32(mem[done] + 1)
+        wear[done] += 1
+        mem[color] = 1 - (mem[color] & 1)
+        wear[color] += 1
         for reg_index in self._pending_rcolor:
             # Commit per-register dynamic indices: the buffer written since
             # the previous boundary becomes the restore buffer.
-            self.write_word("__rcolor", reg_index,
-                            1 - (self.read_word("__rcolor", reg_index) & 1))
+            address = rcolor + reg_index
+            mem[address] = 1 - (mem[address] & 1)
+            wear[address] += 1
         self._pending_rcolor.clear()
-        self.write_word("__sensor_idx", 0, self.sensor_cursor)
+        mem[sensor] = wrap32(self.sensor_cursor)
+        wear[sensor] += 1
         self._commit_output()
         self.marks_executed += 1
         if self._obs is not None:

@@ -57,21 +57,30 @@ and the CI cross-check):
   at compile time, after it runs; a trap attributes only the
   instructions before the faulting pc, as the interpreter does.
 * **Peripherals** — for programs linked with the :mod:`repro.periph`
-  control block, a store to peripheral MMIO ends its block, only plain
-  blocks run, the hub's boundary hook runs after every block, and a
-  block whose cycle span contains a device event is demoted to exact
-  single-stepping (:meth:`~repro.periph.hub.PeriphHub.event_before`) —
+  control block, a store to peripheral MMIO ends its block and only
+  plain blocks run.  After a block the hub's boundary hook runs, then
+  :meth:`~repro.periph.hub.PeriphHub.horizon` reports the first cycle
+  at which an idle hub could act; blocks ending before it (and not in an
+  MMIO store) run with no hub call at all, since there
+  :meth:`~repro.periph.hub.PeriphHub.event_before` is False and the
+  boundary hook a no-op.  Otherwise a block whose cycle span contains a
+  device event is demoted to exact single-stepping (``event_before``) —
   interrupt delivery, handler returns, device fires, and stale-frame
   healing all land on the interpreter's exact instruction boundaries.
+  The horizon is dropped after every step and at slice entry, since
+  only MMIO stores change hub words inside a slice.
 * **Interruptible points** — ``MARK`` region commits and ``SENSE``
   reads call out of the block (observability bus, user sensor streams),
   so generated code synchronizes ``pc``/``cycles``/``instr_count``
   exactly before them.  Power events and monitor sampling only happen
   between slices, and a slice never executes more instructions than its
   budget: a block (or region entry block) longer than the remaining
-  budget falls back to single-stepping, and a region stops before a
-  member that does not fit, so slice-boundary timing is identical to
-  the interpreter's.
+  budget ``k`` runs its first ``k`` instructions as a *residue* — one
+  closure per block start holding all but the block's last instruction,
+  with an exit after each — and a region stops before a member that
+  does not fit, so slice-boundary timing is identical to the
+  interpreter's.  Profiled runs step the residue instead, as do hub
+  programs unless the horizon covers the whole block.
 
 Block functions close over nothing picklable-hostile on the program:
 compiled blocks live in a module-level cache keyed by ``id(program)``
@@ -90,7 +99,7 @@ alignment with the static block leaders is required.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import MachineFault, SimulationError
 from ..isa.instructions import (
@@ -99,10 +108,9 @@ from ..isa.operands import Imm, PReg, trunc_div, trunc_rem
 from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram
 from .machine import OPCODE_CLASSES, Machine
 
-#: Maximum instructions per compiled block.  Bounded so that the
-#: budget-respecting fallback ("block longer than the remaining slice
-#: budget → single-step") degrades at most the tail of a slice, and so
-#: a block is never larger than the simulator's default quantum.
+#: Maximum instructions per compiled block.  Bounded so that a block is
+#: never larger than the simulator's default quantum, and so the residue
+#: closure run when a block does not fit the rest of a slice stays short.
 MAX_BLOCK_LEN = 32
 
 #: A region's local-pc dispatch bisects its member entries down to runs
@@ -121,10 +129,11 @@ class CompiledBlock:
     appearance — what a profiled run adds after the block.
     """
 
-    __slots__ = ("fn", "n", "cycles", "start", "classes", "region")
+    __slots__ = ("fn", "n", "cycles", "start", "classes", "region", "mmio")
 
     def __init__(self, fn, n: int, cycles: int, start: int,
-                 classes: Tuple[Tuple[str, int], ...] = ()) -> None:
+                 classes: Tuple[Tuple[str, int], ...] = (),
+                 mmio: bool = False) -> None:
         self.fn = fn
         self.n = n
         self.cycles = cycles
@@ -132,6 +141,8 @@ class CompiledBlock:
         self.classes = classes
         #: Plain blocks run as ``fn(m, regs, mem, wear)``.
         self.region = False
+        #: Whether the block ends in a store to peripheral MMIO.
+        self.mmio = mmio
 
 
 class _RegionEntry:
@@ -157,6 +168,11 @@ def _operand(operand) -> str:
     raise MachineFault(f"bad operand {operand!r}")
 
 
+def _mmio_store(instr: Instr) -> bool:
+    return (instr.op is Opcode.ST and instr.sym is not None
+            and instr.sym.name in PERIPH_CONTROL_SYMBOLS)
+
+
 def _block_end(program: LinkedProgram, start: int,
                leaders: frozenset) -> int:
     """One past the last instruction of the block starting at ``start``.
@@ -173,8 +189,7 @@ def _block_end(program: LinkedProgram, start: int,
         pc += 1
         if (instr.op in BLOCK_ENDERS or pc >= len(instrs)
                 or pc in leaders or pc - start >= MAX_BLOCK_LEN
-                or (instr.op is Opcode.ST and instr.sym is not None
-                    and instr.sym.name in PERIPH_CONTROL_SYMBOLS)):
+                or _mmio_store(instr)):
             return pc
 
 
@@ -211,14 +226,17 @@ def _loop_regions(program: LinkedProgram,
 
 class _BlockCompiler:
     """Compiles the block starting at one pc — or, given ``members``,
-    every member block of one loop region — into one Python closure."""
+    every member block of one loop region, or given ``residue``, the
+    block's residue — into one Python closure."""
 
     def __init__(self, program: LinkedProgram, start: int,
-                 leaders: frozenset, members: Tuple[int, ...] = ()) -> None:
+                 leaders: frozenset, members: Tuple[int, ...] = (),
+                 residue: bool = False) -> None:
         self.program = program
         self.start = start
         self.leaders = leaders
         self.members = members
+        self.residue = residue
         self.lines: List[str] = []
         self.env: Dict[str, object] = {
             "MachineFault": MachineFault,
@@ -284,16 +302,26 @@ class _BlockCompiler:
         return f"{base} + _o"
 
     # -- blocks and regions --------------------------------------------
-    def compile(self) -> Union[CompiledBlock, Dict[int, _RegionEntry]]:
+    def compile(self) -> Union[CompiledBlock, Callable,
+                               Dict[int, _RegionEntry]]:
         """Generate, compile, and wrap the closure: a
-        :class:`CompiledBlock`, or for a region its entries by pc."""
+        :class:`CompiledBlock`, a residue's bare function, or for a
+        region its entries by pc."""
+        if self.residue:
+            # All but the block's last instruction: the only one that can
+            # branch, call, return, halt, or store to peripheral MMIO.
+            end = _block_end(self.program, self.start, self.leaders) - 1
+            self.block(self.start, end, exits=True)
+            return self.build("__tresidue", "m, regs, mem, wear, k",
+                              f"<threaded-residue@{self.start}>")
         if not self.members:
             end = _block_end(self.program, self.start, self.leaders)
             cycles, classes = self.block(self.start, end)
             fn = self.build("__tblock", "m, regs, mem, wear",
                             f"<threaded-block@{self.start}>")
             return CompiledBlock(fn, end - self.start, cycles, self.start,
-                                 classes)
+                                 classes,
+                                 _mmio_store(self.program.instrs[end - 1]))
         lengths: Dict[int, int] = {}
         self.goto = "pc"
         self.emit("budget = left")
@@ -342,10 +370,11 @@ class _BlockCompiler:
         self.emit("else:", depth)
         self.emit("break", depth + 1)
 
-    def block(self, start: int,
-              end: int) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
+    def block(self, start: int, end: int, exits: bool = False
+              ) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
         """Emit the code of block ``[start, end)``; returns its cycle
-        total and its per-class cycle sums."""
+        total and its per-class cycle sums.  With ``exits``, the code
+        returns after its ``k``-th instruction with exact state."""
         instrs = self.program.instrs
         cycles = 0
         classes: Dict[str, int] = {}
@@ -357,6 +386,12 @@ class _BlockCompiler:
             cycles += instr.cycles
             category = OPCODE_CLASSES[instr.op]
             classes[category] = classes.get(category, 0) + instr.cycles
+            if exits and pc + 1 < end:
+                self.emit(f"if k == {pc + 1 - start}:")
+                self.emit(f"m.pc = {pc + 1}", 2)
+                for stmt in self.flush_stmts():
+                    self.emit(stmt, 2)
+                self.emit("return", 2)
         if instrs[end - 1].op not in BLOCK_ENDERS:
             self.emit(f"{self.goto} = {end}")
         self.flush()
@@ -472,15 +507,19 @@ class _ProgramBlocks:
     runs use.  ``units`` is what region dispatch runs at each pc: the
     region's entry at every member start, the same plain block anywhere
     else, so no member block is ever also compiled standalone there.
+    ``residues`` holds the residue of the plain block at each pc, built
+    the first time a slice ends inside that block: ``fn(m, regs, mem,
+    wear, k)`` runs the block's first ``k`` instructions, ``0 < k < n``.
     """
 
-    __slots__ = ("blocks", "units", "leaders", "regions")
+    __slots__ = ("blocks", "units", "residues", "leaders", "regions")
 
     def __init__(self, program: LinkedProgram) -> None:
         size = len(program.instrs)
         self.blocks: List[Optional[CompiledBlock]] = [None] * size
         self.units: List[Union[None, CompiledBlock, _RegionEntry]] = \
             [None] * size
+        self.residues: List[Optional[Callable]] = [None] * size
         self.leaders = program.block_leaders()
         #: Member start -> every member start of its loop region.
         self.regions: Dict[int, Tuple[int, ...]] = {
@@ -494,6 +533,11 @@ class _ProgramBlocks:
             block = _BlockCompiler(program, pc, self.leaders).compile()
             self.blocks[pc] = block
         return block
+
+    def residue(self, program: LinkedProgram, pc: int) -> Callable:
+        residue = self.residues[pc] = _BlockCompiler(
+            program, pc, self.leaders, residue=True).compile()
+        return residue
 
     def unit(self, program: LinkedProgram,
              pc: int) -> Union[CompiledBlock, _RegionEntry]:
@@ -573,6 +617,10 @@ class ThreadedBackend:
             # every block's class sums: both run plain blocks only.
             plain = prof is not None or hub is not None
             units = cache.blocks if plain else cache.units
+            # Blocks ending before this cycle need no hub call (see
+            # ``PeriphHub.horizon``); -1 until the hub has seen a block
+            # boundary in this slice, and again after any step.
+            horizon = -1
             executed = 0
             limit = budget
             while executed < budget:
@@ -587,6 +635,7 @@ class ThreadedBackend:
                         machine.step()
                         executed += 1
                         limit = budget
+                        horizon = -1
                         continue
                     limit = min(budget,
                                 executed + trigger - machine.instr_count)
@@ -598,32 +647,49 @@ class ThreadedBackend:
                 if unit is None:
                     unit = cache.block(program, pc) if plain \
                         else cache.unit(program, pc)
-                if unit.n > limit - executed:
+                left = limit - executed
+                if unit.n > left:
                     # Never overshoot the slice budget (monitor/power
                     # sampling at slice boundaries must stay exact) nor
-                    # an armed hook's trigger.
-                    machine.step()
-                    executed += 1
+                    # an armed hook's trigger: run the block's first
+                    # ``left`` instructions as its residue.  A profiled
+                    # run steps them, for exact class attribution, and
+                    # so does a hub program unless the horizon covers
+                    # the whole block.
+                    if prof is None and (hub is None or machine.cycles
+                                         + unit.cycles < horizon):
+                        residue = cache.residues[pc] \
+                            or cache.residue(program, pc)
+                        residue(machine, machine.regs, machine.mem,
+                                machine.wear, left)
+                        executed = limit
+                    else:
+                        machine.step()
+                        executed += 1
+                        horizon = -1
                     continue
                 if unit.region:
                     executed += unit.fn(machine, machine.regs, machine.mem,
-                                        machine.wear, limit - executed)
+                                        machine.wear, left)
                     continue
-                if hub is not None and hub.event_before(machine,
-                                                        unit.cycles):
+                idle = hub is None or (
+                    machine.cycles + unit.cycles < horizon and not unit.mmio)
+                if not idle and hub.event_before(machine, unit.cycles):
                     # A device fire, delivery, handler return, or heal
                     # falls inside this block's cycle span: single-step
                     # so it lands at the interpreter's exact boundary.
                     machine.step()
                     executed += 1
+                    horizon = -1
                     continue
                 if prof is None:
                     unit.fn(machine, machine.regs, machine.mem, machine.wear)
                 else:
                     _run_profiled(unit, machine, prof)
                 executed += unit.n
-                if hub is not None:
+                if not idle:
                     hub.on_boundary(machine)
+                    horizon = hub.horizon(machine)
             return machine.cycles - cycles_start, None
         except (MachineFault, SimulationError) as exc:
             return machine.cycles - cycles_start, exc

@@ -17,7 +17,12 @@ claim, stated as asserts:
 * the ``Machine.attach`` hook API;
 * loop regions (every slice budget, entry at every pc inside a region,
   traps inside a region), the armed-hook fast-forward to a declared
-  ``trigger_step``, and profiler cycle attribution from plain blocks.
+  ``trigger_step``, and profiler cycle attribution from plain blocks;
+* slice-edge residues (every budget on the hub programs, traps inside a
+  residue, no steps at the victims' quantum, one residue per block
+  start), the hub's idle horizon (a pend injected between slices, an
+  unmasking MMIO store), and ``Machine._commit_region`` pinned word by
+  word, since both backends share it.
 """
 
 import warnings
@@ -37,6 +42,7 @@ from repro.faultsim.golden import capture_trace
 from repro.faultsim.injector import FaultInjector
 from repro.faultsim.models import CKPT_CORRUPT, INSTR_SKIP, REG_FLIP, FaultSpec
 from repro.isa import link, parse_program
+from repro.isa.instructions import Opcode
 from repro.obs import Observability
 from repro.obs.profiler import Profiler
 from repro.runtime import (
@@ -773,10 +779,14 @@ class TestFastForward:
                 assert states[0] == states[1], (label, fault, from_reset)
 
     def test_catch_up_runs_blocks_not_steps(self, crc16):
-        """Before the trigger, only the residue of the block that would
-        overshoot it is stepped."""
+        """Before the trigger nothing is stepped: the block that would
+        overshoot it runs as a residue up to the trigger."""
         linked, trace = crc16
-        step = trace.golden_steps - 100
+        # A trigger mid-block, so the catch-up must cut a block.
+        leaders = _blocks_for(linked).leaders
+        step = next(s for s in range(trace.golden_steps - 100,
+                                     trace.golden_steps)
+                    if trace.pcs[s] not in leaders)
         fault = FaultSpec(model=REG_FLIP, target=0, bit=0,
                           trigger_step=step)
         machine = Machine(linked)
@@ -786,7 +796,7 @@ class TestFastForward:
         _, exc = backend_for("threaded").run_slice(machine, step)
         assert exc is None and not hook.fired
         assert machine.instr_count == step
-        assert counter.count < MAX_BLOCK_LEN
+        assert counter.count == 0
         assert hook.trigger_step == step
 
     def test_untimed_models_declare_no_trigger(self):
@@ -859,3 +869,243 @@ class TestProfiledBlocks:
         assert reference[0]
         assert not _runs_regions(linked)
         assert any(block is not None for block in _blocks_for(linked).blocks)
+
+
+# ----------------------------------------------------------------------
+# Slice-edge residues, the hub's idle horizon, and the shared commit.
+# ----------------------------------------------------------------------
+HUB_PROGRAMS = [f"{workload}/{scheme}" for workload in REACTIVE_WORKLOADS
+                for scheme in SCHEMES]
+
+#: Straight-line blocks whose 4th instruction (pc 3) traps.
+RESIDUE_DIV_TEXT = """
+.func main
+    li R4, #6
+    li R5, #0
+    add R6, R4, #1
+    div R7, R4, R5
+    add R8, R4, #2
+    out R7
+    halt
+"""
+
+RESIDUE_OOB_TEXT = """
+.data
+    arr 4
+.func main
+    li R4, #9
+    li R5, #1
+    add R6, R4, #1
+    ld R7, [@arr + R4]
+    add R8, R4, #2
+    out R7
+    halt
+"""
+
+#: A timer that fires while its vector is masked (the pend waits), then
+#: an ``irq_enable`` store that must deliver at its own boundary.
+MASKED_TIMER = """
+int ticks = 0;
+int spin = 0;
+
+isr timer on_tick() {
+    ticks = ticks + 1;
+}
+
+void main() {
+    timer_start(200);
+    while (spin < 60) bound(100) { spin = spin + 1; }
+    irq_enable(1);
+    while (spin < 200) bound(200) { spin = spin + 1; }
+    timer_stop();
+    out(ticks);
+}
+"""
+
+
+def _hub_state(machine):
+    """``_state`` plus the hub's volatile diagnostics."""
+    hub = machine._periph
+    return (_state(machine),
+            [(s.vector, s.entry_step, s.entry_cycles, s.exit_step,
+              s.exit_cycles) for s in hub.trace],
+            list(hub.heals))
+
+
+def _lockstep(linked, budget: int, between=None):
+    """Run both backends slice by slice, comparing the full state (hub
+    diagnostics included) after every slice; ``between(machines)`` runs
+    between slices.  Returns the threaded machine."""
+    reference = backend_for("interpreter")
+    threaded = backend_for("threaded")
+    interp, fast = Machine(linked), Machine(linked)
+    while not interp.halted:
+        expected = reference.run_slice(interp, budget)
+        assert threaded.run_slice(fast, budget) == expected
+        assert _hub_state(fast) == _hub_state(interp), budget
+        if expected[1] is not None:
+            break
+        if between is not None:
+            between((interp, fast))
+    return fast
+
+
+class TestResidues:
+    """A block longer than the rest of its slice runs its first ``k``
+    instructions as one compiled residue, not ``k`` steps."""
+
+    @pytest.mark.parametrize("name", HUB_PROGRAMS)
+    def test_every_budget_matches_interpreter_on_hub_programs(self, name):
+        linked = _linked(name)
+        for budget in REGION_BUDGETS:
+            assert _lockstep(linked, budget).halted
+        assert any(residue is not None
+                   for residue in _blocks_for(linked).residues)
+
+    @pytest.mark.parametrize("text", ["RESIDUE_DIV_TEXT",
+                                      "RESIDUE_OOB_TEXT"])
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_trap_inside_residue(self, text, budget):
+        """Budget 3 stops one instruction before the trap (the next
+        slice's residue traps first thing); budget 4 traps as the 4th
+        instruction of the first residue."""
+        linked = _linked(text)
+        interp, fast = Machine(linked), Machine(linked)
+        counter = _CountingSteps(fast)
+        _, fault_i = _drain(backend_for("interpreter"), interp, budget)
+        _, fault_t = _drain(backend_for("threaded"), fast, budget)
+        assert isinstance(fault_i, MachineFault)
+        assert isinstance(fault_t, MachineFault)
+        assert str(fault_t) == str(fault_i)
+        assert (fast.pc, fast.cycles, fast.instr_count) \
+            == (interp.pc, interp.cycles, interp.instr_count) == \
+            (3, sum(instr.cycles for instr in linked.instrs[:3]), 3)
+        assert _state(fast) == _state(interp)
+        assert counter.count == 0
+
+    @pytest.mark.parametrize("name", ["crc16/nvp", "dhrystone/gecko"])
+    def test_drain_at_the_victim_quantum_takes_no_steps(self, name):
+        machine = Machine(_linked(name))
+        counter = _CountingSteps(machine)
+        assert _drain(backend_for("threaded"), machine, 64)[1] is None
+        assert machine.halted
+        assert counter.count == 0
+
+    def test_one_residue_per_block_start(self, monkeypatch):
+        """Residues are cached per pc, whatever their length: never more
+        closures than distinct block starts, and none compiled twice."""
+        from repro.runtime import threaded as module
+
+        compiled = []
+        compile_ = module._BlockCompiler.compile
+
+        def counting(self):
+            if self.residue:
+                compiled.append(self.start)
+            return compile_(self)
+        monkeypatch.setattr(module._BlockCompiler, "compile", counting)
+        linked = _linked("dhrystone/gecko")
+        for budget in REGION_BUDGETS:
+            _drain(backend_for("threaded"), Machine(linked), budget)
+        cache = _blocks_for(linked)
+        residues = [pc for pc, residue in enumerate(cache.residues)
+                    if residue is not None]
+        starts = [pc for pc, (block, unit)
+                  in enumerate(zip(cache.blocks, cache.units))
+                  if block is not None or unit is not None]
+        assert sorted(compiled) == residues
+        assert 0 < len(residues) <= len(starts)
+
+
+class TestHubHorizon:
+    """Blocks that end before an idle hub's horizon skip the hub calls;
+    whatever changes the hub between slices or at an MMIO store must
+    still land on the interpreter's boundaries."""
+
+    def test_injected_pend_between_idle_slices(self):
+        linked = _linked("glucose/nvp")
+        injected = []
+
+        def inject(machines):
+            interp, fast = machines
+            hub = fast._periph
+            if len(injected) < 8 and hub.horizon(fast) > fast.cycles \
+                    and fast.read_word("__irq_en") & 2:
+                injected.append(fast.instr_count)
+                for machine in machines:
+                    machine._periph.inject_pend(machine, 1)
+        fast = _lockstep(linked, 64, inject)
+        assert fast.halted
+        assert len(injected) == 8
+        # Delivered at the first boundary of the next slice.
+        entries = {span.entry_step for span in fast._periph.trace}
+        assert all(step + 1 in entries for step in injected)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("budget", [7, 64, 1_000_000])
+    def test_unmasking_store_delivers_at_its_boundary(self, scheme, budget):
+        from repro.core import compile_scheme
+
+        linked = compile_scheme(MASKED_TIMER, scheme).linked
+        fast = _lockstep(linked, budget)
+        assert fast.halted
+        assert fast._periph.deliveries() >= 2
+        assert fast.committed_out[-1] == fast._periph.deliveries()
+
+
+def test_commit_region_writes_pinned_words():
+    """``Machine._commit_region`` is the one commit routine both
+    backends call, so no differential test can see a slip in it: pin
+    its words, wear bumps, output commit and bus event."""
+    from repro.obs import REGION_COMMIT
+
+    for name in ("glucose/gecko", "fir/gecko"):
+        linked = _linked(name)
+        pc, instr = next((pc, instr) for pc, instr
+                         in enumerate(linked.instrs)
+                         if instr.op is Opcode.MARK and instr.region)
+        assert any(i.meta.get("per_reg") for i in linked.instrs), name
+        machine = Machine(linked)
+        obs = Observability()
+        machine.attach(obs=obs)
+        base = {symbol: linked.symtab[symbol][0] for symbol in (
+            "__region_cur", "__region_pc", "__region_done", "__color",
+            "__rcolor", "__sensor_idx")}
+        rcolor = base["__rcolor"]
+        machine.pc = pc
+        machine.mem[base["__region_done"]] = 2**31 - 1
+        machine.mem[base["__color"]] = 5
+        machine.mem[rcolor + 2] = 1
+        machine.mem[rcolor + 9] = -4
+        machine._pending_rcolor.update({9, 2})
+        machine.sensor_cursor = 2**32 + 7
+        machine.out_buffer.extend([11, -3])
+        machine.committed_out.append(4)
+        mem_before = list(machine.mem)
+        wear_before = list(machine.wear)
+
+        machine._commit_region(instr)
+
+        expected = {base["__region_cur"]: instr.region,
+                    base["__region_pc"]: pc + 1,
+                    base["__region_done"]: -2**31,
+                    base["__color"]: 0,
+                    rcolor + 2: 0,
+                    rcolor + 9: 1,
+                    base["__sensor_idx"]: 7}
+        changed = {address: value for address, value
+                   in enumerate(machine.mem)
+                   if value != mem_before[address]
+                   or address in expected}
+        assert changed == expected, name
+        worn = [address for address, count in enumerate(machine.wear)
+                if count != wear_before[address]]
+        assert worn == sorted(expected)
+        assert all(machine.wear[address] == wear_before[address] + 1
+                   for address in worn)
+        assert machine.committed_out == [4, 11, -3]
+        assert machine.out_buffer == []
+        assert machine._pending_rcolor == set()
+        assert machine.marks_executed == 1
+        assert [(event.kind, event.detail) for event in obs.bus.events] \
+            == [(REGION_COMMIT, f"region={instr.region}")]
