@@ -36,7 +36,7 @@ Installed as ``repro-gecko`` (see pyproject) and runnable as
 * ``serve``                 — start the always-on campaign server: a
   content-addressed result store behind a line-JSON protocol (unix
   socket or localhost TCP) with multi-tenant fair-share queues and
-  worker shards; ``campaign --via-store ADDR`` submits through it.
+  one worker pool; ``campaign --via-store ADDR`` submits through it.
 * ``store <op>``            — operate on a result store without the
   server: ``ls``, ``stats``, ``gc``.
 
@@ -640,17 +640,14 @@ def cmd_serve(args) -> int:
     policy = RetryPolicy(retries=args.retries, timeout_s=args.timeout_s,
                          backoff_s=0.01)
     server = CampaignServer(
-        store=store, address=address, shards=args.shards,
-        batch=args.batch, policy=policy,
+        store=store, address=address, workers=args.workers, policy=policy,
         backend=None if args.backend == "as-submitted" else args.backend,
-        workers_per_shard=args.workers,
     )
     resolved = server.start()
     entries = store.stats().entries
     print(f"serving on {resolved}  "
           f"(store: {args.store}, {entries} warm entries; "
-          f"{args.shards} shards x {args.workers} workers, "
-          f"batch {args.batch})")
+          f"workers: {server.pool.workers})")
     print("submit with: repro-gecko campaign <prog> "
           f"--via-store {resolved}")
     try:
@@ -917,8 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a seeded random subsample of N grid points "
                         "instead of the full grid")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
-                   help="per-run wall-clock timeout (pooled runs only); "
-                        "expired runs are tagged 'timeout'")
+                   help="per-run wall-clock timeout; expired runs are "
+                        "tagged 'timeout'")
     p.add_argument("--retries", type=int, default=0,
                    help="re-attempts per failed run, with seeded "
                         "jittered backoff")
@@ -930,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via-store", default=None, metavar="ADDR",
                    help="submit through a running campaign server "
                         "(see 'serve'): warm hits come from its store, "
-                        "misses run on its worker shards")
+                        "misses run on its worker pool")
     p.add_argument("--tenant", default="default",
                    help="fair-share tenant name for --via-store "
                         "submissions")
@@ -1027,16 +1024,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None, metavar="N",
                    help="listen on TCP host:port instead of the unix "
                         "socket (0 picks a free port)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="worker shard threads draining the queues")
     p.add_argument("--workers", type=int, default=1,
-                   help="executor processes per shard")
-    p.add_argument("--batch", type=int, default=8,
-                   help="runs a shard takes per fair-share cycle")
+                   help="worker processes, each running one miss at a time")
     p.add_argument("--retries", type=int, default=1,
                    help="re-attempts per failed run")
     p.add_argument("--timeout-s", type=float, default=None, metavar="S",
-                   help="per-run wall-clock timeout on the shards")
+                   help="per-run wall-clock timeout; an expired run's "
+                        "worker is replaced and the run tagged 'timeout'")
     p.add_argument("--backend", default="threaded",
                    choices=["threaded", "interpreter", "as-submitted"],
                    help="execution backend for misses ('as-submitted' "

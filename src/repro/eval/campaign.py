@@ -521,10 +521,21 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Execution: serial fast path or a resilient process pool.
 # ----------------------------------------------------------------------
+def _compiled(compile_cache: Dict[Tuple, Any], victim: VictimConfig):
+    """``victim``'s compiled program, compiled into the cache on a miss."""
+    key = victim.compile_key()
+    compiled = compile_cache.get(key)
+    if compiled is None:
+        compiled = compile_cache[key] = victim.compile()
+    return compiled
+
+
 def _run_point(compile_cache: Dict[Tuple, Any], run: RunSpec) -> SimResult:
     """The resilient executor's task function: one grid point per call,
-    against the compile cache the executor hands every worker."""
-    return execute_run(run, compile_cache[run.compile_key()])
+    against the compile cache the executor hands every worker (the
+    campaign server's workers start theirs empty, so a compile error
+    fails its run as a simulation error)."""
+    return execute_run(run, _compiled(compile_cache, run.victim))
 
 
 class CampaignRunner:
@@ -589,12 +600,7 @@ class CampaignRunner:
     def compile(self, victim: VictimConfig):
         """``victim``'s compiled program from the compile cache, compiled
         and cached on first request."""
-        key = victim.compile_key()
-        compiled = self.compile_cache.get(key)
-        if compiled is None:
-            compiled = victim.compile()
-            self.compile_cache[key] = compiled
-        return compiled
+        return _compiled(self.compile_cache, victim)
 
     def run(self, spec: ExperimentSpec) -> CampaignResult:
         start = time.perf_counter()

@@ -23,8 +23,8 @@ instead of failing wholesale:
   be pickled back fails its own run as :data:`SIM_ERROR`;
 * a **result sink** (``on_result``) receives each task's final result
   the moment it is known, so callers persist finished work as it lands:
-  the campaign runner, the exhaustive mapper and the serve shards write
-  every finished run to the content-addressed result store
+  the campaign runner, the exhaustive mapper and the campaign server
+  write every finished run to the content-addressed result store
   (:mod:`repro.store`), and a rerun over the same store after a kill
   executes only what is missing.
 
@@ -38,9 +38,9 @@ receive the context when they start — inherited under ``fork``, pickled
 once per worker under ``spawn`` — and the serial path passes it
 directly, so it is never pickled per task.
 
-Serial execution (``workers=1``) applies the same retries, budget,
-sink, and taxonomy, but cannot preempt a hung run: wall-clock timeouts
-are only enforced on the pool path.
+Without a ``timeout_s``, one worker or one task runs serially in the
+calling process, with the same retries, budget, sink and taxonomy; a
+set ``timeout_s`` always runs on worker processes, which it can kill.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -111,9 +112,9 @@ class RetryPolicy:
 
     ``retries`` failed attempts are re-dispatched after a seeded,
     jittered exponential backoff; ``timeout_s`` is the per-run wall-clock
-    watchdog (pool path only); ``max_total_s`` is a campaign-wide
-    wall-clock budget — once spent, remaining runs are tagged
-    :data:`BUDGET_EXCEEDED` instead of executing.
+    watchdog; ``max_total_s`` is a campaign-wide wall-clock budget —
+    once spent, remaining runs are tagged :data:`BUDGET_EXCEEDED`
+    instead of executing.
     """
 
     retries: int = 0
@@ -312,21 +313,29 @@ class ResilientExecutor:
     chaos fixtures share one dispatch loop; the ``context`` is installed
     once per worker (see the module docstring).
 
-    The pool path starts ``min(workers, len(tasks))`` worker processes,
-    each on its own pipe and holding at most one run.  The parent sleeps
-    in :func:`multiprocessing.connection.wait` on the busy workers'
-    pipes and every worker's exit sentinel until the nearest watchdog
+    The pool path runs tasks on worker processes, each on its own pipe
+    and holding at most one run.  The parent sleeps in
+    :func:`multiprocessing.connection.wait` on the busy workers' pipes
+    and every worker's exit sentinel until the nearest watchdog
     deadline, retry-backoff gate or budget end.  A worker that exits
     while holding a run fails exactly that run as :data:`WORKER_CRASH`;
     a run older than ``timeout_s`` has its own worker killed and fails
     as :data:`TIMEOUT`.  Either way that one worker is replaced
     (``stats.worker_restarts``) and every other in-flight run goes on.
 
+    A bare :meth:`run` is one-shot: it starts ``min(workers,
+    len(tasks))`` workers and stops them before it returns (or runs
+    serially, see the module docstring).  Opened with ``with``, the
+    executor starts ``workers`` processes once and runs every
+    :meth:`run` on them, even at ``workers=1``; leaving the block kills
+    them all, and from another thread also makes a waiting :meth:`run`
+    raise :class:`ResilienceError`.
+
     ``on_result`` is the result sink: the parent calls it once per task,
     with that task's final :class:`TaskResult`, as soon as the result is
     final — a success, a terminal failure, or a budget give-up — on both
     the serial and the pool path.  An exception it raises leaves
-    :meth:`run` (after every worker is stopped)."""
+    :meth:`run`, after every worker still holding a run is stopped."""
 
     def __init__(self, task_fn: Callable[[Any, Any], Any], workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
@@ -343,6 +352,27 @@ class ResilientExecutor:
         self.on_result = on_result
         self.stats = stats if stats is not None else ExecStats()
         self._deadline: Optional[float] = None
+        #: Open (``with``): the workers, and a pipe that wakes run().
+        self._pool: Optional[List[_Worker]] = None
+        self._wake = self._waker = None
+        self._running = threading.Lock()
+
+    def __enter__(self) -> "ResilientExecutor":
+        self._wake, self._waker = multiprocessing.get_context(
+            self.start_method).Pipe(duplex=False)
+        self._pool = [self._start() for _ in range(self.workers)]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._pool:
+            return
+        self._waker.send(None)        # a run waiting in another thread
+        with self._running:           # gives up before the workers go
+            for worker in self._pool:
+                self._stop(worker)
+            self._pool.clear()
+            self._wake.close()
+            self._waker.close()
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Tuple[int, Any]]) -> List[TaskResult]:
@@ -353,14 +383,24 @@ class ResilientExecutor:
         results: Dict[int, TaskResult] = {}
         todo = [_Attempt(index=index, payload=payload)
                 for index, payload in tasks]
-        if todo:
-            # A single run only warrants a pool when a watchdog must be
-            # able to kill it; serial execution cannot preempt.
-            if self.workers <= 1 or (len(todo) <= 1
-                                     and self.policy.timeout_s is None):
-                self._run_serial(todo, results)
-            else:
-                self._run_pool(todo, results)
+        if self._pool is not None:
+            with self._running:
+                if not self._pool:
+                    raise ResilienceError("the executor is closed")
+                self._run_pool(todo, results, self._pool)
+        elif todo and self.policy.timeout_s is None \
+                and (self.workers <= 1 or len(todo) <= 1):
+            # Only a watchdog needs workers: serial cannot preempt.
+            self._run_serial(todo, results)
+        elif todo:
+            workers: List[_Worker] = []
+            try:
+                for _ in range(min(self.workers, len(todo))):
+                    workers.append(self._start())
+                self._run_pool(todo, results, workers)
+            finally:
+                for worker in workers:
+                    self._stop(worker)
         return [results[index] for index in sorted(results)]
 
     # ------------------------------------------------------------------
@@ -402,15 +442,16 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
     # Pool path: one pipe per worker process, watchdog, replacement.
     # ------------------------------------------------------------------
-    def _run_pool(self, todo: List[_Attempt],
-                  results: Dict[int, TaskResult]) -> None:
-        ctx = multiprocessing.get_context(self.start_method)
+    def _run_pool(self, pending: List[_Attempt],
+                  results: Dict[int, TaskResult],
+                  workers: List[_Worker]) -> None:
+        """Run ``pending`` on ``workers``, replacing in place each worker
+        that dies or overruns its watchdog."""
         timeout_s = self.policy.timeout_s
-        pending: List[_Attempt] = list(todo)
-        workers: List[_Worker] = []
         try:
-            for _ in range(min(self.workers, len(todo))):
-                workers.append(self._start(ctx))
+            for slot, worker in enumerate(workers):
+                if not worker.process.is_alive():   # since the last run
+                    self._replace(workers, slot)
             while True:
                 now = time.monotonic()
                 if self._budget_exhausted():
@@ -429,16 +470,22 @@ class ResilientExecutor:
                 if not busy and not pending:
                     return
 
-                # Sleep until a result or a worker exit arrives, or the
-                # nearest watchdog deadline, backoff gate or budget end.
+                # Sleep until a result, a worker exit or a close arrives,
+                # or the nearest watchdog deadline, backoff gate or budget
+                # end.
                 gates = [] if self._deadline is None else [self._deadline]
                 if timeout_s is not None:
                     gates += [worker.since + timeout_s for worker in busy]
                 if pending and len(busy) < len(workers):
                     gates.append(min(entry.not_before for entry in pending))
                 ready = wait([worker.conn for worker in busy]
-                             + [worker.process.sentinel for worker in workers],
+                             + [worker.process.sentinel for worker in workers]
+                             + ([] if self._wake is None else [self._wake]),
                              max(0.0, min(gates) - now) if gates else None)
+                if self._wake is not None and self._wake in ready:
+                    raise ResilienceError(
+                        f"the executor closed with {len(busy)} runs in "
+                        f"flight and {len(pending)} pending")
                 now = time.monotonic()
 
                 for slot, worker in enumerate(workers):
@@ -453,9 +500,7 @@ class ResilientExecutor:
                     if not (exited or overdue):
                         continue
                     # Replace this one worker; every other run goes on.
-                    self._stop(worker)
-                    workers[slot] = self._start(ctx)
-                    self.stats.worker_restarts += 1
+                    self._replace(workers, slot)
                     if worker.entry is None:
                         continue               # died idle: no run lost
                     if exited:
@@ -471,17 +516,26 @@ class ResilientExecutor:
                     self._fail(results, pending, worker.entry, kind, error,
                                None, now - worker.since, now)
         finally:
+            # A run left in flight (budget give-up, a raising sink, a
+            # close) takes its worker with it; the next run replaces it.
             for worker in workers:
-                self._stop(worker)
+                if worker.entry is not None:
+                    self._stop(worker)
 
     # ------------------------------------------------------------------
-    def _start(self, ctx) -> _Worker:
+    def _start(self) -> _Worker:
+        ctx = multiprocessing.get_context(self.start_method)
         conn, child = ctx.Pipe()
         process = ctx.Process(target=_worker_main,
                               args=(child, conn, self.task_fn, self.context))
         process.start()
         child.close()
         return _Worker(process=process, conn=conn)
+
+    def _replace(self, workers: List[_Worker], slot: int) -> None:
+        self._stop(workers[slot])
+        workers[slot] = self._start()
+        self.stats.worker_restarts += 1
 
     @staticmethod
     def _stop(worker: _Worker) -> None:

@@ -4,8 +4,9 @@
 long-running service: multiple concurrent clients submit single runs or
 whole campaigns over a line-JSON protocol (unix socket or localhost
 TCP); warm-store hits are answered immediately, misses flow through
-multi-tenant fair-share queues to worker shards running the resilient
-executor, and live progress events stream to subscribers.
+multi-tenant fair-share queues to one pool of worker processes kept by
+the resilient executor, and live progress events stream to
+subscribers.
 
 See ``docs/serving.md`` for the store layout, wire protocol, and
 scheduling policy.

@@ -14,7 +14,7 @@ Ops (see :mod:`repro.serve.server` for semantics):
 
 ====================  =============================================
 ``ping``              liveness + protocol version
-``stats``             store, queue, and server counters
+``stats``             store, queue, pool, and server counters
 ``contains``/``get``  store reads by digest
 ``put``               store write (content-addressed; idempotent)
 ``submit``            single-run or campaign submission; with
@@ -74,14 +74,6 @@ def parse_address(address: str) -> Tuple[str, Any]:
     return ("unix", address)
 
 
-def format_address(kind: str, value: Any) -> str:
-    """The string spelling clients should dial (inverse of parse)."""
-    if kind == "tcp":
-        host, port = value
-        return f"{host}:{port}"
-    return str(value)
-
-
 def server_socket(address: str, backlog: int = 64) -> Tuple[socket.socket,
                                                             str]:
     """Bind + listen; returns the socket and its *resolved* address
@@ -91,8 +83,7 @@ def server_socket(address: str, backlog: int = 64) -> Tuple[socket.socket,
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind(value)
-        resolved = format_address("tcp", (value[0],
-                                          sock.getsockname()[1]))
+        resolved = f"{value[0]}:{sock.getsockname()[1]}"
     else:
         import os
         try:

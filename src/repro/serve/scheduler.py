@@ -9,8 +9,8 @@ not the number of *items*.  Within a tenant, submission order is
 preserved.
 
 The scheduler is the synchronization point between connection handler
-threads (producers) and worker shards (consumers): ``take`` blocks on a
-condition variable and wakes on submit or close.
+threads (producers) and the server's dispatch thread (the consumer):
+``take`` blocks on a condition variable and wakes on submit or close.
 """
 
 from __future__ import annotations
@@ -82,7 +82,3 @@ class FairScheduler:
         with self._cv:
             self._closed = True
             self._cv.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

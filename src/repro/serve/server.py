@@ -1,7 +1,7 @@
 """The always-on campaign server behind ``repro-gecko serve``.
 
 Composition of pieces this repo already trusts, arranged in the classic
-serving shape — cache, queue, scheduler, workers, event stream:
+serving shape — cache, queue, pool, event stream:
 
 * **cache** — a :class:`~repro.store.ResultStore`: submissions whose
   :func:`~repro.store.digest.run_digest` is already stored are answered
@@ -9,12 +9,14 @@ serving shape — cache, queue, scheduler, workers, event stream:
 * **queue** — a :class:`~repro.serve.scheduler.FairScheduler`: misses
   enter per-tenant FIFOs and are served round-robin, so no campaign
   starves another tenant's single run;
-* **workers** — ``shards`` threads, each draining fair-share batches
-  through a :class:`~repro.eval.resilient.ResilientExecutor` (retries,
-  taxonomy, budget) with a shared compile cache, defaulting to the
-  threaded execution backend (bit-identical metrics, ~10× throughput);
-  the executor's result sink stores each run and wakes its waiters as
-  soon as that run finishes, not at the end of its batch;
+* **pool** — one :class:`~repro.eval.resilient.ResilientExecutor`
+  whose ``workers`` processes live from :meth:`CampaignServer.start` to
+  :meth:`CampaignServer.stop`: a dispatch thread hands it each round of
+  up to ``workers`` fair-share runs, and every miss runs in a worker
+  (own compile cache) under the policy's watchdog, retries and
+  taxonomy, on the threaded backend by default (bit-identical metrics,
+  ~10× throughput); the result sink stores each run and wakes its
+  waiters as soon as that run finishes, not at the end of its round;
 * **dedup** — a digest queued or in flight is never enqueued twice;
   concurrent submitters of the same run all wait on the one execution;
 * **events** — every queue/hit/start/done/error transition is published
@@ -28,9 +30,11 @@ over the same store directory keeps every previously-served run warm.
 from __future__ import annotations
 
 import dataclasses
+import queue
 import socket
 import threading
 import time
+import traceback
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -42,7 +46,7 @@ from ..eval.resilient import (
     TaskResult,
 )
 from ..obs import EventBus
-from ..store import ResultStore, run_digest
+from ..store import ResultStore, StoreError, run_digest
 from .codec import decode_run
 from .protocol import (
     PROTOCOL_VERSION,
@@ -69,7 +73,7 @@ SERVE_STARTED = "serve.started"
 SERVE_DONE = "serve.done"
 SERVE_ERROR = "serve.error"
 
-#: How long shards block on the scheduler before re-checking shutdown.
+#: How long the dispatch thread and submitters block between shutdown checks.
 _TAKE_TIMEOUT_S = 0.1
 
 
@@ -84,9 +88,18 @@ class ServerStats:
     started_at: float = 0.0
 
 
+def _digest(request: dict) -> str:
+    """The request's digest, refused as data unless it is a string."""
+    digest = request.get("digest")
+    if not isinstance(digest, str):
+        raise ServeError(f"digest must be a string, got {digest!r}")
+    return digest
+
+
 class CampaignServer:
     """Accepts line-JSON clients, serves warm-store hits immediately,
-    and routes misses through fair-share queues to worker shards.
+    and routes misses through fair-share queues to one pool of
+    ``workers`` processes.
 
     ``backend`` overrides the *execution* backend of every miss (default
     ``"threaded"`` — bit-identical metrics at interpreter semantics);
@@ -96,22 +109,25 @@ class CampaignServer:
     """
 
     def __init__(self, store: ResultStore, address: str,
-                 shards: int = 2, batch: int = 8,
+                 workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
-                 backend: Optional[str] = "threaded",
-                 workers_per_shard: int = 1) -> None:
+                 backend: Optional[str] = "threaded") -> None:
         self.store = store
         self.requested_address = address
-        self.shards = max(1, int(shards))
-        self.batch = max(1, int(batch))
-        self.policy = policy if policy is not None \
-            else RetryPolicy(retries=1, backoff_s=0.01)
         self.backend = backend
-        self.workers_per_shard = max(1, int(workers_per_shard))
         self.bus = EventBus(ring=4096, sample_ring=1)
         self.stats = ServerStats()
         self.scheduler = FairScheduler()
-        self._compile_cache: Dict[Tuple, Any] = {}
+        #: Every miss runs here, each worker with its own compile cache.
+        #: Workers fork from a fork server, not from this multi-threaded
+        #: process, so a replacement inherits none of its locks or sockets.
+        self.pool = ResilientExecutor(
+            task_fn=_run_point, workers=workers,
+            policy=policy if policy is not None
+            else RetryPolicy(retries=1, backoff_s=0.01),
+            context={}, start_method="forkserver", on_result=self._deliver)
+        #: The pool's current round: ``(tenant, (digest, run))`` per task.
+        self._round: List[Tuple[str, Tuple[str, RunSpec]]] = []
         self._lock = threading.RLock()
         #: digests queued or executing; guards double-enqueue.
         self._inflight: set = set()
@@ -124,27 +140,25 @@ class CampaignServer:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> str:
-        """Bind, spawn shard + accept threads, return the resolved
-        address (the one clients should dial)."""
+        """Bind, start the worker pool before any thread, then the
+        dispatch and accept threads; returns the resolved address (the
+        one clients should dial)."""
         if self._sock is not None:
             raise ServeError("server already started")
         self._sock, self.address = server_socket(self.requested_address)
         self._sock.settimeout(0.2)
         self.stats.started_at = time.time()
-        for shard in range(self.shards):
-            thread = threading.Thread(target=self._shard_loop,
-                                      args=(shard,),
-                                      name=f"serve-shard-{shard}",
-                                      daemon=True)
+        self.pool.__enter__()
+        for target in (self._dispatch_loop, self._accept_loop):
+            thread = threading.Thread(target=target, daemon=True)
             thread.start()
             self._threads.append(thread)
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="serve-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
         return self.address
 
     def stop(self) -> None:
+        """Stop serving.  Closing the pool kills its workers, a run in
+        flight included; each waiting submitter gets an error line per
+        run not yet served."""
         self._stopping.set()
         self.scheduler.close()
         if self._sock is not None:
@@ -152,6 +166,7 @@ class CampaignServer:
                 self._sock.close()
             except OSError:
                 pass
+        self.pool.__exit__(None, None, None)
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
@@ -178,9 +193,8 @@ class CampaignServer:
                 continue
             except OSError:
                 return
-            thread = threading.Thread(target=self._handle_connection,
-                                      args=(conn,), daemon=True)
-            thread.start()
+            threading.Thread(target=self._handle_connection, args=(conn,),
+                             daemon=True).start()
 
     def _handle_connection(self, conn: socket.socket) -> None:
         conn.settimeout(None)
@@ -189,18 +203,11 @@ class CampaignServer:
             while not self._stopping.is_set():
                 try:
                     request = recv_message(reader)
-                except ServeError as exc:
-                    send_message(conn, {"ok": False, "error": str(exc)})
-                    return
-                if request is None:
-                    return
-                try:
-                    if not self._handle_request(conn, request):
+                    if request is None \
+                            or not self._handle_request(conn, request):
                         return
-                except ServeError as exc:
+                except (ServeError, StoreError) as exc:
                     send_message(conn, {"ok": False, "error": str(exc)})
-                except BrokenPipeError:
-                    return
         except (OSError, ValueError):
             pass     # client went away mid-message
         finally:
@@ -226,25 +233,28 @@ class CampaignServer:
                     "submitted": self.scheduler.submitted,
                     "served": self.scheduler.served,
                 },
+                "pool": {"workers": self.pool.workers,
+                         **dataclasses.asdict(self.pool.stats)},
                 "server": dataclasses.asdict(self.stats),
             })
         elif op == "contains":
             send_message(conn, {
                 "ok": True,
-                "contains": self.store.contains(request.get("digest", "")),
+                "contains": self.store.contains(_digest(request)),
             })
         elif op == "get":
-            entry = self.store.get(request.get("digest", ""))
+            entry = self.store.get(_digest(request))
             if entry is not None:
                 with self._lock:
                     self.stats.hits_served += 1
             send_message(conn, {"ok": True, "entry": entry})
         elif op == "put":
-            digest = request.get("digest")
-            if not digest:
-                raise ServeError("put needs a digest")
-            stored = self.store.put(digest, request.get("value"),
-                                    meta=request.get("meta"))
+            meta = request.get("meta")
+            if meta is not None and not isinstance(meta, dict):
+                raise ServeError(f"put meta must be an object, got "
+                                 f"{meta!r}")
+            stored = self.store.put(_digest(request), request.get("value"),
+                                    meta=meta)
             send_message(conn, {"ok": True, "stored": stored})
         elif op == "submit":
             self._handle_submit(conn, request)
@@ -270,12 +280,11 @@ class CampaignServer:
         with self._lock:
             self.stats.submissions += 1
 
-        waiter: Any = None
+        waiter: Any = queue.Queue()
         #: digest -> submitted slot indexes still waiting on it.
         pending: Dict[str, List[int]] = {}
         hit_lines: List[dict] = []
         digests: List[str] = []
-        import queue as queue_mod
         for slot, run_data in enumerate(runs):
             run = decode_run(run_data)
             digest = run_digest(run)
@@ -290,8 +299,6 @@ class CampaignServer:
                         "cached": True, "result": entry["value"],
                     })
                     continue
-                if waiter is None:
-                    waiter = queue_mod.Queue()
                 slots = pending.setdefault(digest, [])
                 slots.append(slot)
                 if len(slots) == 1:
@@ -304,32 +311,26 @@ class CampaignServer:
                         self._inflight.discard(digest)
                         raise ServeError("server is stopping") from None
                     self._emit(SERVE_QUEUED, digest, tenant)
+        header = {"ok": True, "accepted": len(runs),
+                  "hits": len(hit_lines), "queued": len(pending)}
         if not wait:
-            send_message(conn, {"ok": True, "accepted": len(runs),
-                                "hits": len(hit_lines),
-                                "queued": len(pending),
-                                "digests": digests})
+            send_message(conn, {**header, "digests": digests})
             return
         # Header first, then warm-store hits immediately, then misses
-        # stream in as the shards finish them.
-        send_message(conn, {"ok": True, "accepted": len(runs),
-                            "hits": len(hit_lines),
-                            "queued": len(pending)})
+        # stream in as the pool finishes them.
+        send_message(conn, header)
         for line in hit_lines:
             send_message(conn, line)
         while pending:
             try:
                 notice = waiter.get(timeout=_TAKE_TIMEOUT_S)
-            except queue_mod.Empty:
+            except queue.Empty:
                 if self._stopping.is_set():
                     break
                 continue
-            slots = pending.pop(notice["digest"], [])
-            for slot in slots:
-                line = {"ok": "error" not in notice, "run": slot,
-                        "digest": notice["digest"], "cached": False}
-                line.update(notice)
-                send_message(conn, line)
+            for slot in pending.pop(notice["digest"], []):
+                send_message(conn, {"ok": "error" not in notice,
+                                    "run": slot, "cached": False, **notice})
         # Shutdown with runs still pending: an explicit error line per
         # run beats leaving the client to its own socket timeout.
         aborted = 0
@@ -348,119 +349,75 @@ class CampaignServer:
 
     # -- subscription ---------------------------------------------------
     def _handle_subscribe(self, conn, request: dict) -> None:
-        import queue as queue_mod
-        kinds = request.get("kinds")
-        events: Any = queue_mod.Queue()
-
-        def forward(event) -> None:
-            events.put(event)
-
-        self.bus.subscribe(forward,
-                           kinds=kinds if kinds is not None else None)
+        events: Any = queue.Queue()
+        forward = events.put
+        self.bus.subscribe(forward, kinds=request.get("kinds"))
         send_message(conn, {"ok": True, "subscribed": True})
         try:
             while not self._stopping.is_set():
                 try:
                     event = events.get(timeout=0.2)
-                except queue_mod.Empty:
+                except queue.Empty:
                     continue
                 send_message(conn, {"ok": True,
                                     "event": event.to_dict()})
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass    # client went away; detach below
         finally:
             self.bus.unsubscribe(forward)
 
-    # -- worker shards --------------------------------------------------
-    def _shard_loop(self, shard: int) -> None:
+    # -- the pool ---------------------------------------------------------
+    def _dispatch_loop(self) -> None:
         while not self._stopping.is_set():
-            items = self.scheduler.take(self.batch,
+            items = self.scheduler.take(self.pool.workers,
                                         timeout=_TAKE_TIMEOUT_S)
             if not items:
                 continue
+            self._round = items
             try:
-                self._execute_batch(shard, items)
+                tasks: List[Tuple[int, RunSpec]] = []
+                for slot, (tenant, (digest, run)) in enumerate(items):
+                    if self.backend is not None:
+                        run = replace(run, victim=run.victim.with_overrides(
+                            backend=self.backend))
+                    tasks.append((slot, run))
+                    self._emit(SERVE_STARTED, digest, tenant)
+                self.pool.run(tasks)
             except Exception as exc:
-                # A failed batch must cost its submitters an error
-                # line, never the shard thread: digests stuck in
-                # _inflight would hang their waiters and dedup every
-                # future submission against a dead execution.
+                if self._stopping.is_set():
+                    return     # the waiting submitters answer themselves
+                # A failed round must cost its submitters an error line,
+                # never the dispatch thread: digests stuck in _inflight
+                # would hang their waiters and dedup every future
+                # submission against a dead execution.
+                traceback.print_exc()
                 for tenant, (digest, _run) in items:
-                    if self._notify(digest, {
-                            "digest": digest,
-                            "error": f"shard failure: {exc}",
-                            "error_kind": SIM_ERROR}):
-                        with self._lock:
-                            self.stats.errors += 1
-                        self._emit(SERVE_ERROR, digest, tenant,
-                                   extra=f"shard={shard} batch "
-                                         f"failure: {exc}")
+                    self._fail(tenant, digest, f"dispatch failure: {exc}")
 
-    def _execute_batch(self, shard: int,
-                       items: List[Tuple[str, Tuple[str, RunSpec]]]
-                       ) -> None:
-        tasks: List[Tuple[int, RunSpec]] = []
-        digest_of: Dict[int, str] = {}
-        tenant_of: Dict[int, str] = {}
-        for slot, (tenant, (digest, run)) in enumerate(items):
-            executed = run if self.backend is None else replace(
-                run, victim=run.victim.with_overrides(
-                    backend=self.backend))
-            tasks.append((slot, executed))
-            digest_of[slot] = digest
-            tenant_of[slot] = tenant
-            self._emit(SERVE_STARTED, digest, tenant,
-                       extra=f"shard={shard}")
-        # Compile per run, not per batch: one unknown workload must cost
-        # only its submitter an error line, never the whole shard.
-        ready: List[Tuple[int, RunSpec]] = []
-        for slot, run in tasks:
-            try:
-                with self._lock:
-                    key = run.compile_key()
-                    if key not in self._compile_cache:
-                        self._compile_cache[key] = run.victim.compile()
-            except Exception as exc:
-                with self._lock:
-                    self.stats.errors += 1
-                self._emit(SERVE_ERROR, digest_of[slot],
-                           tenant_of[slot], extra=str(exc))
-                self._notify(digest_of[slot], {
-                    "digest": digest_of[slot],
-                    "error": f"compile failed: {exc}",
-                    "error_kind": SIM_ERROR})
-                continue
-            ready.append((slot, run))
+    def _deliver(self, result: TaskResult) -> None:
+        """The pool's result sink: store a finished run, wake its
+        waiters."""
+        tenant, (digest, _run) = self._round[result.index]
+        if not result.ok:
+            self._fail(tenant, digest, result.error, result.error_kind)
+            return
+        value = result.result.to_dict()
+        with self._lock:
+            self.store.put(digest, value, meta={
+                "tenant": tenant, "elapsed_s": result.elapsed_s})
+            self.stats.executed += 1
+        self._emit(SERVE_DONE, digest, tenant,
+                   extra=f"elapsed={result.elapsed_s:.3f}s")
+        self._notify(digest, {"digest": digest, "result": value})
 
-        def deliver(result: TaskResult) -> None:
-            digest = digest_of[result.index]
-            tenant = tenant_of[result.index]
-            if result.ok and result.result is not None:
-                value = result.result.to_dict()
-                notice = {"digest": digest, "result": value}
-                with self._lock:
-                    self.store.put(digest, value,
-                                   meta={"tenant": tenant,
-                                         "shard": shard,
-                                         "elapsed_s": result.elapsed_s})
-                    self.stats.executed += 1
-                self._emit(SERVE_DONE, digest, tenant,
-                           extra=f"shard={shard} "
-                                 f"elapsed={result.elapsed_s:.3f}s")
-            else:
-                notice = {"digest": digest,
-                          "error": result.error or "unknown failure",
-                          "error_kind": result.error_kind}
-                with self._lock:
-                    self.stats.errors += 1
-                self._emit(SERVE_ERROR, digest, tenant,
-                           extra=str(result.error))
-            self._notify(digest, notice)
-
-        ResilientExecutor(task_fn=_run_point,
-                          workers=self.workers_per_shard,
-                          policy=self.policy, context=self._compile_cache,
-                          on_result=deliver).run(ready)
+    def _fail(self, tenant: str, digest: str, error: str,
+              kind: str = SIM_ERROR) -> None:
+        """Answer ``digest``'s waiters with an error line, once."""
+        if self._notify(digest, {"digest": digest, "error": error,
+                                 "error_kind": kind}):
+            with self._lock:
+                self.stats.errors += 1
+            self._emit(SERVE_ERROR, digest, tenant, extra=error)
 
     def _notify(self, digest: str, notice: dict) -> bool:
         """Wake every waiter on ``digest``; returns whether the digest

@@ -132,6 +132,15 @@ class TestBadRanges:
             frequency_sweep_mhz(sparse_step=-50)
 
 
+class TestServe:
+    def test_help_lists_workers_not_shards(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--workers" in out and "--timeout-s" in out
+        assert "--shards" not in out and "--batch" not in out
+
+
 class TestTorture:
     def test_clean_run_reports_and_exits_zero(self, capsys):
         code, out = run_cli(capsys, "torture", "run", "blink",

@@ -11,7 +11,9 @@ points and assert the sweep degrades instead of dying.
 import dataclasses
 import json
 import multiprocessing
+import os
 import threading
+import time
 
 import pytest
 
@@ -251,6 +253,86 @@ class TestTimeouts:
         assert stats.worker_restarts == 1
 
 
+def _pid_task(_context, chaos):
+    """Trip an optional drill, then report the executing process."""
+    if chaos is not None:
+        chaos.trip()
+    return os.getpid()
+
+
+def _pool_pids(executor):
+    return [worker.process.pid for worker in executor._pool]
+
+
+class TestLifecycle:
+    """An executor opened with ``with`` keeps its workers across runs."""
+
+    def test_workers_outlive_a_run(self):
+        with ResilientExecutor(_pid_task, workers=2) as executor:
+            pids = _pool_pids(executor)
+            first = executor.run(_tasks(None, None, None))
+            second = executor.run(_tasks(None))
+            assert _pool_pids(executor) == pids
+        assert os.getpid() not in pids
+        assert {r.result for r in first + second} <= set(pids)
+
+    def test_one_worker_still_runs_off_process(self):
+        with ResilientExecutor(_pid_task) as executor:
+            (result,) = executor.run(_tasks(None))
+            assert result.result == _pool_pids(executor)[0] != os.getpid()
+
+    def test_only_a_crashed_or_timed_out_worker_is_replaced(self):
+        stats = ExecStats()
+        with ResilientExecutor(_pid_task, workers=2, stats=stats,
+                               policy=RetryPolicy(timeout_s=1.0)) \
+                as executor:
+            before = _pool_pids(executor)
+            crashed, healthy = executor.run(
+                _tasks(ChaosSpec("crash"), None))
+            middle = _pool_pids(executor)
+            healthy2, hung = executor.run(
+                _tasks(None, ChaosSpec("hang", hang_s=60.0)))
+            after = _pool_pids(executor)
+        assert crashed.error_kind == WORKER_CRASH and healthy.ok
+        assert middle[0] != before[0] and middle[1] == before[1]
+        assert hung.error_kind == TIMEOUT and healthy2.ok
+        assert after[0] == middle[0] and after[1] != middle[1]
+        assert stats.worker_restarts == stats.timeouts \
+            + stats.worker_crashes == 2
+
+    def test_exit_kills_every_worker(self):
+        before = set(multiprocessing.active_children())
+        with ResilientExecutor(_pid_task, workers=2) as executor:
+            executor.run(_tasks(None, None))
+            assert len(set(multiprocessing.active_children()) - before) \
+                == 2
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(ResilienceError, match="closed"):
+            executor.run(_tasks(None))
+
+    def test_exit_from_another_thread_ends_a_waiting_run(self):
+        before = set(multiprocessing.active_children())
+        executor = ResilientExecutor(_pid_task).__enter__()
+        raised = []
+
+        def hang():
+            try:
+                executor.run(_tasks(ChaosSpec("hang", hang_s=60.0)))
+            except ResilienceError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=hang)
+        thread.start()
+        time.sleep(0.3)                     # the run is in flight
+        start = time.monotonic()
+        executor.__exit__(None, None, None)
+        assert time.monotonic() - start < 2.0
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert raised and "in flight" in str(raised[0])
+        assert set(multiprocessing.active_children()) <= before
+
+
 class TestResultSink:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sink_sees_every_final_result_once(self, tmp_path, workers):
@@ -324,6 +406,14 @@ class TestCampaignChaos:
         data = hung.to_dict()
         assert data["error_kind"] == TIMEOUT
         assert data["attempts"] == hung.attempts
+
+    def test_one_worker_enforces_the_timeout(self):
+        runner = CampaignRunner(workers=1,
+                                policy=RetryPolicy(timeout_s=1.0))
+        campaign = runner.run(_chaos_spec([ChaosSpec("hang", hang_s=5.0)]))
+        (hung,) = campaign.outcomes
+        assert hung.error_kind == TIMEOUT
+        assert campaign.stats.timeouts == campaign.stats.worker_restarts == 1
 
     def test_reraise_applies_to_pooled_execution(self):
         runner = CampaignRunner(workers=2, reraise=True)

@@ -6,6 +6,8 @@ tiny real campaigns through them — submission, dedup, caching,
 streaming, and the `--via-store` dispatcher path are all end-to-end.
 """
 
+import multiprocessing
+import sys
 import threading
 import time
 
@@ -19,16 +21,19 @@ from repro.eval import (
     VictimConfig,
 )
 from repro.eval.campaign import PathSpec, RunSpec
-from repro.eval.resilient import RetryPolicy
+from repro.eval.resilient import SIM_ERROR, TIMEOUT, RetryPolicy
 from repro.serve import (
     CampaignServer,
     FairScheduler,
     PROTOCOL_VERSION,
     ServeClient,
     ServeError,
+    connect,
     decode_run,
     encode_run,
     parse_address,
+    recv_message,
+    send_message,
 )
 from repro.store import ResultStore, run_digest
 
@@ -166,7 +171,6 @@ def server(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     srv = CampaignServer(store=store,
                          address=str(tmp_path / "serve.sock"),
-                         shards=1,
                          policy=RetryPolicy(retries=0))
     address = srv.start()
     yield srv, ServeClient(address, timeout=120.0)
@@ -178,6 +182,29 @@ def _fast_run(freq=27.0) -> RunSpec:
                      telemetry=True)
 
 
+def _long_run() -> RunSpec:
+    """A silent crc16 run over a 20 s window: seconds of wall time on
+    either backend."""
+    return _run_spec(victim=VictimConfig(workload="crc16", duration_s=20.0),
+                     attack=AttackSpec.silent())
+
+
+def _submit_in_background(client, runs):
+    """Submit from a thread; returns (thread, outcome dict)."""
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(served=client.submit(runs)))
+    thread.start()
+    return thread, outcome
+
+
+def _wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
 class TestServer:
     def test_ping_reports_the_protocol_version(self, server):
         _, client = server
@@ -187,14 +214,40 @@ class TestServer:
     def test_stats_expose_store_queue_and_server(self, server):
         _, client = server
         stats = client.stats()
-        assert {"store", "queue", "server"} <= set(stats)
+        assert {"store", "queue", "pool", "server"} <= set(stats)
         assert stats["queue"]["pending"] == 0
+        assert stats["pool"] == {"workers": 1, "retries": 0, "timeouts": 0,
+                                 "worker_crashes": 0, "worker_restarts": 0,
+                                 "budget_exceeded": 0}
 
     def test_unknown_op_is_an_error_not_a_hangup(self, server):
         _, client = server
         with pytest.raises(ServeError, match="unknown op"):
             client._request({"op": "frobnicate"})
         assert client.ping()["pong"]        # connection layer survived
+
+    def test_bad_store_requests_get_error_lines_not_hangups(self, server):
+        _, client = server
+        sock = connect(client.address, timeout=30.0)
+        reader = sock.makefile("r")
+
+        def ask(request):
+            send_message(sock, request)
+            return recv_message(reader)
+
+        try:
+            for bad in ({"op": "put", "digest": "abc", "value": 1},
+                        {"op": "get", "digest": ["x"]},
+                        {"op": "contains", "digest": 7},
+                        {"op": "put", "digest": "ab" * 32, "value": 1,
+                         "meta": "not-an-object"}):
+                answer = ask(bad)
+                assert answer["ok"] is False and answer["error"], bad
+            # The same connection still serves.
+            assert ask({"op": "ping"})["pong"]
+        finally:
+            reader.close()
+            sock.close()
 
     def test_store_ops_over_the_wire(self, server):
         srv, client = server
@@ -268,52 +321,45 @@ class TestServer:
         assert {event["kind"] for event in events} \
             == {"serve.queued", "serve.done"}
 
-    def test_shard_survives_a_batch_failure(self, server, monkeypatch):
-        # Regression: an unexpected _execute_batch exception killed the
-        # shard thread, hanging the batch's waiters and deduping every
-        # future submission of those digests against a dead execution.
+    def test_dispatch_survives_a_round_failure(self, server, monkeypatch):
+        # A failed dispatch round must cost its submitters error lines,
+        # never the dispatch thread: digests stuck in _inflight would hang
+        # their waiters and dedup every future submission against a dead
+        # execution.
         srv, client = server
-        real = CampaignServer._execute_batch
+        real = srv.pool.run
         failures = []
 
-        def flaky(self, shard, items):
+        def flaky(tasks):
             if not failures:
-                failures.append(items)
+                failures.append(tasks)
                 raise RuntimeError("disk full")
-            return real(self, shard, items)
+            return real(tasks)
 
-        monkeypatch.setattr(CampaignServer, "_execute_batch", flaky)
+        monkeypatch.setattr(srv.pool, "run", flaky)
         run = _fast_run(freq=29.0)
         first = client.submit([run])[run_digest(run)]
-        assert "shard failure" in first["error"]
+        assert "dispatch failure" in first["error"]
+        assert first["error_kind"] == SIM_ERROR
         assert not srv._inflight             # nothing left stuck
-        # The shard is still alive: a resubmission executes for real.
+        # The dispatch thread is still alive: a resubmission executes.
         second = client.submit([run])[run_digest(run)]
         assert not second.get("error")
         assert second["result"]["final_state"]
 
     def test_stop_unblocks_waiting_submissions(self, tmp_path,
                                                monkeypatch):
-        # Shards that never serve anything: stop() must answer waiting
-        # clients with error lines, not leave them to socket timeouts.
-        monkeypatch.setattr(CampaignServer, "_shard_loop",
-                            lambda self, shard: None)
+        # A dispatch thread that never serves anything: stop() must
+        # answer waiting clients with error lines, not leave them to
+        # socket timeouts.
+        monkeypatch.setattr(CampaignServer, "_dispatch_loop",
+                            lambda self: None)
         store = ResultStore(str(tmp_path / "store"))
-        srv = CampaignServer(store=store,
-                             address=str(tmp_path / "s.sock"), shards=1)
+        srv = CampaignServer(store=store, address=str(tmp_path / "s.sock"))
         client = ServeClient(srv.start(), timeout=30.0)
-        outcome = {}
-
-        def submit():
-            outcome["served"] = client.submit([_fast_run(freq=33.0)])
-
-        waiter = threading.Thread(target=submit)
-        waiter.start()
-        deadline = time.monotonic() + 5.0
-        while srv.scheduler.pending() == 0 \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert srv.scheduler.pending() == 1
+        waiter, outcome = _submit_in_background(client,
+                                                [_fast_run(freq=33.0)])
+        _wait_for(lambda: srv.scheduler.pending() == 1, timeout_s=5.0)
         srv.stop()
         waiter.join(timeout=10.0)
         assert not waiter.is_alive()
@@ -321,17 +367,36 @@ class TestServer:
         assert not line["ok"]
         assert "stopping" in line["error"]
 
+    def test_stop_with_a_run_in_flight(self, tmp_path):
+        """stop() kills the worker holding the run instead of waiting it
+        out, answers the submitter, and leaves no worker alive."""
+        before = set(multiprocessing.active_children())
+        srv = CampaignServer(store=ResultStore(str(tmp_path / "store")),
+                             address=str(tmp_path / "s.sock"))
+        client = ServeClient(srv.start(), timeout=30.0)
+        waiter, outcome = _submit_in_background(client, [_long_run()])
+        _wait_for(lambda: srv.scheduler.served == 1)
+        time.sleep(0.2)                       # the run is in flight
+        threads = list(srv._threads)
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < 1.5
+        assert not any(thread.is_alive() for thread in threads)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        (line,) = outcome["served"].values()
+        assert not line["ok"] and line["error"]
+        assert set(multiprocessing.active_children()) <= before
+
     def test_tcp_port_zero_resolves(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        with CampaignServer(store=store, address="127.0.0.1:0",
-                            shards=1) as srv:
+        with CampaignServer(store=store, address="127.0.0.1:0") as srv:
             assert not srv.address.endswith(":0")
             assert ServeClient(srv.address).ping()["pong"]
 
     def test_shutdown_op_stops_the_server(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        srv = CampaignServer(store=store,
-                             address=str(tmp_path / "s.sock"), shards=1)
+        srv = CampaignServer(store=store, address=str(tmp_path / "s.sock"))
         client = ServeClient(srv.start())
         assert client.shutdown()["stopping"]
         srv.serve_forever()          # returns promptly: already stopping
@@ -342,17 +407,115 @@ class TestServer:
         run = _fast_run()
         store = ResultStore(str(tmp_path / "store"))
         with CampaignServer(store=store,
-                            address=str(tmp_path / "a.sock"),
-                            shards=1) as srv:
+                            address=str(tmp_path / "a.sock")) as srv:
             ServeClient(srv.address, timeout=120.0).submit([run])
         store.close()
         reopened = ResultStore(str(tmp_path / "store"))
         with CampaignServer(store=reopened,
-                            address=str(tmp_path / "b.sock"),
-                            shards=1) as srv:
+                            address=str(tmp_path / "b.sock")) as srv:
             line = ServeClient(srv.address, timeout=120.0) \
                 .submit([run])[run_digest(run)]
         assert line["cached"]
+
+
+# ----------------------------------------------------------------------
+# The worker pool.
+# ----------------------------------------------------------------------
+class TestPool:
+    def test_timeout_fails_an_over_long_run_then_serves_the_next(
+            self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        with CampaignServer(store=store, address=str(tmp_path / "s.sock"),
+                            policy=RetryPolicy(timeout_s=0.5)) as srv:
+            client = ServeClient(srv.address, timeout=60.0)
+            start = time.monotonic()
+            (line,) = client.submit([_long_run()]).values()
+            assert time.monotonic() - start < 1.5
+            assert line["error_kind"] == TIMEOUT
+            assert "wall-clock" in line["error"]
+            (line,) = client.submit([_fast_run()]).values()
+            assert line["result"]["final_state"]
+            pool = client.stats()["pool"]
+        assert pool["timeouts"] == 1
+        assert pool["worker_restarts"] \
+            == pool["timeouts"] + pool["worker_crashes"]
+
+    def test_misses_run_only_in_pool_processes(self, tmp_path,
+                                                monkeypatch):
+        # Pool workers import their own copy of the campaign module, so
+        # only a simulation inside the server process can reach this.
+        import repro.eval.campaign as campaign_mod
+
+        def in_the_server(run, compiled):
+            raise AssertionError("a miss ran in the server process")
+
+        monkeypatch.setattr(campaign_mod, "execute_run", in_the_server)
+        store = ResultStore(str(tmp_path / "store"))
+        with CampaignServer(store=store, address=str(tmp_path / "s.sock"),
+                            policy=RetryPolicy(retries=0)) as srv:
+            served = ServeClient(srv.address, timeout=60.0).submit(
+                [_fast_run(freq=f) for f in (27.0, 29.0, 31.0)])
+        assert all(line["ok"] for line in served.values())
+
+    def test_racing_submitters_on_more_workers_than_cores(self, tmp_path):
+        """Six clients race overlapping submissions through four workers
+        with a shortened switch interval: every run executes once, every
+        submitter gets every result, and no worker is lost."""
+        runs = [_fast_run(freq=40.0 + i) for i in range(6)]
+        served = {}
+
+        def submit(address, tenant, order):
+            served[tenant] = ServeClient(address, timeout=120.0) \
+                .submit(order, tenant=tenant)
+
+        store = ResultStore(str(tmp_path / "store"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CampaignServer(store=store, address=str(tmp_path / "s.sock"),
+                                workers=4,
+                                policy=RetryPolicy(retries=0)) as srv:
+                threads = [threading.Thread(
+                    target=submit,
+                    args=(srv.address, f"t{i}", runs[i:] + runs[:i]))
+                    for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert srv.stats.executed == len(runs)
+                assert srv.pool.stats.worker_restarts == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(served) == 6
+        for lines in served.values():
+            assert lines.keys() == served["t0"].keys()
+            assert all(line["ok"] and line["result"]
+                       == served["t0"][digest]["result"]
+                       for digest, line in lines.items())
+
+    def test_workers_start_before_any_thread(self, tmp_path, monkeypatch):
+        from repro.eval.resilient import ResilientExecutor
+
+        new_threads_at_start = []
+        enter = ResilientExecutor.__enter__
+
+        def recording_enter(executor):
+            new_threads_at_start.append(set(threading.enumerate()) - before)
+            return enter(executor)
+
+        monkeypatch.setattr(ResilientExecutor, "__enter__", recording_enter)
+        before = set(threading.enumerate())
+        store = ResultStore(str(tmp_path / "store"))
+        srv = CampaignServer(store=store, address=str(tmp_path / "s.sock"),
+                             workers=2)
+        srv.start()
+        try:
+            assert new_threads_at_start == [set()]
+            assert len(multiprocessing.active_children()) >= 2
+        finally:
+            srv.stop()
 
 
 # ----------------------------------------------------------------------
