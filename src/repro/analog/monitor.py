@@ -53,18 +53,17 @@ class ADCMonitor:
         clamped = min(max(volts, 0.0), self.v_ref)
         return round(clamped / self.v_ref * levels) / levels * self.v_ref
 
-    def read(self, v_true: float, emi_amplitude: float,
-             emi_frequency: float, t: float) -> float:
-        """One (possibly EMI-corrupted) voltage reading."""
+    def sample(self, v_true: float, emi_amplitude: float,
+               emi_frequency: float, t: float, powered: bool) -> MonitorEvent:
+        # One (possibly EMI-corrupted) reading, quantised in place.
         induced = induced_waveform_sample(
             emi_amplitude, emi_frequency, t, self._sample_index
         )
         self._sample_index += 1
-        return self.quantise(v_true + induced)
-
-    def sample(self, v_true: float, emi_amplitude: float,
-               emi_frequency: float, t: float, powered: bool) -> MonitorEvent:
-        reading = self.read(v_true, emi_amplitude, emi_frequency, t)
+        levels = (1 << self.bits) - 1
+        v_ref = self.v_ref
+        clamped = min(max(v_true + induced, 0.0), v_ref)
+        reading = round(clamped / v_ref * levels) / levels * v_ref
         if powered and reading < self.v_backup:
             return MonitorEvent.CHECKPOINT
         if not powered and reading >= self.v_on:
@@ -78,7 +77,6 @@ class ComparatorMonitor:
 
     v_backup: float = 2.6
     v_on: float = 3.0
-    _sample_index: int = field(default=0, repr=False)
 
     hysteresis = 0.05
     #: The comparator output is a continuous interrupt line: it latches the
@@ -92,15 +90,11 @@ class ComparatorMonitor:
         # comparator responds to the waveform peak, not an averaged
         # sample, so superimpose the full swing.
         swing = emi_amplitude
-        self._sample_index += 1
         if powered and v_true - swing < self.v_backup - self.hysteresis:
             return MonitorEvent.CHECKPOINT
         if not powered and v_true + swing >= self.v_on + self.hysteresis:
             return MonitorEvent.WAKE
         return MonitorEvent.NONE
-
-
-Monitor = object  # duck-typed: anything with .sample(...)
 
 
 def make_monitor(kind: str, v_backup: float, v_on: float):

@@ -8,6 +8,8 @@ of transmission windows; :class:`AttackSchedule` models that.
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,11 +54,12 @@ class AttackWindow:
 class AttackSchedule:
     """A timeline of attack windows, kept sorted by start time.
 
-    :meth:`source_at` is on the simulator's per-slice hot path, so lookups
-    bisect the sorted starts instead of scanning: O(log n) for the
-    non-overlapping schedules the experiments build (if windows do overlap,
-    the latest-starting active window wins).  Mutate via :meth:`add` — it
-    maintains the sort and the lookup index.
+    The windows' edges cut the timeline into segments on which the active
+    tone cannot change; :meth:`source_at` and :meth:`segment_at` bisect one
+    table of those edges, O(log n) however the windows overlap (where they
+    do, the latest-starting active window wins, and :meth:`add` places a
+    window after those with an equal start).  Mutate via :meth:`add` — it
+    maintains the sort and the edge table.
     """
 
     windows: List[AttackWindow] = field(default_factory=list)
@@ -66,15 +69,23 @@ class AttackSchedule:
         self._reindex()
 
     def _reindex(self) -> None:
-        self._starts = [window.start_s for window in self.windows]
-        # _reach[i] = max end over windows[0..i]: windows at or before i
-        # can only cover t when _reach[i] > t, which bounds the leftward
-        # scan to a single probe on non-overlapping schedules.
-        self._reach = []
-        reach = float("-inf")
-        for window in self.windows:
-            reach = max(reach, window.end_s)
-            self._reach.append(reach)
+        # _sources[i] is the tone on [_edges[i-1], _edges[i]) (unbounded at
+        # either end).  The sweep heaps the started windows, latest in start
+        # order on top, and drops ended ones when they surface.
+        windows = self.windows
+        self._edges = sorted({w.start_s for w in windows}
+                             | {w.end_s for w in windows})
+        self._sources = [None]
+        started: List[Tuple[int, float]] = []
+        index = 0
+        for edge in self._edges:
+            while index < len(windows) and windows[index].start_s <= edge:
+                heapq.heappush(started, (-index, windows[index].end_s))
+                index += 1
+            while started and started[0][1] <= edge:
+                heapq.heappop(started)
+            self._sources.append(
+                windows[-started[0][0]].source if started else None)
 
     @classmethod
     def always(cls, source: EMISource,
@@ -101,18 +112,23 @@ class AttackSchedule:
         """Insert one window; raises :class:`ValueError` unless
         ``start_s < end_s`` (NaNs included)."""
         window = AttackWindow(start_s, end_s, source)
-        index = bisect.bisect_right(self._starts, start_s)
-        self.windows.insert(index, window)
+        starts = [other.start_s for other in self.windows]
+        self.windows.insert(bisect.bisect_right(starts, start_s), window)
         self._reindex()
 
     def source_at(self, t: float) -> Optional[EMISource]:
         """The active tone at time ``t`` (or None when the air is quiet)."""
-        index = bisect.bisect_right(self._starts, t) - 1
-        while index >= 0 and self._reach[index] > t:
-            if self.windows[index].active_at(t):
-                return self.windows[index].source
-            index -= 1
-        return None
+        return self._sources[bisect.bisect_right(self._edges, t)]
+
+    def segment_at(self, t: float) -> Tuple[float, float, Optional[EMISource]]:
+        """``(lo, hi, source)``: :meth:`source_at` is ``source`` for every
+        time in ``[lo, hi)``, the consecutive window edges around ``t``
+        (``-inf``/``inf`` beyond the first/last edge)."""
+        edges = self._edges
+        index = bisect.bisect_right(edges, t)
+        lo = edges[index - 1] if index else -math.inf
+        hi = edges[index] if index < len(edges) else math.inf
+        return lo, hi, self._sources[index]
 
     @property
     def ever_active(self) -> bool:

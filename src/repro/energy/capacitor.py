@@ -60,12 +60,15 @@ class Capacitor:
         """
         if power_w <= 0 or dt <= 0:
             return 0.0
-        headroom = max(0.0, 1.0 - self.voltage / self.v_max)
+        # voltage and energy_at(v_max), in locals (the per-slice path).
+        energy, capacitance, v_max = self.energy, self.capacitance, self.v_max
+        voltage = math.sqrt(max(0.0, 2.0 * energy / capacitance))
+        headroom = max(0.0, 1.0 - voltage / v_max)
         taper = min(1.0, 4.0 * headroom)  # full-rate until ~75% of v_max
         delta = power_w * dt * taper
-        ceiling = self.energy_at(self.v_max)
-        delta = min(delta, ceiling - self.energy)
-        self.energy += delta
+        ceiling = 0.5 * capacitance * v_max * v_max
+        delta = min(delta, ceiling - energy)
+        self.energy = energy + delta
         return delta
 
     def discharge(self, joules: float) -> float:
@@ -81,7 +84,13 @@ class Capacitor:
 
     def leak(self, dt: float) -> float:
         """Apply self-discharge over ``dt`` seconds; returns joules lost."""
-        return self.discharge(self.leakage_power_w * dt)
+        # leakage_power_w * dt, then discharge, in locals.
+        energy, capacitance = self.energy, self.capacitance
+        voltage = math.sqrt(max(0.0, 2.0 * energy / capacitance))
+        joules = self.leakage_a_per_f * capacitance * voltage * dt
+        drawn = min(max(0.0, joules), energy)
+        self.energy = energy - drawn
+        return drawn
 
     def usable_energy(self, v_floor: float) -> float:
         """Energy available before the voltage sinks to ``v_floor``."""

@@ -95,7 +95,11 @@ class PowerSystem:
 
     def consume_cycles(self, cycles: float) -> float:
         """Drain the energy of ``cycles`` of active execution."""
-        drained = self.capacitor.discharge(cycles * self.mcu.energy_per_cycle)
+        # energy_per_cycle, then Capacitor.discharge, in locals.
+        mcu, capacitor = self.mcu, self.capacitor
+        joules = cycles * (mcu.active_power_w / mcu.clock_hz)
+        drained = min(max(0.0, joules), capacitor.energy)
+        capacitor.energy -= drained
         if self._m_active is not None:
             self._m_active.inc(drained)
         return drained

@@ -21,7 +21,7 @@ Handler-resident fault injections are drawn by
 ``FaultCampaignSpec(isr_window=True)`` (:mod:`repro.faultsim.explorer`).
 
 All cycle→second conversions use the simulated MCU clock
-(:data:`MCU_CLOCK_HZ`, the :class:`~repro.energy.power_system.MCUParams`
+(:data:`MCU_CLOCK_HZ`, the :class:`~repro.energy.power_system.MCUPowerModel`
 default), so windows line up with what the energy system simulates.
 """
 
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..energy.power_system import MCUPowerModel
 from ..errors import ReproError
 from .hub import IsrSpan
 
-#: Simulated MCU clock (matches ``MCUParams.clock_hz``).
-MCU_CLOCK_HZ = 8e6
+#: Simulated MCU clock (``MCUPowerModel.clock_hz``'s default).
+MCU_CLOCK_HZ = MCUPowerModel.clock_hz
 
 
 class PeriphError(ReproError):

@@ -81,7 +81,9 @@ class GeckoRuntime:
     # -- mode helpers ---------------------------------------------------
     @staticmethod
     def mode(machine: Machine) -> int:
-        return machine.read_word("__mode")
+        # read_word("__mode") at its resolved address: the simulator asks
+        # at every slice boundary.
+        return machine.mem[machine._addr_cache["__mode"]]
 
     def _set_mode(self, machine: Machine, mode: int) -> None:
         if machine.read_word("__mode") != mode:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..analog.monitor import MonitorEvent, make_monitor
 from ..emi.attacker import AttackSchedule
@@ -52,6 +53,22 @@ ATTACK_HARVEST_EFFICIENCY = 3e-5
 #: Events copied into :attr:`SimResult.events` at the end of a run — a
 #: short excerpt, not the full ring, so results stay cheap to pickle.
 EVENT_TAIL = 64
+
+
+class _Segment(NamedTuple):
+    """One segment of the attack schedule (:meth:`AttackSchedule.segment_at`)
+    and the values its tone induces, which hold on all of ``[lo, hi)``."""
+
+    lo: float
+    hi: float
+    active: bool
+    amplitude: float   # induced monitor amplitude, V
+    frequency: float   # tone frequency, Hz
+    extra_w: float     # harvested share of the incident tone, W
+
+
+#: Holds no time, so the first lookup of a run derives a segment.
+_NO_SEGMENT = _Segment(math.inf, -math.inf, False, 0.0, 0.0, 0.0)
 
 
 class DeviceState(enum.Enum):
@@ -165,6 +182,10 @@ class IntermittentSimulator:
         self.t = 0.0
         self._sleep_until = 0.0
         self._init_image = list(machine.mem)
+        symtab = machine.program.symtab
+        self._jit_spans = [span for name, span in symtab.items()
+                           if name.startswith("__jit_")]  # JIT image, NVM
+        self._segment = _NO_SEGMENT
         # Observability (:mod:`repro.obs`): one bundle shared by every
         # layer (a Tracer subscribes to its bus).
         self.obs = obs
@@ -183,22 +204,23 @@ class IntermittentSimulator:
             fault_injector.attach(self)
 
     # ------------------------------------------------------------------
-    def _attack_at(self, t: float) -> Tuple[float, float, float]:
-        """(induced amplitude V, frequency Hz, incident power W) at time t."""
-        source = self.attack.source_at(t)
-        if source is None:
-            return 0.0, 0.0, 0.0
-        received = self.path.received_power_w(source)
-        amplitude = self.curve.induced_amplitude(source.frequency_hz, received)
-        if getattr(self.path, "point", None) is not None:
-            amplitude *= self.device.dpi_boost  # wired injection
-        return amplitude, source.frequency_hz, received
-
-    def _charge(self, dt: float, incident_w: float) -> None:
-        extra = 0.0
-        if incident_w > 0:
-            extra = incident_w * ATTACK_HARVEST_EFFICIENCY
-        self.power.harvest(self.t, dt, extra_power_w=extra)
+    def _attack(self, t: float) -> _Segment:
+        """The attack segment holding ``t``, its values derived once."""
+        segment = self._segment
+        if segment.lo <= t < segment.hi:
+            return segment
+        lo, hi, source = self.attack.segment_at(t)
+        amplitude = frequency = incident = 0.0
+        if source is not None:
+            frequency = source.frequency_hz
+            incident = self.path.received_power_w(source)
+            amplitude = self.curve.induced_amplitude(frequency, incident)
+            if getattr(self.path, "point", None) is not None:
+                amplitude *= self.device.dpi_boost  # wired injection
+        extra_w = incident * ATTACK_HARVEST_EFFICIENCY if incident > 0 else 0.0
+        self._segment = segment = _Segment(lo, hi, source is not None,
+                                           amplitude, frequency, extra_w)
+        return segment
 
     def _trace_event(self, kind: str, detail: str = "") -> None:
         if self.obs is not None:
@@ -206,7 +228,7 @@ class IntermittentSimulator:
 
     def _note_attack_window(self) -> None:
         """Emit EMI burst edges (attack tone became active/quiet)."""
-        active = self.attack.source_at(self.t) is not None
+        active = self._attack(self.t).active
         if active != self._emi_on:
             self._emi_on = active
             self.obs.emit(EMI_ON if active else EMI_OFF, t=self.t)
@@ -221,29 +243,29 @@ class IntermittentSimulator:
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> SimResult:
         """Simulate ``duration_s`` seconds of wall-clock time."""
+        config, obs, power = self.config, self.obs, self.power
         result = SimResult()
         start = self.t
         end = self.t + duration_s
         next_timeline = self.t
         slices = 0
+        self._segment = _NO_SEGMENT  # the schedule may change between runs
         while self.t < end:
             slices += 1
-            if slices > self.config.max_slices:
+            if slices > config.max_slices:
                 raise SimulationError("simulation exceeded max_slices")
-            if self.config.record_timeline and self.t >= next_timeline:
+            if config.record_timeline and self.t >= next_timeline:
                 result.timeline.append((self.t - start, result.completions))
-                next_timeline += self.config.timeline_dt_s
-            if self.obs is not None:
-                self.obs.sample(self.power.voltage, self.state.value,
-                                t=self.t)
+                next_timeline += config.timeline_dt_s
+            if obs is not None:
+                obs.sample(power.voltage, self.state.value, t=self.t)
                 self._note_attack_window()
-            if self.state is DeviceState.RUNNING:
+            state = self.state
+            if state is DeviceState.RUNNING:
                 self._slice_running(result)
-            elif self.state is DeviceState.FAILED:
-                self._slice_idle(result, sleeping=False)
             else:
                 self._slice_idle(result,
-                                 sleeping=self.state is DeviceState.SLEEPING)
+                                 sleeping=state is DeviceState.SLEEPING)
         result.duration_s = self.t - start
         result.final_state = self.state.value
         stats = self.runtime.stats
@@ -252,11 +274,11 @@ class IntermittentSimulator:
         result.attacks_detected = stats.attacks_detected
         result.rollback_restores = stats.rollback_restores
         result.marks_committed = self.machine.marks_executed
-        if self.obs is not None and self.obs.metrics.enabled:
+        if obs is not None and obs.metrics.enabled:
             # Cumulative snapshots, like the runtime stats above: batch
             # callers re-running the simulator see the whole history.
-            result.metrics = self.obs.flat_metrics()
-            result.events = self.obs.event_tail(EVENT_TAIL)
+            result.metrics = obs.flat_metrics()
+            result.events = obs.event_tail(EVENT_TAIL)
         return result
 
     # ------------------------------------------------------------------
@@ -277,65 +299,70 @@ class IntermittentSimulator:
         if machine.halted:
             self._handle_completion(result)
             return
-        if self.power.voltage < self.power.v_off:
+        voltage = self.power.voltage
+        if voltage < self.power.v_off:
             self.runtime.on_power_off(machine)
             machine.power_off()
             self.state = DeviceState.OFF
             result.brownouts += 1
             self._trace_event("brownout")
             return
-        self._sample_monitor(result, powered=True)
+        self._sample_monitor(result, True, voltage)
 
     def _record_cycles(self, cycles: int, result: SimResult) -> None:
         if cycles:
             prof = self._prof
             t0 = time.perf_counter() if prof is not None else 0.0
-            self.power.consume_cycles(cycles)
-            dt = self.power.mcu.cycles_to_seconds(cycles)
+            power = self.power
+            power.consume_cycles(cycles)
+            dt = power.mcu.cycles_to_seconds(cycles)
             # The monitor only samples at slice boundaries; mid-slice the
             # attack matters solely through the harvested incident power.
-            incident = self._attack_at(self.t)[2]
-            self._charge(dt, incident)
+            t = self.t
+            power.harvest(t, dt, extra_power_w=self._attack(t).extra_w)
             if prof is not None:
                 prof.add_wall("energy", time.perf_counter() - t0)
-            self.t += dt
+            self.t = t + dt
             result.executed_cycles += cycles
 
     def _slice_idle(self, result: SimResult, sleeping: bool) -> None:
+        power = self.power
         dt = self.config.idle_dt_s
-        amplitude, freq, incident = self._attack_at(self.t)
-        self._charge(dt, incident)
+        t = self.t
+        power.harvest(t, dt, extra_power_w=self._attack(t).extra_w)
         if sleeping:
-            self.power.consume_sleep(dt)
-        self.t += dt
+            power.consume_sleep(dt)
+        self.t = t + dt
         if self.state is DeviceState.FAILED:
             return
-        if sleeping and self.power.voltage < self.power.v_off:
-            self.state = DeviceState.OFF
-            return
+        voltage = power.voltage
         if sleeping:
-            self._sample_monitor(result, powered=False)
-        else:
+            if voltage < power.v_off:
+                self.state = DeviceState.OFF
+            else:
+                self._sample_monitor(result, False, voltage)
+        elif voltage >= power.v_on:
             # OFF: only the genuine power-on reset wakes the device.
-            if self.power.voltage >= self.power.v_on:
-                self._reboot(result)
+            self._reboot(result)
 
-    def _sample_monitor(self, result: SimResult, powered: bool) -> None:
+    def _sample_monitor(self, result: SimResult, powered: bool,
+                        voltage: float) -> None:
         if not self.runtime.monitor_enabled(self.machine):
             return
-        amplitude, freq, _ = self._attack_at(self.t)
+        t = self.t
+        segment = self._attack(t)
         prof = self._prof
         t0 = time.perf_counter() if prof is not None else 0.0
-        event = self.monitor.sample(self.power.voltage, amplitude, freq,
-                                    self.t, powered)
+        event = self.monitor.sample(voltage, segment.amplitude,
+                                    segment.frequency, t, powered)
         if prof is not None:
             prof.add_wall("monitor", time.perf_counter() - t0)
         if self.fault is not None:
             # Injected monitor faults obey the same surface the EMI attack
             # does: a disabled monitor never reaches this point.
-            event = self.fault.filter_monitor_event(event, powered, self.t)
+            event = self.fault.filter_monitor_event(event, powered, t)
         if event is not MonitorEvent.NONE and self.obs is not None:
-            self.obs.emit(MONITOR_TRIP, event.name.lower(), t=self.t)
+            self.obs.emit(MONITOR_TRIP, event.name.lower(), t=t)
         if powered and event is MonitorEvent.CHECKPOINT:
             budget = self.power.checkpoint_budget_cycles()
             failures_before = self.runtime.stats.jit_checkpoint_failures
@@ -359,7 +386,7 @@ class IntermittentSimulator:
                 self.state = DeviceState.SLEEPING
                 self._sleep_until = self.t + self.config.sleep_min_s
         elif not powered and event is MonitorEvent.WAKE:
-            if self.t >= self._sleep_until:
+            if t >= self._sleep_until:
                 self._reboot(result)
 
     def _reboot(self, result: SimResult) -> None:
@@ -382,7 +409,7 @@ class IntermittentSimulator:
         # spoofed wake into a genuinely low supply then re-triggers the
         # checkpoint protocol immediately — the V_fail path (§IV-B2).
         if self.monitor.continuous:
-            self._sample_monitor(result, powered=True)
+            self._sample_monitor(result, True, self.power.voltage)
 
     # ------------------------------------------------------------------
     def _handle_completion(self, result: SimResult) -> None:
@@ -403,25 +430,22 @@ class IntermittentSimulator:
         image reset with the new run.
         """
         machine = self.machine
-        preserve = {}
         # __region_done is the monotone progress counter GECKO's DoS
         # detector compares across reboots: wiping it with the application
         # image would erase the evidence of progress and fake an attack.
-        for name in ("__mode", "__boots", "__ack_seen", "__done_seen",
-                     "__region_done"):
-            preserve[name] = machine.read_word(name)
+        names = ("__mode", "__boots", "__ack_seen", "__done_seen",
+                 "__region_done")
+        preserve = [machine.read_word(name) for name in names]
         # The JIT checkpoint area (__jit_valid, __jit_ack, __jit_regs, ...)
         # is device NVM, not application data: on hardware it survives the
         # app's outer loop untouched, and a stale-but-valid image there is
         # exactly what a later interrupted checkpoint partially overwrites.
-        spans = {}
-        for name, (base, size) in machine.program.symtab.items():
-            if name.startswith("__jit_"):
-                spans[base] = machine.mem[base:base + size]
+        spans = [(base, machine.mem[base:base + size])
+                 for base, size in self._jit_spans]
         machine.mem[:] = self._init_image
-        for name, value in preserve.items():
+        for name, value in zip(names, preserve):
             machine.write_word(name, 0, value)
-        for base, words in spans.items():
+        for base, words in spans:
             machine.mem[base:base + len(words)] = words
         machine.halted = False
         machine.regs = [0] * len(machine.regs)

@@ -280,15 +280,15 @@ class CampaignServer:
         with self._lock:
             self.stats.submissions += 1
 
+        # Decode the whole submission first: a malformed run refuses it
+        # before any of its runs is queued.
+        decoded = [decode_run(run_data) for run_data in runs]
+        digests = [run_digest(run) for run in decoded]
         waiter: Any = queue.Queue()
         #: digest -> submitted slot indexes still waiting on it.
         pending: Dict[str, List[int]] = {}
         hit_lines: List[dict] = []
-        digests: List[str] = []
-        for slot, run_data in enumerate(runs):
-            run = decode_run(run_data)
-            digest = run_digest(run)
-            digests.append(digest)
+        for slot, (run, digest) in enumerate(zip(decoded, digests)):
             with self._lock:
                 entry = self.store.get(digest)
                 if entry is not None:

@@ -25,6 +25,19 @@ class TestADCMonitor:
         value = monitor.quantise(1.80001)
         assert abs(value - 1.8) < 3.6 / 1023
 
+    def test_sample_reads_the_quantised_level(self):
+        """sample() quantises in its own body; its thresholds must see
+        exactly the level quantise() returns (1 mV steps, clamp included)."""
+        monitor = ADCMonitor()
+        for millivolts in range(-20, 4000):
+            volts = millivolts / 1000
+            level = monitor.quantise(volts)
+            checkpoint = monitor.sample(volts, 0.0, 0.0, 0.0, powered=True)
+            wake = monitor.sample(volts, 0.0, 0.0, 0.0, powered=False)
+            assert (checkpoint is MonitorEvent.CHECKPOINT) \
+                == (level < monitor.v_backup)
+            assert (wake is MonitorEvent.WAKE) == (level >= monitor.v_on)
+
     def test_no_attack_no_event_when_healthy(self):
         monitor = ADCMonitor()
         event = monitor.sample(3.3, 0.0, 0.0, 0.0, powered=True)

@@ -249,6 +249,28 @@ class TestServer:
             reader.close()
             sock.close()
 
+    def test_malformed_run_refuses_the_whole_submission(self, server):
+        """A submission is decoded whole before any run is queued: its
+        valid runs neither execute nor reach the store."""
+        srv, client = server
+        good, other = _fast_run(freq=25.0), _fast_run(freq=29.0)
+        sock = connect(client.address, timeout=30.0)
+        reader = sock.makefile("r")
+        try:
+            send_message(sock, {"op": "submit", "wait": True,
+                                "runs": [encode_run(good), {"bad": 1}]})
+            answer = recv_message(reader)
+        finally:
+            reader.close()
+            sock.close()
+        assert answer["ok"] is False
+        assert "malformed run submission" in answer["error"]
+        # The next submission is served, and it is the only execution.
+        assert not client.submit([other])[run_digest(other)]["cached"]
+        assert srv.stats.executed == 1
+        assert not srv.store.contains(run_digest(good))
+        assert srv.store.contains(run_digest(other))
+
     def test_store_ops_over_the_wire(self, server):
         srv, client = server
         digest = "ab" * 32
