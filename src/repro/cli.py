@@ -422,8 +422,7 @@ def cmd_campaign(args) -> int:
             raise SystemExit("error: --store and --via-store are "
                              "mutually exclusive")
         from .serve import ServeClient
-        client = ServeClient(args.via_store, tenant=args.tenant)
-        store, dispatcher = client, client.dispatcher()
+        dispatcher = ServeClient(args.via_store, tenant=args.tenant)
     elif args.store:
         from .store import ResultStore
         store = ResultStore(args.store)

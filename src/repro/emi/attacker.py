@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .signal import EMISource
@@ -58,14 +58,15 @@ class AttackSchedule:
     tone cannot change; :meth:`source_at` and :meth:`segment_at` bisect one
     table of those edges, O(log n) however the windows overlap (where they
     do, the latest-starting active window wins, and :meth:`add` places a
-    window after those with an equal start).  Mutate via :meth:`add` — it
-    maintains the sort and the edge table.
+    window after those with an equal start).  ``windows`` is a tuple:
+    :meth:`add` rebuilds it and the edge table together.
     """
 
-    windows: List[AttackWindow] = field(default_factory=list)
+    windows: Tuple[AttackWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        self.windows.sort(key=lambda window: window.start_s)
+        self.windows = tuple(sorted(self.windows,
+                                    key=lambda window: window.start_s))
         self._reindex()
 
     def _reindex(self) -> None:
@@ -112,8 +113,8 @@ class AttackSchedule:
         """Insert one window; raises :class:`ValueError` unless
         ``start_s < end_s`` (NaNs included)."""
         window = AttackWindow(start_s, end_s, source)
-        starts = [other.start_s for other in self.windows]
-        self.windows.insert(bisect.bisect_right(starts, start_s), window)
+        index = bisect.bisect_right([w.start_s for w in self.windows], start_s)
+        self.windows = self.windows[:index] + (window,) + self.windows[index:]
         self._reindex()
 
     def source_at(self, t: float) -> Optional[EMISource]:

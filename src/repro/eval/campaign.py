@@ -559,22 +559,22 @@ class CampaignRunner:
       on this bundle's metrics registry.  They stay out of the per-run
       metrics, so fingerprints compare clean runs to resumed ones.
 
-    Store-backed memoization (see :mod:`repro.store`, :mod:`repro.serve`):
+    Store-backed memoization (see :mod:`repro.store`, :mod:`repro.serve`),
+    one of:
 
-    * ``store`` — any object with ``get(digest)`` / ``put(digest, value,
-      meta)`` / ``contains(digest)`` (a local
-      :class:`~repro.store.ResultStore` or a
-      :class:`~repro.serve.client.ServeClient`).  Every task is keyed by
-      its content digest (:func:`~repro.store.digest.run_digest` —
-      campaign-independent, so hits cross campaign and process
+    * ``store`` — a :class:`~repro.store.ResultStore` (any object with
+      ``get(digest)`` / ``put(digest, value, meta)``).  Every task is
+      keyed by its content digest (:func:`~repro.store.digest.run_digest`
+      — campaign-independent, so hits cross campaign and process
       boundaries); hits skip compilation and simulation entirely, misses
       execute and are written back one by one as they finish, so a
       campaign killed mid-run resumes from the same store with an
       identical :meth:`CampaignResult.metrics_fingerprint`.
     * ``dispatcher`` — an object with ``execute(tasks) -> [TaskResult]``
-      (a :meth:`~repro.serve.client.ServeClient.dispatcher`): store
-      misses are routed there — e.g. through a ``repro-gecko serve``
-      instance's fair-share queues — instead of the local executor.
+      (a :class:`~repro.serve.client.ServeClient`): every task goes there
+      in one call, compiling nothing locally — e.g. to a ``repro-gecko
+      serve`` instance, which answers warm runs from its own store and
+      queues the rest; results flagged ``stored`` count as store hits.
     """
 
     def __init__(self, workers: int = 1,
@@ -593,6 +593,9 @@ class CampaignRunner:
         self.start_method = start_method if start_method is not None \
             else default_start_method()
         self.obs = obs
+        if store is not None and dispatcher is not None:
+            raise CampaignError("a campaign takes a store or a dispatcher,"
+                                " not both: a server keeps its own store")
         self.store = store
         self.dispatcher = dispatcher
 
@@ -699,8 +702,8 @@ class CampaignRunner:
         are written back by the executor's result sink the moment each
         one finishes, so the next campaign to resolve the same
         :class:`RunSpec` digest — including a rerun of this one after a
-        kill — is served from cache.  The dispatcher's server owns its
-        own store, so nothing is put here on that path.
+        kill — is served from cache.  A dispatcher's server owns its own
+        store: nothing is put here, and results flagged ``stored`` are hits.
         """
         results: Dict[int, TaskResult] = {}
         for index, entry in store_hits.items():
@@ -740,6 +743,9 @@ class CampaignRunner:
             stats.store_hits = len(store_hits)
             stats.store_misses = len(todo)
             stats.store_puts = store_puts
+        elif self.dispatcher is not None:
+            stats.store_hits = sum(tr.stored for tr in raw)
+            stats.store_misses = len(raw) - stats.store_hits
         stats.retries = exec_stats.retries
         stats.timeouts = exec_stats.timeouts
         stats.worker_crashes = exec_stats.worker_crashes

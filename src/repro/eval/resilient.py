@@ -269,7 +269,11 @@ def _worker_main(conn, parent_end, task_fn: Callable[[Any, Any], Any],
     _install_worker(context)
     try:
         while True:
-            index, payload = conn.recv()
+            task = conn.recv()
+            if task is None:            # an opened pool's start-up ping
+                conn.send(None)
+                continue
+            index, payload = task
             outcome = _guarded_call(task_fn, index, payload)
             try:
                 conn.send(outcome)
@@ -327,9 +331,10 @@ class ResilientExecutor:
     len(tasks))`` workers and stops them before it returns (or runs
     serially, see the module docstring).  Opened with ``with``, the
     executor starts ``workers`` processes once and runs every
-    :meth:`run` on them, even at ``workers=1``; leaving the block kills
-    them all, and from another thread also makes a waiting :meth:`run`
-    raise :class:`ResilienceError`.
+    :meth:`run` on them, even at ``workers=1``; entering raises
+    :class:`ResilienceError` if a worker exits before it answers a ping,
+    and leaving the block kills them all, and from another thread also
+    makes a waiting :meth:`run` raise :class:`ResilienceError`.
 
     ``on_result`` is the result sink: the parent calls it once per task,
     with that task's final :class:`TaskResult`, as soon as the result is
@@ -361,6 +366,9 @@ class ResilientExecutor:
         self._wake, self._waker = multiprocessing.get_context(
             self.start_method).Pipe(duplex=False)
         self._pool = [self._start() for _ in range(self.workers)]
+        if not all(self._answers(worker) for worker in self._pool):
+            self.__exit__(None, None, None)
+            raise ResilienceError("a pool worker exited before serving")
         return self
 
     def __exit__(self, *exc) -> None:
@@ -531,6 +539,16 @@ class ResilientExecutor:
         process.start()
         child.close()
         return _Worker(process=process, conn=conn)
+
+    @staticmethod
+    def _answers(worker: _Worker) -> bool:
+        """Whether a new worker answers a ping rather than exiting."""
+        try:
+            worker.conn.send(None)
+            wait([worker.conn, worker.process.sentinel])
+            return worker.conn.poll() and worker.conn.recv() is None
+        except (EOFError, OSError):
+            return False
 
     def _replace(self, workers: List[_Worker], slot: int) -> None:
         self._stop(workers[slot])

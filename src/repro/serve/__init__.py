@@ -3,10 +3,10 @@
 ``repro-gecko serve`` puts a :class:`~repro.store.ResultStore` behind a
 long-running service: multiple concurrent clients submit single runs or
 whole campaigns over a line-JSON protocol (unix socket or localhost
-TCP); warm-store hits are answered immediately, misses flow through
-multi-tenant fair-share queues to one pool of worker processes kept by
-the resilient executor, and live progress events stream to
-subscribers.
+TCP), and ``submit`` is their only way into the store; warm-store hits
+are answered immediately, misses flow through multi-tenant fair-share
+queues to one pool of worker processes kept by the resilient executor,
+and live progress events stream to subscribers.
 
 See ``docs/serving.md`` for the store layout, wire protocol, and
 scheduling policy.
@@ -14,7 +14,7 @@ scheduling policy.
 
 from __future__ import annotations
 
-from .client import RemoteDispatcher, ServeClient, wait_until_up
+from .client import ServeClient, wait_until_up
 from .codec import decode_run, encode_run
 from .protocol import (
     PROTOCOL_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "CampaignServer",
     "FairScheduler",
     "PROTOCOL_VERSION",
-    "RemoteDispatcher",
     "SERVE_DONE",
     "SERVE_ERROR",
     "SERVE_HIT",

@@ -3,16 +3,12 @@ go through unchanged.
 
 :class:`ServeClient` speaks the line-JSON protocol directly (one
 connection per call; ``submit`` holds its connection open to stream
-results).  It plugs into :class:`~repro.eval.campaign.CampaignRunner`
-twice:
-
-* the client itself is a remote ``get/put/contains`` store — the same
-  signatures as :class:`~repro.store.ResultStore` — so
-  ``CampaignRunner(store=client)`` memoizes at RunSpec granularity
-  across campaigns, processes, and machines;
-* :meth:`ServeClient.dispatcher` — an ``execute(tasks)`` adapter that
-  routes store misses through the server's fair-share queues instead of
-  the local executor (the ``campaign --via-store`` path).
+results).  It reaches the server's store only through ``submit``, and
+it is itself a campaign dispatcher: :meth:`ServeClient.execute` sends a
+:class:`~repro.eval.campaign.CampaignRunner`'s whole task list as one
+submission (``CampaignRunner(dispatcher=client)``, the ``campaign
+--via-store`` path), so the server answers warm runs from its store and
+queues the rest.
 
 The campaign's accounting stays honest: hits arrive as
 :class:`~repro.eval.resilient.TaskResult` objects flagged ``stored``,
@@ -23,7 +19,7 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..eval.campaign import RunSpec
 from ..eval.resilient import SIM_ERROR, TaskResult
@@ -32,7 +28,7 @@ from ..store.digest import run_digest
 from .codec import encode_run
 from .protocol import ServeError, connect, recv_message, send_message
 
-__all__ = ["RemoteDispatcher", "ServeClient", "wait_until_up"]
+__all__ = ["ServeClient", "wait_until_up"]
 
 
 class ServeClient:
@@ -70,19 +66,6 @@ class ServeClient:
 
     def stats(self) -> dict:
         return self._request({"op": "stats"})
-
-    def contains(self, digest: str) -> bool:
-        return self._request({"op": "contains",
-                              "digest": digest})["contains"]
-
-    def get(self, digest: str, default: Any = None) -> Optional[dict]:
-        entry = self._request({"op": "get", "digest": digest})["entry"]
-        return entry if entry is not None else default
-
-    def put(self, digest: str, value: Any,
-            meta: Optional[dict] = None) -> bool:
-        return self._request({"op": "put", "digest": digest,
-                              "value": value, "meta": meta})["stored"]
 
     def shutdown(self) -> dict:
         return self._request({"op": "shutdown"})
@@ -162,36 +145,19 @@ class ServeClient:
         finally:
             sock.close()
 
-    # -- campaign adapter -----------------------------------------------
-    def dispatcher(self, tenant: Optional[str] = None
-                   ) -> "RemoteDispatcher":
-        return RemoteDispatcher(self, tenant=tenant)
-
-
-class RemoteDispatcher:
-    """``execute(tasks)`` over the server's fair-share queues — a
-    drop-in for the ``dispatcher=`` argument of
-    :class:`~repro.eval.campaign.CampaignRunner`.  One submission per
-    campaign; duplicate RunSpecs inside it collapse onto one execution
-    server-side."""
-
-    def __init__(self, client: ServeClient,
-                 tenant: Optional[str] = None) -> None:
-        self.client = client
-        self.tenant = tenant
-
-    def execute(self, tasks: List[Tuple[int, RunSpec]]
+    # -- campaign dispatch ----------------------------------------------
+    def execute(self, tasks: Sequence[Tuple[int, RunSpec]]
                 ) -> List[TaskResult]:
-        runs = [run for _, run in tasks]
-        served = self.client.submit(runs, tenant=self.tenant, wait=True)
+        """``execute(tasks)`` for the ``dispatcher=`` argument of
+        :class:`~repro.eval.campaign.CampaignRunner`: every task in one
+        submission under this client's tenant.  Duplicate RunSpecs in it
+        collapse onto one execution server-side."""
+        served = self.submit([run for _, run in tasks])
         results: List[TaskResult] = []
         for index, run in tasks:
-            line = served.get(run_digest(run))
-            if line is None:
-                results.append(TaskResult(
-                    index=index, error="server returned no result for "
-                                       "this run", error_kind=SIM_ERROR))
-            elif "error" in line and line["error"]:
+            line = served.get(run_digest(run)) \
+                or {"error": "server returned no result for this run"}
+            if line.get("error"):
                 results.append(TaskResult(
                     index=index, error=line["error"],
                     error_kind=line.get("error_kind") or SIM_ERROR))

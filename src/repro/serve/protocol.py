@@ -12,20 +12,19 @@ Addresses come in two spellings:
 
 Ops (see :mod:`repro.serve.server` for semantics):
 
-====================  =============================================
-``ping``              liveness + protocol version
-``stats``             store, queue, pool, and server counters
-``contains``/``get``  store reads by digest
-``put``               store write (content-addressed; idempotent)
-``submit``            single-run or campaign submission; with
-                      ``wait`` the response streams one line per
-                      completed run, hits first, then ``done``
-``subscribe``         stream server obs-bus events until disconnect
-``shutdown``          stop the server
-====================  =============================================
+=============  ================================================
+``ping``       liveness + protocol version
+``stats``      store, queue, pool, and server counters
+``submit``     single-run or campaign submission, the only way
+               into the server's store; with ``wait`` the
+               response streams one line per completed run,
+               hits first, then ``done``
+``subscribe``  stream server obs-bus events until disconnect
+``shutdown``   stop the server
+=============  ================================================
 
-Every response carries ``"ok"``; failures carry ``"error"`` instead of
-tearing the connection down.
+Every response carries ``"ok"``; failures (an unknown op included)
+carry ``"error"`` instead of tearing the connection down.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 #: Bumped when a message shape changes incompatibly; ``ping`` reports it.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ServeError(ReproError):

@@ -5,7 +5,8 @@ serving shape — cache, queue, pool, event stream:
 
 * **cache** — a :class:`~repro.store.ResultStore`: submissions whose
   :func:`~repro.store.digest.run_digest` is already stored are answered
-  immediately, without touching a simulator;
+  immediately, without touching a simulator.  ``submit`` is the only
+  op that reaches it, and the pool's result sink its only writer;
 * **queue** — a :class:`~repro.serve.scheduler.FairScheduler`: misses
   enter per-tenant FIFOs and are served round-robin, so no campaign
   starves another tenant's single run;
@@ -40,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..eval.campaign import RunSpec, _run_point
 from ..eval.resilient import (
+    ResilienceError,
     ResilientExecutor,
     RetryPolicy,
     SIM_ERROR,
@@ -82,18 +84,10 @@ class ServerStats:
     """Aggregate serving counters (over this process's lifetime)."""
 
     submissions: int = 0
-    hits_served: int = 0
+    hits_served: int = 0        # runs ``submit`` answered from the store
     executed: int = 0
     errors: int = 0
     started_at: float = 0.0
-
-
-def _digest(request: dict) -> str:
-    """The request's digest, refused as data unless it is a string."""
-    digest = request.get("digest")
-    if not isinstance(digest, str):
-        raise ServeError(f"digest must be a string, got {digest!r}")
-    return digest
 
 
 class CampaignServer:
@@ -142,13 +136,21 @@ class CampaignServer:
     def start(self) -> str:
         """Bind, start the worker pool before any thread, then the
         dispatch and accept threads; returns the resolved address (the
-        one clients should dial)."""
+        one clients should dial).  Raises :class:`ServeError` if the
+        pool's workers die before serving."""
         if self._sock is not None:
             raise ServeError("server already started")
         self._sock, self.address = server_socket(self.requested_address)
         self._sock.settimeout(0.2)
         self.stats.started_at = time.time()
-        self.pool.__enter__()
+        try:
+            self.pool.__enter__()
+        except ResilienceError as exc:
+            self._sock.close()
+            raise ServeError(
+                f"{exc}: workers re-import the main module, so start the "
+                f"server from a module file or the CLI, under an "
+                f"'if __name__ == \"__main__\":' guard") from None
         for target in (self._dispatch_loop, self._accept_loop):
             thread = threading.Thread(target=target, daemon=True)
             thread.start()
@@ -237,25 +239,6 @@ class CampaignServer:
                          **dataclasses.asdict(self.pool.stats)},
                 "server": dataclasses.asdict(self.stats),
             })
-        elif op == "contains":
-            send_message(conn, {
-                "ok": True,
-                "contains": self.store.contains(_digest(request)),
-            })
-        elif op == "get":
-            entry = self.store.get(_digest(request))
-            if entry is not None:
-                with self._lock:
-                    self.stats.hits_served += 1
-            send_message(conn, {"ok": True, "entry": entry})
-        elif op == "put":
-            meta = request.get("meta")
-            if meta is not None and not isinstance(meta, dict):
-                raise ServeError(f"put meta must be an object, got "
-                                 f"{meta!r}")
-            stored = self.store.put(_digest(request), request.get("value"),
-                                    meta=meta)
-            send_message(conn, {"ok": True, "stored": stored})
         elif op == "submit":
             self._handle_submit(conn, request)
         elif op == "subscribe":

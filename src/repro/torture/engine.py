@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core import compile_scheme
 from ..errors import InvariantViolation
 from ..faultsim.golden import capture_trace
+from ..faultsim.injector import FaultInjector
+from ..faultsim.models import CKPT_CORRUPT, CKPT_TRUNCATE, FaultSpec
 from ..isa.instructions import CYCLES, Opcode
 from ..isa.program import ISR_MAX_DEPTH
 from ..runtime import runtime_for
@@ -187,35 +189,6 @@ class _StepFaultHook:
         return True  # instr_skip
 
 
-class _CkptFaultHook:
-    """Queue of checkpoint-image faults, consumed by the next JIT
-    checkpoint (the :meth:`NVPRuntime.jit_checkpoint` hook point).
-    Both modes also cut the write budget short of the commit markers:
-    the glitch that corrupts the image is the same glitch that keeps
-    the checkpoint from committing (paper §IV-B2)."""
-
-    def __init__(self) -> None:
-        self._armed: List[object] = []
-
-    def arm(self, event) -> None:
-        self._armed.append(event)
-
-    def on_checkpoint(self, writes, budget):
-        if not self._armed:
-            return writes, budget
-        event = self._armed.pop(0)
-        writes = list(writes)
-        image_words = max(1, len(writes) - 2)  # markers excluded
-        if event.mode == "corrupt":
-            index = event.word % image_words
-            sym, off, value = writes[index]
-            writes[index] = (sym, off, value ^ (1 << event.bit))
-            budget = min(budget, image_words)
-        else:  # truncate
-            budget = min(budget, min(event.cut, image_words))
-        return writes, budget
-
-
 # ----------------------------------------------------------------------
 # Outcomes.
 # ----------------------------------------------------------------------
@@ -272,10 +245,10 @@ class _TortureRun:
         base = target.base_scheme
         self.runtime = runtime_for(target.compiled, base)
         self.step_hook = _StepFaultHook()
-        self.ckpt_hook = _CkptFaultHook()
         self.machine.attach(fault_hook=self.step_hook)
-        if base in ("nvp", "gecko"):
-            self.runtime.attach(fault_hook=self.ckpt_hook)
+        #: Armed checkpoint-image faults, oldest first: each JIT
+        #: checkpoint consumes one.
+        self.ckpt_faults: List[FaultInjector] = []
         # gecko-rollback pins pure-rollback mode (the Ratchet convention
         # of the crash tests): never tick, re-pin __mode after reboots.
         self.ticks = base == "gecko" and not target.rollback_mode
@@ -376,7 +349,12 @@ class _TortureRun:
                             event_index=index))
                         self._stall = 0
         if budget is not None:
+            faults = self.ckpt_faults
+            if faults:
+                self.runtime.attach(fault_hook=faults[0])
             self.runtime.on_checkpoint_signal(machine, float(budget))
+            if faults and faults[0].fired:
+                del faults[0]
         machine.power_off()
         self.runtime.on_reboot(machine)
         if self.target.rollback_mode:
@@ -400,7 +378,13 @@ class _TortureRun:
                     break
                 self._power_failure(index, repeat_budget)
         elif event.kind == CKPT_FAULT:
-            self.ckpt_hook.arm(event)
+            # Both models also cut the write budget short of the commit
+            # markers (paper §IV-B2); the time trigger is always past.
+            corrupt = event.mode == "corrupt"
+            self.ckpt_faults.append(FaultInjector(FaultSpec(
+                model=CKPT_CORRUPT if corrupt else CKPT_TRUNCATE,
+                target=event.word if corrupt else event.cut,
+                bit=event.bit, trigger_time_s=0.0)))
         elif event.kind == ISR_BURST:
             hub = self.hub
             if hub is None:

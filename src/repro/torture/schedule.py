@@ -129,6 +129,10 @@ class TortureEvent:
                                f"{', '.join(DATA_MODELS)}, got {self.model!r}")
         if not 0 <= self.reg < NUM_REGS:
             raise TortureError(f"reg must be in [0, {NUM_REGS})")
+        if not (0 <= self.word < IMAGE_PREFIX_WORDS
+                and 0 <= self.cut < IMAGE_PREFIX_WORDS):
+            raise TortureError(f"word and cut must be in "
+                               f"[0, {IMAGE_PREFIX_WORDS})")
         if not 0 <= self.bit < 32:
             raise TortureError("bit must be in [0, 32)")
 

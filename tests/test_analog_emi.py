@@ -228,6 +228,17 @@ class TestAttackSchedule:
         assert schedule.source_at(3.0) is None
         assert schedule.source_at(4.5) is not None
 
+    def test_windows_change_only_through_add(self):
+        # An append would bypass the edge table every lookup reads.
+        source = EMISource(27e6, 35)
+        schedule = AttackSchedule.silent()
+        with pytest.raises(AttributeError):
+            schedule.windows.append(AttackWindow(0.0, 1.0, source))
+        assert not schedule.ever_active
+        schedule.add(0.0, 1.0, source)
+        assert schedule.ever_active
+        assert schedule.source_at(0.5) == source
+
     def test_overlapping_windows_latest_start_wins(self):
         outer, burst = EMISource(27e6, 35), EMISource(100e6, 10)
         schedule = AttackSchedule.always(outer)

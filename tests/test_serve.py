@@ -7,6 +7,8 @@ streaming, and the `--via-store` dispatcher path are all end-to-end.
 """
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +22,7 @@ from repro.eval import (
     ExperimentSpec,
     VictimConfig,
 )
-from repro.eval.campaign import PathSpec, RunSpec
+from repro.eval.campaign import CampaignError, PathSpec, RunSpec
 from repro.eval.resilient import SIM_ERROR, TIMEOUT, RetryPolicy
 from repro.serve import (
     CampaignServer,
@@ -35,6 +37,7 @@ from repro.serve import (
     recv_message,
     send_message,
 )
+from repro.runtime import SimResult
 from repro.store import ResultStore, run_digest
 
 
@@ -205,6 +208,20 @@ def _wait_for(predicate, timeout_s=10.0):
     assert predicate()
 
 
+def _live_in_session(sid):
+    """Pids of the processes in session ``sid`` that are not zombies."""
+    live = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except (OSError, ValueError):
+            continue        # not a pid, or it just exited
+        if fields[3] == str(sid) and fields[0] != "Z":
+            live.append(int(entry))
+    return live
+
+
 class TestServer:
     def test_ping_reports_the_protocol_version(self, server):
         _, client = server
@@ -271,15 +288,39 @@ class TestServer:
         assert not srv.store.contains(run_digest(good))
         assert srv.store.contains(run_digest(other))
 
-    def test_store_ops_over_the_wire(self, server):
+    def test_no_client_can_plant_a_result(self, server):
+        """``submit`` is the only way into the store: the old store ops
+        are unknown, and the run a planted value targeted is simulated."""
         srv, client = server
-        digest = "ab" * 32
-        assert not client.contains(digest)
-        assert client.put(digest, {"v": 1}, meta={"who": "test"})
-        assert client.contains(digest)
-        assert client.get(digest)["value"] == {"v": 1}
-        assert not client.put(digest, {"v": 2})      # content-addressed
-        assert srv.store.get(digest)["value"] == {"v": 1}
+        run = _run_spec(victim=VictimConfig(workload="blink",
+                                            duration_s=0.01),
+                        attack=AttackSpec.silent())
+        digest = run_digest(run)
+        planted = SimResult(completions=424242).to_dict()
+        entries = client.stats()["store"]["entries"]
+        sock = connect(client.address, timeout=30.0)
+        reader = sock.makefile("r")
+        try:
+            for request in ({"op": "put", "digest": digest,
+                             "value": planted},
+                            {"op": "get", "digest": digest},
+                            {"op": "contains", "digest": digest}):
+                send_message(sock, request)
+                answer = recv_message(reader)
+                assert answer["ok"] is False, request
+                assert "unknown op" in answer["error"], request
+            # The same connection still serves.
+            send_message(sock, {"op": "ping"})
+            assert recv_message(reader)["version"] == PROTOCOL_VERSION == 2
+        finally:
+            reader.close()
+            sock.close()
+        assert client.stats()["store"]["entries"] == entries
+        line = client.submit([run])[digest]
+        assert line["cached"] is False
+        assert line["result"]["completions"] != 424242
+        assert line["result"]["final_state"]
+        assert srv.stats.executed == 1 and srv.stats.hits_served == 0
 
     def test_miss_executes_and_stores(self, server):
         srv, client = server
@@ -517,6 +558,33 @@ class TestPool:
                        == served["t0"][digest]["result"]
                        for digest, line in lines.items())
 
+    def test_a_server_piped_on_stdin_fails_at_start(self, tmp_path):
+        """A fork-server worker re-imports the main module, which a
+        script on stdin does not have: start() raises one error naming
+        the ``__main__`` guard, and no process is left behind."""
+        import repro
+        script = (
+            "from repro.serve import CampaignServer\n"
+            "from repro.store import ResultStore\n"
+            f"CampaignServer(store=ResultStore({str(tmp_path / 'st')!r}),\n"
+            f"               address={str(tmp_path / 's.sock')!r},\n"
+            "               workers=2).start()\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        proc = subprocess.Popen([sys.executable, "-"], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        _, stderr = proc.communicate(script, timeout=30.0)
+        assert proc.returncode != 0
+        (error,) = [line for line in stderr.splitlines()
+                    if line.startswith("repro.serve.protocol.ServeError")]
+        assert "exited before serving" in error
+        assert 'if __name__ == "__main__":' in error
+        # The script ran in its own session: wait for every process of it
+        # (the fork server outlives the script briefly) to go.
+        _wait_for(lambda: not _live_in_session(proc.pid))
+
     def test_workers_start_before_any_thread(self, tmp_path, monkeypatch):
         from repro.eval.resilient import ResilientExecutor
 
@@ -561,30 +629,45 @@ class TestViaStore:
 
         # Through the server: no local simulation may happen at all.
         import repro.eval.campaign as campaign_mod
+        import repro.serve.client as client_mod
         monkeypatch.setattr(
             campaign_mod, "_run_point",
             lambda compiled, run: (_ for _ in ()).throw(
                 AssertionError("simulated locally on the served path")))
-        served = CampaignRunner(store=client,
-                                dispatcher=client.dispatcher()).run(spec)
+        dials = []
+        real_connect = client_mod.connect
+        monkeypatch.setattr(
+            client_mod, "connect",
+            lambda *args, **kw: dials.append(args) or real_connect(*args,
+                                                                   **kw))
+        served = CampaignRunner(dispatcher=client).run(spec)
         assert served.metrics_fingerprint() \
             == direct.metrics_fingerprint()
         assert served.stats.compiles == 0
         assert served.stats.store_misses == 3    # 2 grid + baseline
+        assert len(dials) == 1                   # one round trip
 
         # Resubmission: every run is a warm hit, nothing executes.
         executed_before = srv.stats.executed
-        warm = CampaignRunner(store=client,
-                              dispatcher=client.dispatcher()).run(spec)
+        warm = CampaignRunner(dispatcher=client).run(spec)
         assert warm.stats.store_hits == 3
+        assert warm.stats.store_misses == 0
+        assert warm.stats.store_puts == 0
         assert warm.metrics_fingerprint() == direct.metrics_fingerprint()
         assert srv.stats.executed == executed_before
+        assert len(dials) == 2
+
+    def test_store_and_dispatcher_are_exclusive(self, server, tmp_path):
+        _, client = server
+        with pytest.raises(CampaignError, match="store or a dispatcher"):
+            CampaignRunner(store=ResultStore(str(tmp_path / "local")),
+                           dispatcher=client)
 
     def test_dispatcher_surfaces_server_errors(self, server):
         _, client = server
         # An unknown workload fails server-side; the dispatcher must
         # return the taxonomy, not raise.
         bad = _run_spec(victim=VictimConfig(workload="no-such-workload"))
-        (result,) = client.dispatcher().execute([(0, bad)])
+        (result,) = client.execute([(0, bad)])
         assert not result.ok
         assert result.error

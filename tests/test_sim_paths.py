@@ -21,6 +21,7 @@ import io
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.emi import AttackSchedule, DPIPath, EMISource, RemotePath
 from repro.energy import Capacitor, ConstantSupply, PowerSystem, RFHarvester
@@ -158,8 +159,54 @@ def test_simulate_trace_stdout():
     assert _cli_digest() == EXPECTED_CLI
 
 
+# sim-attack's matrix: no SimResult field carries an energy figure, so an
+# energy-model change that crosses no threshold keeps every digest above
+# and in perfbench's references.  The capacitor's end-of-run energy sees it.
+SIM_ATTACK = [(w, s, a) for w in ("crc16", "dhrystone", "glucose")
+              for s in ("nvp", "gecko") for a in ("silent", "tone")]
+
+
+def _end_energy(workload, scheme, attack):
+    """``capacitor.energy.hex()`` after sim-attack's run of one
+    configuration (0.1 s, threaded, the victim's outage harvester)."""
+    victim = fault_victim(workload, scheme, duration_s=0.1,
+                          backend="threaded")
+    power = victim.power_system()
+    repro.simulate_program(
+        victim.compile(), duration_s=0.1, power=power,
+        attack=AttackSchedule.silent() if attack == "silent"
+        else AttackSchedule.always(TONE),
+        path=RemotePath(distance_m=REMOTE_DISTANCE_M),
+        device=victim.profile(), monitor_kind=victim.monitor_kind,
+        config=victim.sim_config(), backend="threaded")
+    return power.capacitor.energy.hex()
+
+
+EXPECTED_ENERGY = {
+    'crc16/nvp/silent': '0x1.3752864b5a409p-14',
+    'crc16/nvp/tone': '0x1.e337d77f5a11dp-14',
+    'crc16/gecko/silent': '0x1.374c46a81d4dcp-14',
+    'crc16/gecko/tone': '0x1.c01df2425e7b0p-15',
+    'dhrystone/nvp/silent': '0x1.372c013957729p-14',
+    'dhrystone/nvp/tone': '0x1.d71829ba4b439p-14',
+    'dhrystone/gecko/silent': '0x1.373b16b727973p-14',
+    'dhrystone/gecko/tone': '0x1.c01d526549a89p-15',
+    'glucose/nvp/silent': '0x1.372ca1fc071f6p-14',
+    'glucose/nvp/tone': '0x1.db5e00b414d55p-14',
+    'glucose/gecko/silent': '0x1.37549f24d1e0bp-14',
+    'glucose/gecko/tone': '0x1.cfd792ed62fbap-14',
+}
+
+
+@pytest.mark.parametrize("case", SIM_ATTACK, ids="/".join)
+def test_sim_attack_end_energy(case):
+    assert _end_energy(*case) == EXPECTED_ENERGY["/".join(case)]
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f"    {name!r}:\n"
               f"        \"{content_digest(CASES[name]().to_dict())}\",")
     print(f"EXPECTED_CLI = \"{_cli_digest()}\"")
+    for case in SIM_ATTACK:
+        print(f"    {'/'.join(case)!r}: {_end_energy(*case)!r},")

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import compile_scheme
 from repro.errors import InvariantViolation
+from repro.faultsim import IMAGE_PREFIX_WORDS, FaultInjector
 from repro.runtime import Machine
 from repro.runtime.threaded import _blocks_for
 from repro.torture import (
@@ -104,6 +105,15 @@ class TestScheduleModel:
             TortureEvent(kind="data_fault", at_cycle=1, model="reg_flip",
                          reg=99)
 
+    def test_image_faults_target_the_fixed_image_prefix(self):
+        for field in ("word", "cut"):
+            for value in (-1, IMAGE_PREFIX_WORDS):
+                with pytest.raises(TortureError, match="word and cut"):
+                    TortureEvent(kind="ckpt_fault", at_cycle=1,
+                                 mode="corrupt", **{field: value})
+        TortureEvent(kind="ckpt_fault", at_cycle=1, mode="truncate",
+                     word=IMAGE_PREFIX_WORDS - 1, cut=IMAGE_PREFIX_WORDS - 1)
+
     def test_contract_rejects_out_of_scope_events(self):
         faulty = TortureSchedule(events=(TortureEvent(
             kind="ckpt_fault", at_cycle=50, mode="corrupt"),))
@@ -167,6 +177,37 @@ class TestEngine:
         assert interp.triggered == 3
         assert interp.to_dict() == threaded.to_dict()
         assert interp.fingerprint == threaded.fingerprint
+
+    def test_image_faults_meet_checkpoints_through_the_injector(
+            self, blink_target, monkeypatch):
+        """The next JIT checkpoint consumes the oldest armed image fault,
+        a :class:`FaultInjector`: a bit-31 flip is a wrapped word, on
+        both backends."""
+        consumed = []
+        real = FaultInjector.on_checkpoint
+
+        def spy(injector, writes, budget):
+            writes, budget = real(injector, writes, budget)
+            consumed.append((injector.spec.model, writes[0][2], budget))
+            return writes, budget
+
+        monkeypatch.setattr(FaultInjector, "on_checkpoint", spy)
+        for first, second in (("corrupt", "truncate"),
+                              ("truncate", "corrupt")):
+            schedule = TortureSchedule(events=tuple(
+                TortureEvent(kind="ckpt_fault", at_cycle=100, mode=mode,
+                             bit=31, cut=5) for mode in (first, second))
+                + (_power_fail(600, AMPLE_BUDGET),))
+            consumed.clear()
+            interp = run_schedule(blink_target, schedule, "interpreter")
+            threaded = run_schedule(blink_target, schedule, "threaded")
+            assert interp.fingerprint == threaded.fingerprint
+            assert [model for model, _, _ in consumed] \
+                == [f"ckpt_{first}"] * 2
+            for _, word, budget in consumed:
+                assert -2 ** 31 <= word < 2 ** 31
+                assert budget == (5 if first == "truncate"
+                                  else IMAGE_PREFIX_WORDS)
 
     def test_committed_output_survives_repeated_failures(self,
                                                         blink_target):
