@@ -646,7 +646,7 @@ def cmd_serve(args) -> int:
     entries = store.stats().entries
     print(f"serving on {resolved}  "
           f"(store: {args.store}, {entries} warm entries; "
-          f"workers: {server.pool.workers})")
+          f"workers: {len(server.pools)})")
     print("submit with: repro-gecko campaign <prog> "
           f"--via-store {resolved}")
     try:

@@ -18,14 +18,13 @@ Design rules that keep every existing guarantee intact:
   static caches derived from the program plus a volatile diagnostic
   trace.
 * **Everything advances at instruction boundaries.**  The interpreter
-  calls :meth:`PeriphHub.on_boundary` after every instruction; the
-  threaded backend calls it after every block and uses
-  :meth:`PeriphHub.event_before` to fall back to exact single-stepping
-  for any block whose cycle span contains a device event — so both
-  backends observe fires, deliveries, and returns at identical
-  instruction boundaries and stay fingerprint-identical.  While
-  :meth:`PeriphHub.horizon` shows the hub idle, blocks that end before
-  it skip both calls, which would do nothing there.
+  calls :meth:`PeriphHub.on_boundary` after every instruction.  The
+  threaded backend asks :meth:`PeriphHub.horizon` instead: the first
+  cycle at which the hub could act.  It runs whole blocks that end
+  before it, calls the hook only after those ending in ``RET`` or a
+  peripheral MMIO store, and single-steps the rest — so both backends
+  observe fires, deliveries, returns, and heals at identical
+  instruction boundaries and stay fingerprint-identical.
 * **Delivery is a hardware context push.**  Entering an ISR saves the
   interrupted ``pc`` and register file into an NVM frame, pushes the
   vector, and seeds the handler's return-address slot with an
@@ -184,7 +183,7 @@ class PeriphHub:
         return self._territory.get(vector, _EMPTY)
 
     # ------------------------------------------------------------------
-    # The boundary hook (interpreter: every step; threaded: every block).
+    # The boundary hook, and the horizon before which it does nothing.
     # ------------------------------------------------------------------
     def on_boundary(self, machine) -> None:
         self._try_pop(machine)
@@ -192,52 +191,23 @@ class PeriphHub:
         self._heal(machine)
         self._deliver(machine)
 
-    def event_before(self, machine, block_cycles: int) -> bool:
-        """Would anything happen inside a block of ``block_cycles``?
+    def horizon(self, machine) -> float:
+        """First cycle at which a block ending there could see a device
+        fire, or -1 unless the hub is quiet: main code with no ISR frame
+        stacked, or a handler running inside its top vector's territory;
+        nothing deliverable; no enabled device waiting to be armed.
 
-        The threaded backend asks before running a whole block that
-        does not end before :meth:`horizon`; True demotes execution to
-        exact single-stepping so device fires, deliveries, returns, and
-        healing land at the same instruction boundaries as the
-        interpreter.
+        While quiet, :meth:`on_boundary` is a no-op at every boundary
+        before the horizon except one after a ``RET`` (it may load a
+        handler's sentinel, or leave the territory) or after a store to
+        peripheral MMIO (it may arm a device or unmask a vector).  Every
+        other instruction keeps the pc inside its function or calls into
+        the running handler's closure.
         """
         mem = machine.mem
         sp = mem[self._sp_a]
-        if sp:
-            if not 0 < sp <= ISR_MAX_DEPTH:
-                return True
-            pc = machine.pc
-            if not 0 <= pc < self._code_size:
-                return True
-            top = mem[self._stack_a + sp - 1]
-            if self._owner[pc] not in self._territory.get(top, _EMPTY):
-                return True
-        if self._select(machine) is not None:
-            return True
-        end = machine.cycles + block_cycles
-        for ctrl_a, period_a, base_a, count_a, _fire in self._devices:
-            if not mem[ctrl_a]:
-                continue
-            base = mem[base_a]
-            if base == 0:
-                return True  # arming happens at an exact boundary
-            period = mem[period_a]
-            if period > 0 and base - 1 + (mem[count_a] + 1) * period <= end:
-                return True
-        return False
-
-    def horizon(self, machine) -> float:
-        """First cycle at which a block ending there could see a device
-        fire, or -1 unless the hub is idle: no ISR frame stacked,
-        nothing deliverable, and no enabled device waiting to be armed.
-
-        While idle, :meth:`event_before` is False for every block ending
-        before the horizon, and :meth:`on_boundary` is a no-op at every
-        boundary before it.  Only a store to peripheral MMIO can end the
-        idle state inside a slice, and such a store ends its block.
-        """
-        mem = machine.mem
-        if mem[self._sp_a] or self._select(machine) is not None:
+        if sp and not self._in_handler(machine, sp) \
+                or self._select(machine) is not None:
             return -1
         first = float("inf")
         for ctrl_a, period_a, base_a, count_a, _fire in self._devices:
@@ -251,6 +221,14 @@ class PeriphHub:
             if period > 0:
                 first = min(first, base - 1 + (count + 1) * period)
         return first
+
+    def _in_handler(self, machine, sp: int) -> bool:
+        """Whether ``sp`` is a valid depth and the pc lies inside the
+        top stacked vector's territory."""
+        pc = machine.pc
+        return (0 < sp <= ISR_MAX_DEPTH and 0 <= pc < self._code_size
+                and self._owner[pc] in self._territory.get(
+                    machine.mem[self._stack_a + sp - 1], _EMPTY))
 
     # ------------------------------------------------------------------
     # Handler return (sentinel pop).
@@ -344,12 +322,8 @@ class PeriphHub:
     def _heal(self, machine) -> None:
         mem = machine.mem
         sp = mem[self._sp_a]
-        if sp == 0:
-            return
-        if 0 < sp <= ISR_MAX_DEPTH and 0 <= machine.pc < self._code_size:
-            top = mem[self._stack_a + sp - 1]
-            if self._owner[machine.pc] in self._territory.get(top, _EMPTY):
-                return  # genuinely executing inside the handler
+        if sp == 0 or self._in_handler(machine, sp):
+            return  # main code, or genuinely executing the handler
         repend = 0
         for i in range(max(0, min(sp, ISR_MAX_DEPTH))):
             vector = mem[self._stack_a + i]

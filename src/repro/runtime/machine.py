@@ -202,9 +202,10 @@ class Machine:
 
         Programs linked with peripheral support carry a
         :class:`~repro.periph.hub.PeriphHub` from construction; its
-        ``on_boundary(machine)`` runs after every instruction
-        (interpreter) or block (threaded backend, except where the
-        hub's idle ``horizon`` shows it would do nothing).
+        ``on_boundary(machine)`` runs after every instruction on the
+        interpreter.  The threaded backend runs whole blocks only before
+        the hub's ``horizon``, where the hook does nothing except after
+        a ``RET`` or a peripheral MMIO store, and calls it just there.
         """
         if fault_hook is not _UNSET:
             self._fault_hook = fault_hook

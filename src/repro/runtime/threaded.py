@@ -58,17 +58,16 @@ and the CI cross-check):
   instructions before the faulting pc, as the interpreter does.
 * **Peripherals** — for programs linked with the :mod:`repro.periph`
   control block, a store to peripheral MMIO ends its block and only
-  plain blocks run.  After a block the hub's boundary hook runs, then
-  :meth:`~repro.periph.hub.PeriphHub.horizon` reports the first cycle
-  at which an idle hub could act; blocks ending before it (and not in an
-  MMIO store) run with no hub call at all, since there
-  :meth:`~repro.periph.hub.PeriphHub.event_before` is False and the
-  boundary hook a no-op.  Otherwise a block whose cycle span contains a
-  device event is demoted to exact single-stepping (``event_before``) —
-  interrupt delivery, handler returns, device fires, and stale-frame
-  healing all land on the interpreter's exact instruction boundaries.
-  The horizon is dropped after every step and at slice entry, since
-  only MMIO stores change hub words inside a slice.
+  plain blocks run.  ``run_slice`` asks the hub one question,
+  :meth:`~repro.periph.hub.PeriphHub.horizon`: the first cycle at which
+  it could act, or -1.  A block (or residue) runs only if it ends before
+  the horizon; otherwise the slice steps exactly, so interrupt delivery,
+  handler returns, device fires, and stale-frame healing all land on the
+  interpreter's instruction boundaries.  Before the horizon the hub's
+  boundary hook does nothing except after a ``RET`` (it may land on a
+  handler's sentinel) or an MMIO store, so it runs only after blocks
+  ending in one (``CompiledBlock.mmio``).  The horizon is asked at the
+  slice's first block and again after any step or hook call.
 * **Interruptible points** — ``MARK`` region commits and ``SENSE``
   reads call out of the block (observability bus, user sensor streams),
   so generated code synchronizes ``pc``/``cycles``/``instr_count``
@@ -141,7 +140,8 @@ class CompiledBlock:
         self.classes = classes
         #: Plain blocks run as ``fn(m, regs, mem, wear)``.
         self.region = False
-        #: Whether the block ends in a store to peripheral MMIO.
+        #: Whether the hub must see the boundary after the block: it
+        #: ends in a store to peripheral MMIO or in a ``RET``.
         self.mmio = mmio
 
 
@@ -319,9 +319,10 @@ class _BlockCompiler:
             cycles, classes = self.block(self.start, end)
             fn = self.build("__tblock", "m, regs, mem, wear",
                             f"<threaded-block@{self.start}>")
+            last = self.program.instrs[end - 1]
             return CompiledBlock(fn, end - self.start, cycles, self.start,
                                  classes,
-                                 _mmio_store(self.program.instrs[end - 1]))
+                                 last.op is Opcode.RET or _mmio_store(last))
         lengths: Dict[int, int] = {}
         self.goto = "pc"
         self.emit("budget = left")
@@ -617,10 +618,10 @@ class ThreadedBackend:
             # every block's class sums: both run plain blocks only.
             plain = prof is not None or hub is not None
             units = cache.blocks if plain else cache.units
-            # Blocks ending before this cycle need no hub call (see
-            # ``PeriphHub.horizon``); -1 until the hub has seen a block
-            # boundary in this slice, and again after any step.
-            horizon = -1
+            # A hub program runs a block only if it ends before the
+            # hub's horizon: asked at the first block of the slice and
+            # again after any step or hub call (None until then).
+            horizon = None
             executed = 0
             limit = budget
             while executed < budget:
@@ -635,7 +636,7 @@ class ThreadedBackend:
                         machine.step()
                         executed += 1
                         limit = budget
-                        horizon = -1
+                        horizon = None
                         continue
                     limit = min(budget,
                                 executed + trigger - machine.instr_count)
@@ -647,17 +648,25 @@ class ThreadedBackend:
                 if unit is None:
                     unit = cache.block(program, pc) if plain \
                         else cache.unit(program, pc)
+                if hub is not None:
+                    if horizon is None:
+                        horizon = hub.horizon(machine)
+                    if machine.cycles + unit.cycles >= horizon:
+                        # The hub may act inside this block: step so a
+                        # fire, delivery, return, or heal lands at the
+                        # interpreter's exact boundary.
+                        machine.step()
+                        executed += 1
+                        horizon = None
+                        continue
                 left = limit - executed
                 if unit.n > left:
                     # Never overshoot the slice budget (monitor/power
                     # sampling at slice boundaries must stay exact) nor
                     # an armed hook's trigger: run the block's first
                     # ``left`` instructions as its residue.  A profiled
-                    # run steps them, for exact class attribution, and
-                    # so does a hub program unless the horizon covers
-                    # the whole block.
-                    if prof is None and (hub is None or machine.cycles
-                                         + unit.cycles < horizon):
+                    # run steps them, for exact class attribution.
+                    if prof is None:
                         residue = cache.residues[pc] \
                             or cache.residue(program, pc)
                         residue(machine, machine.regs, machine.mem,
@@ -666,30 +675,20 @@ class ThreadedBackend:
                     else:
                         machine.step()
                         executed += 1
-                        horizon = -1
+                        horizon = None
                     continue
                 if unit.region:
                     executed += unit.fn(machine, machine.regs, machine.mem,
                                         machine.wear, left)
-                    continue
-                idle = hub is None or (
-                    machine.cycles + unit.cycles < horizon and not unit.mmio)
-                if not idle and hub.event_before(machine, unit.cycles):
-                    # A device fire, delivery, handler return, or heal
-                    # falls inside this block's cycle span: single-step
-                    # so it lands at the interpreter's exact boundary.
-                    machine.step()
-                    executed += 1
-                    horizon = -1
                     continue
                 if prof is None:
                     unit.fn(machine, machine.regs, machine.mem, machine.wear)
                 else:
                     _run_profiled(unit, machine, prof)
                 executed += unit.n
-                if not idle:
+                if hub is not None and unit.mmio:
                     hub.on_boundary(machine)
-                    horizon = hub.horizon(machine)
+                    horizon = None
             return machine.cycles - cycles_start, None
         except (MachineFault, SimulationError) as exc:
             return machine.cycles - cycles_start, exc

@@ -5,8 +5,9 @@ long-running service: multiple concurrent clients submit single runs or
 whole campaigns over a line-JSON protocol (unix socket or localhost
 TCP), and ``submit`` is their only way into the store; warm-store hits
 are answered immediately, misses flow through multi-tenant fair-share
-queues to one pool of worker processes kept by the resilient executor,
-and live progress events stream to subscribers.
+queues to worker processes kept by the resilient executor, each fed by
+its own dispatch thread, and live progress events stream to
+subscribers.
 
 See ``docs/serving.md`` for the store layout, wire protocol, and
 scheduling policy.

@@ -2,22 +2,23 @@
 
 A single FIFO lets one client's 10,000-point campaign starve every
 other tenant's single run behind it.  The :class:`FairScheduler` keeps
-one FIFO *per tenant* and serves tenants round-robin: each take cycles
-through the tenants that have work, taking one item from each, so a
+one FIFO *per tenant* and serves tenants round-robin: successive takes
+cycle through the tenants that have work, one item from each, so a
 tenant's expected wait scales with the number of *tenants* ahead of it,
 not the number of *items*.  Within a tenant, submission order is
 preserved.
 
 The scheduler is the synchronization point between connection handler
-threads (producers) and the server's dispatch thread (the consumer):
-``take`` blocks on a condition variable and wakes on submit or close.
+threads (producers) and the server's dispatch threads (consumers, one
+per worker): ``take`` blocks on a condition variable and wakes on submit
+or close.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 __all__ = ["FairScheduler"]
 
@@ -48,25 +49,25 @@ class FairScheduler:
             self.submitted += 1
             self._cv.notify()
 
-    def take(self, max_items: int = 1,
-             timeout: Optional[float] = None) -> List[Tuple[str, Any]]:
-        """Up to ``max_items`` of ``(tenant, item)``, round-robin across
-        tenants.  Blocks until work arrives, the timeout lapses (→
-        ``[]``), or the scheduler closes (→ ``[]``)."""
+    def take(self, timeout: Optional[float] = None
+             ) -> Optional[Tuple[str, Any]]:
+        """The next ``(tenant, item)``, round-robin across tenants.
+        Blocks until work arrives, the timeout lapses (→ None), or the
+        scheduler closes (→ None)."""
         with self._cv:
             if not self._rotation:
                 self._cv.wait_for(
                     lambda: self._rotation or self._closed,
                     timeout=timeout)
-            taken: List[Tuple[str, Any]] = []
-            while self._rotation and len(taken) < max_items:
-                tenant = self._rotation.popleft()
-                queue = self._queues[tenant]
-                taken.append((tenant, queue.popleft()))
-                self.served += 1
-                if queue:
-                    self._rotation.append(tenant)
-            return taken
+            if not self._rotation:
+                return None
+            tenant = self._rotation.popleft()
+            queue = self._queues[tenant]
+            item = queue.popleft()
+            self.served += 1
+            if queue:
+                self._rotation.append(tenant)
+            return tenant, item
 
     def pending(self) -> int:
         with self._cv:

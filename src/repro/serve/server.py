@@ -6,18 +6,19 @@ serving shape — cache, queue, pool, event stream:
 * **cache** — a :class:`~repro.store.ResultStore`: submissions whose
   :func:`~repro.store.digest.run_digest` is already stored are answered
   immediately, without touching a simulator.  ``submit`` is the only
-  op that reaches it, and the pool's result sink its only writer;
+  op that reaches it, and the dispatch threads its only writers;
 * **queue** — a :class:`~repro.serve.scheduler.FairScheduler`: misses
   enter per-tenant FIFOs and are served round-robin, so no campaign
   starves another tenant's single run;
-* **pool** — one :class:`~repro.eval.resilient.ResilientExecutor`
-  whose ``workers`` processes live from :meth:`CampaignServer.start` to
-  :meth:`CampaignServer.stop`: a dispatch thread hands it each round of
-  up to ``workers`` fair-share runs, and every miss runs in a worker
-  (own compile cache) under the policy's watchdog, retries and
-  taxonomy, on the threaded backend by default (bit-identical metrics,
-  ~10× throughput); the result sink stores each run and wakes its
-  waiters as soon as that run finishes, not at the end of its round;
+* **pool** — ``workers`` single-worker
+  :class:`~repro.eval.resilient.ResilientExecutor` instances whose
+  processes live from :meth:`CampaignServer.start` to
+  :meth:`CampaignServer.stop`, each fed by its own dispatch thread: a
+  free worker takes the next fair-share run at once, so a long run holds
+  only its own worker.  Every miss runs in a worker (own compile cache)
+  under the policy's watchdog, retries and taxonomy, on the threaded
+  backend by default (bit-identical metrics, ~10× throughput); its
+  dispatch thread stores the result and wakes its waiters;
 * **dedup** — a digest queued or in flight is never enqueued twice;
   concurrent submitters of the same run all wait on the one execution;
 * **events** — every queue/hit/start/done/error transition is published
@@ -37,9 +38,9 @@ import threading
 import time
 import traceback
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..eval.campaign import RunSpec, _run_point
+from ..eval.campaign import _run_point
 from ..eval.resilient import (
     ResilienceError,
     ResilientExecutor,
@@ -92,8 +93,8 @@ class ServerStats:
 
 class CampaignServer:
     """Accepts line-JSON clients, serves warm-store hits immediately,
-    and routes misses through fair-share queues to one pool of
-    ``workers`` processes.
+    and routes misses through fair-share queues to ``workers`` worker
+    processes, each with its own dispatch thread.
 
     ``backend`` overrides the *execution* backend of every miss (default
     ``"threaded"`` — bit-identical metrics at interpreter semantics);
@@ -112,16 +113,16 @@ class CampaignServer:
         self.bus = EventBus(ring=4096, sample_ring=1)
         self.stats = ServerStats()
         self.scheduler = FairScheduler()
-        #: Every miss runs here, each worker with its own compile cache.
-        #: Workers fork from a fork server, not from this multi-threaded
-        #: process, so a replacement inherits none of its locks or sockets.
-        self.pool = ResilientExecutor(
-            task_fn=_run_point, workers=workers,
-            policy=policy if policy is not None
-            else RetryPolicy(retries=1, backoff_s=0.01),
-            context={}, start_method="forkserver", on_result=self._deliver)
-        #: The pool's current round: ``(tenant, (digest, run))`` per task.
-        self._round: List[Tuple[str, Tuple[str, RunSpec]]] = []
+        policy = policy if policy is not None \
+            else RetryPolicy(retries=1, backoff_s=0.01)
+        #: Every miss runs on one of these single-worker executors, each
+        #: worker with its own compile cache.  Workers fork from a fork
+        #: server, not from this multi-threaded process, so a replacement
+        #: inherits none of its locks or sockets.
+        self.pools = [
+            ResilientExecutor(task_fn=_run_point, policy=policy,
+                              context={}, start_method="forkserver")
+            for _ in range(max(1, int(workers)))]
         self._lock = threading.RLock()
         #: digests queued or executing; guards double-enqueue.
         self._inflight: set = set()
@@ -134,33 +135,37 @@ class CampaignServer:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> str:
-        """Bind, start the worker pool before any thread, then the
-        dispatch and accept threads; returns the resolved address (the
-        one clients should dial).  Raises :class:`ServeError` if the
-        pool's workers die before serving."""
+        """Bind, start every worker before any thread, then one dispatch
+        thread per worker and the accept thread; returns the resolved
+        address (the one clients should dial).  Raises
+        :class:`ServeError` if a worker dies before serving."""
         if self._sock is not None:
             raise ServeError("server already started")
         self._sock, self.address = server_socket(self.requested_address)
         self._sock.settimeout(0.2)
         self.stats.started_at = time.time()
         try:
-            self.pool.__enter__()
+            for pool in self.pools:
+                pool.__enter__()
         except ResilienceError as exc:
+            for pool in self.pools:
+                pool.__exit__(None, None, None)
             self._sock.close()
             raise ServeError(
                 f"{exc}: workers re-import the main module, so start the "
                 f"server from a module file or the CLI, under an "
                 f"'if __name__ == \"__main__\":' guard") from None
-        for target in (self._dispatch_loop, self._accept_loop):
-            thread = threading.Thread(target=target, daemon=True)
+        targets = [(self._dispatch_loop, (pool,)) for pool in self.pools]
+        for target, args in targets + [(self._accept_loop, ())]:
+            thread = threading.Thread(target=target, args=args, daemon=True)
             thread.start()
             self._threads.append(thread)
         return self.address
 
     def stop(self) -> None:
-        """Stop serving.  Closing the pool kills its workers, a run in
-        flight included; each waiting submitter gets an error line per
-        run not yet served."""
+        """Stop serving.  Closing the executors kills their workers,
+        runs in flight included; each waiting submitter gets an error
+        line per run not yet served."""
         self._stopping.set()
         self.scheduler.close()
         if self._sock is not None:
@@ -168,7 +173,8 @@ class CampaignServer:
                 self._sock.close()
             except OSError:
                 pass
-        self.pool.__exit__(None, None, None)
+        for pool in self.pools:
+            pool.__exit__(None, None, None)
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
@@ -226,6 +232,8 @@ class CampaignServer:
             send_message(conn, {"ok": True, "pong": True,
                                 "version": PROTOCOL_VERSION})
         elif op == "stats":
+            counters = [dataclasses.asdict(pool.stats)
+                        for pool in self.pools]
             send_message(conn, {
                 "ok": True,
                 "store": self.store.stats().to_dict(),
@@ -235,8 +243,9 @@ class CampaignServer:
                     "submitted": self.scheduler.submitted,
                     "served": self.scheduler.served,
                 },
-                "pool": {"workers": self.pool.workers,
-                         **dataclasses.asdict(self.pool.stats)},
+                "pool": {"workers": len(self.pools),
+                         **{name: sum(counter[name] for counter in counters)
+                            for name in counters[0]}},
                 "server": dataclasses.asdict(self.stats),
             })
         elif op == "submit":
@@ -349,38 +358,35 @@ class CampaignServer:
         finally:
             self.bus.unsubscribe(forward)
 
-    # -- the pool ---------------------------------------------------------
-    def _dispatch_loop(self) -> None:
+    # -- the workers ------------------------------------------------------
+    def _dispatch_loop(self, pool: ResilientExecutor) -> None:
+        """Feed one worker: take the next fair-share run as soon as the
+        worker is free, run it, then store it and wake its waiters."""
         while not self._stopping.is_set():
-            items = self.scheduler.take(self.pool.workers,
-                                        timeout=_TAKE_TIMEOUT_S)
-            if not items:
+            taken = self.scheduler.take(timeout=_TAKE_TIMEOUT_S)
+            if taken is None:
                 continue
-            self._round = items
+            tenant, (digest, run) = taken
             try:
-                tasks: List[Tuple[int, RunSpec]] = []
-                for slot, (tenant, (digest, run)) in enumerate(items):
-                    if self.backend is not None:
-                        run = replace(run, victim=run.victim.with_overrides(
-                            backend=self.backend))
-                    tasks.append((slot, run))
-                    self._emit(SERVE_STARTED, digest, tenant)
-                self.pool.run(tasks)
+                if self.backend is not None:
+                    run = replace(run, victim=run.victim.with_overrides(
+                        backend=self.backend))
+                self._emit(SERVE_STARTED, digest, tenant)
+                (result,) = pool.run([(0, run)])
+                self._deliver(tenant, digest, result)
             except Exception as exc:
                 if self._stopping.is_set():
                     return     # the waiting submitters answer themselves
-                # A failed round must cost its submitters an error line,
-                # never the dispatch thread: digests stuck in _inflight
-                # would hang their waiters and dedup every future
+                # A failed dispatch must cost its submitters an error
+                # line, never the dispatch thread: a digest stuck in
+                # _inflight would hang its waiters and dedup every future
                 # submission against a dead execution.
                 traceback.print_exc()
-                for tenant, (digest, _run) in items:
-                    self._fail(tenant, digest, f"dispatch failure: {exc}")
+                self._fail(tenant, digest, f"dispatch failure: {exc}")
 
-    def _deliver(self, result: TaskResult) -> None:
-        """The pool's result sink: store a finished run, wake its
-        waiters."""
-        tenant, (digest, _run) = self._round[result.index]
+    def _deliver(self, tenant: str, digest: str,
+                 result: TaskResult) -> None:
+        """Store a finished run and wake its waiters."""
         if not result.ok:
             self._fail(tenant, digest, result.error, result.error_kind)
             return

@@ -298,14 +298,16 @@ class _TortureRun:
         before = self.machine.instr_count
         _, fault = self.backend.run_slice(self.machine, budget)
         self.remaining -= self.machine.instr_count - before
-        if self.ticks:
-            self.runtime.tick(self.machine)
         if fault is not None:
             self.fault = fault
             if self.crash_oracles:
                 self.violations.append(Violation(
                     MACHINE_FAULT, f"machine trapped: {fault}"))
             return False
+        # A trap ends the run before the runtime ticks, in the order
+        # ``IntermittentSimulator._slice_running`` uses.
+        if self.ticks:
+            self.runtime.tick(self.machine)
         return not self.machine.halted
 
     def _advance_to(self, target_cycle: int) -> bool:

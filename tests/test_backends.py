@@ -20,9 +20,10 @@ claim, stated as asserts:
   ``trigger_step``, and profiler cycle attribution from plain blocks;
 * slice-edge residues (every budget on the hub programs, traps inside a
   residue, no steps at the victims' quantum, one residue per block
-  start), the hub's idle horizon (a pend injected between slices, an
-  unmasking MMIO store), and ``Machine._commit_region`` pinned word by
-  word, since both backends share it.
+  start), the hub's horizon (a pend injected between slices, a handler
+  returning into main code, an unmasking MMIO store), and
+  ``Machine._commit_region`` pinned word by word, since both backends
+  share it.
 """
 
 import warnings
@@ -1018,9 +1019,10 @@ class TestResidues:
 
 
 class TestHubHorizon:
-    """Blocks that end before an idle hub's horizon skip the hub calls;
-    whatever changes the hub between slices or at an MMIO store must
-    still land on the interpreter's boundaries."""
+    """Blocks that end before the hub's horizon skip the hub calls unless
+    they end in ``RET`` or an MMIO store; whatever changes the hub
+    between slices, at a handler's return or at an MMIO store must still
+    land on the interpreter's boundaries."""
 
     def test_injected_pend_between_idle_slices(self):
         linked = _linked("glucose/nvp")
@@ -1029,7 +1031,10 @@ class TestHubHorizon:
         def inject(machines):
             interp, fast = machines
             hub = fast._periph
+            # Only with no frame stacked: the horizon is defined inside a
+            # handler too, where the pend would wait for its return.
             if len(injected) < 8 and hub.horizon(fast) > fast.cycles \
+                    and fast.read_word("__isr_sp") == 0 \
                     and fast.read_word("__irq_en") & 2:
                 injected.append(fast.instr_count)
                 for machine in machines:
@@ -1040,6 +1045,34 @@ class TestHubHorizon:
         # Delivered at the first boundary of the next slice.
         entries = {span.entry_step for span in fast._periph.trace}
         assert all(step + 1 in entries for step in injected)
+
+    @pytest.mark.parametrize("budget", [7, 64])
+    def test_heal_after_a_handler_returns_into_main_code(self, budget):
+        """A handler whose return slot is overwritten with a main-code pc
+        returns there with its frame still stacked: the heal after its
+        ``RET`` must land on the interpreter's boundary, although blocks
+        inside a running handler make no hub call."""
+        linked = _linked("glucose/nvp")
+        main_pc = linked.func_entry["main"]
+        rewritten = []
+
+        def redirect(machines):
+            _, fast = machines
+            if rewritten or fast.read_word("__isr_sp") != 1:
+                return
+            vector = fast.read_word("__isr_stack")
+            handler = linked.isr_vectors[vector]
+            if fast._periph.horizon(fast) <= fast.cycles \
+                    or linked.owner[fast.pc] != handler:
+                return
+            rewritten.append(fast.instr_count)
+            for machine in machines:
+                machine.mem[linked.ret_slot[handler]] = main_pc
+        fast = _lockstep(linked, budget, redirect)
+        assert fast.halted
+        assert rewritten
+        heals = fast._periph.heals
+        assert heals and heals[0][0] > rewritten[0]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("budget", [7, 64, 1_000_000])

@@ -121,7 +121,7 @@ class TestFairScheduler:
         for i in range(3):
             sched.submit("big", f"big-{i}")
         sched.submit("small", "small-0")
-        order = [sched.take()[0] for _ in range(4)]
+        order = [sched.take() for _ in range(4)]
         tenants = [tenant for tenant, _ in order]
         # The single-item tenant is served second, not fourth.
         assert tenants == ["big", "small", "big", "big"]
@@ -132,12 +132,12 @@ class TestFairScheduler:
         sched = FairScheduler()
         for i in range(4):
             sched.submit("t", i)
-        (taken,) = [sched.take(max_items=4)]
+        taken = [sched.take() for _ in range(4)]
         assert [item for _, item in taken] == [0, 1, 2, 3]
 
     def test_take_times_out_empty(self):
         sched = FairScheduler()
-        assert sched.take(timeout=0.01) == []
+        assert sched.take(timeout=0.01) is None
 
     def test_close_wakes_blocked_consumers_and_rejects_submits(self):
         sched = FairScheduler()
@@ -151,7 +151,7 @@ class TestFairScheduler:
         sched.close()
         thread.join(timeout=2.0)
         assert not thread.is_alive()
-        assert results == [[]]
+        assert results == [None]
         with pytest.raises(RuntimeError):
             sched.submit("t", 1)
 
@@ -162,7 +162,8 @@ class TestFairScheduler:
         sched.submit("b", 3)
         assert sched.pending() == 3
         assert sched.pending_by_tenant() == {"a": 2, "b": 1}
-        sched.take(max_items=2)
+        sched.take()
+        sched.take()
         assert sched.pending() == 1
 
 
@@ -385,12 +386,13 @@ class TestServer:
             == {"serve.queued", "serve.done"}
 
     def test_dispatch_survives_a_round_failure(self, server, monkeypatch):
-        # A failed dispatch round must cost its submitters error lines,
-        # never the dispatch thread: digests stuck in _inflight would hang
-        # their waiters and dedup every future submission against a dead
+        # A failed dispatch must cost its submitters error lines, never
+        # the dispatch thread: a digest stuck in _inflight would hang its
+        # waiters and dedup every future submission against a dead
         # execution.
         srv, client = server
-        real = srv.pool.run
+        (pool,) = srv.pools
+        real = pool.run
         failures = []
 
         def flaky(tasks):
@@ -399,7 +401,7 @@ class TestServer:
                 raise RuntimeError("disk full")
             return real(tasks)
 
-        monkeypatch.setattr(srv.pool, "run", flaky)
+        monkeypatch.setattr(pool, "run", flaky)
         run = _fast_run(freq=29.0)
         first = client.submit([run])[run_digest(run)]
         assert "dispatch failure" in first["error"]
@@ -416,7 +418,7 @@ class TestServer:
         # answer waiting clients with error lines, not leave them to
         # socket timeouts.
         monkeypatch.setattr(CampaignServer, "_dispatch_loop",
-                            lambda self: None)
+                            lambda self, pool: None)
         store = ResultStore(str(tmp_path / "store"))
         srv = CampaignServer(store=store, address=str(tmp_path / "s.sock"))
         client = ServeClient(srv.start(), timeout=30.0)
@@ -548,7 +550,10 @@ class TestPool:
                     thread.join(timeout=120.0)
                 assert not any(thread.is_alive() for thread in threads)
                 assert srv.stats.executed == len(runs)
-                assert srv.pool.stats.worker_restarts == 0
+                assert ServeClient(srv.address).stats()["pool"] \
+                    == {"workers": 4, "retries": 0, "timeouts": 0,
+                        "worker_crashes": 0, "worker_restarts": 0,
+                        "budget_exceeded": 0}
         finally:
             sys.setswitchinterval(interval)
         assert len(served) == 6
@@ -557,6 +562,27 @@ class TestPool:
             assert all(line["ok"] and line["result"]
                        == served["t0"][digest]["result"]
                        for digest, line in lines.items())
+
+    def test_a_free_worker_takes_the_next_run_at_once(self, tmp_path):
+        """One submission of a long run then three short ones, on two
+        workers: while one worker holds the long run, the other serves
+        every short run, so their lines all arrive first."""
+        long_run = _run_spec(
+            victim=VictimConfig(workload="dhrystone", duration_s=3.0),
+            attack=AttackSpec.silent())
+        short = [_run_spec(victim=VictimConfig(workload="crc16",
+                                               duration_s=0.01 * (i + 1)),
+                           attack=AttackSpec.silent()) for i in range(3)]
+        store = ResultStore(str(tmp_path / "store"))
+        with CampaignServer(store=store, address=str(tmp_path / "s.sock"),
+                            workers=2,
+                            policy=RetryPolicy(retries=0)) as srv:
+            served = ServeClient(srv.address, timeout=120.0) \
+                .submit([long_run] + short)
+        assert all(line["ok"] for line in served.values())
+        # submit() keys its lines in arrival order.
+        assert list(served)[-1] == run_digest(long_run)
+        assert set(served) == {run_digest(run) for run in [long_run] + short}
 
     def test_a_server_piped_on_stdin_fails_at_start(self, tmp_path):
         """A fork-server worker re-imports the main module, which a
@@ -602,7 +628,7 @@ class TestPool:
                              workers=2)
         srv.start()
         try:
-            assert new_threads_at_start == [set()]
+            assert new_threads_at_start == [set(), set()]
             assert len(multiprocessing.active_children()) >= 2
         finally:
             srv.stop()

@@ -156,6 +156,24 @@ class TestEngine:
             threaded = run_schedule(blink_target, schedule, "threaded")
             assert interp.fingerprint == threaded.fingerprint
 
+    @pytest.mark.parametrize("workload", ["glucose", "heartbeat",
+                                          "motionlog"])
+    def test_reactive_cases_fingerprint_identically(self, workload):
+        """Crashes, forged interrupts and faults around running handlers,
+        where the threaded backend skips the hub between ``RET`` and
+        MMIO blocks: both backends agree on every case."""
+        for scheme in ("nvp", "gecko-jit", "gecko-rollback"):
+            target = build_target(workload, scheme)
+            for seed in range(4):
+                spec = TortureSpec(workload=workload, scheme=scheme,
+                                   seed=seed, cases=12)
+                for index in range(spec.cases):
+                    schedule = generate_case(spec, index, target.profile)
+                    interp = run_schedule(target, schedule, "interpreter")
+                    threaded = run_schedule(target, schedule, "threaded")
+                    assert threaded.fingerprint == interp.fingerprint, \
+                        (scheme, seed, index)
+
     def test_queued_data_faults_match_across_backends(self, blink_target):
         """The step hook is armed from step 0: a fault landing mid-block,
         then a reg_flip and an instr_skip queued at one cycle, act on the
