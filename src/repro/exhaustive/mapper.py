@@ -13,9 +13,12 @@ Orchestration of one :class:`~repro.exhaustive.space.ExhaustiveSpec`:
    :class:`~repro.eval.resilient.ResilientExecutor` in deterministic
    chunks — every worker receives the parent's compiled program and
    golden trace as the executor's context — each fork restored from the
-   nearest golden snapshot instead of re-running from reset; the
-   executor's result sink stores each chunk's classifications as the
-   chunk lands, so a map that dies mid-way keeps every finished chunk;
+   nearest golden snapshot instead of re-running from reset, and
+   stopped at the first golden snapshot step where its state is one the
+   chunk already classified: golden's (``masked``) or one a finished
+   sibling passed through (that sibling's verdict); the executor's
+   result sink stores each chunk's classifications as the chunk lands,
+   so a map that dies mid-way keeps every finished chunk;
 4. run the time-triggered models as a deterministic-grid campaign over
    :class:`~repro.eval.campaign.CampaignRunner` (which brings its own
    store memoization and resilient fan-out);
@@ -78,8 +81,55 @@ def injection_digest(prog_digest: str, scheme: str, workload: str,
     })
 
 
+class KnownStates:
+    """The fork states one chunk has already classified.
+
+    ``verdicts`` maps the state key of every leg end a finished fork
+    passed through to that fork's verdict; the stop counters say how
+    many forks :func:`classify_fork` ended early on golden's state or on
+    such a sibling's.  :func:`_simulate_chunk` builds one per chunk and
+    drops it with the chunk.
+    """
+
+    __slots__ = ("verdicts", "golden_stops", "sibling_stops")
+
+    def __init__(self) -> None:
+        self.verdicts: Dict[tuple, Verdict] = {}
+        self.golden_stops = 0
+        self.sibling_stops = 0
+
+
+def _state_key(machine) -> tuple:
+    """Everything a stable-power run's rest and verdict depend on, at
+    its current step.  Wear and the executed-instruction counters
+    change neither; cycles drive the hub's devices."""
+    return (machine.instr_count, machine.pc, machine.cycles,
+            tuple(machine.regs), tuple(machine.mem),
+            tuple(machine.out_buffer), tuple(machine.committed_out),
+            machine.sensor_cursor, frozenset(machine._pending_rcolor))
+
+
+def _snapshot_key(snap) -> tuple:
+    """:func:`_state_key` of the golden machine a snapshot froze."""
+    return (snap.instr_count, snap.pc, snap.cycles, snap.regs, snap.mem,
+            snap.out_buffer, snap.committed_out, snap.sensor_cursor,
+            snap.pending_rcolor)
+
+
+def _verdict(machine, trace: GoldenTrace,
+             exc: Optional[Exception]) -> Verdict:
+    if exc is not None:
+        return Outcome.BRICK.value, f"{type(exc).__name__}: {exc}"
+    if not machine.halted:
+        return Outcome.HANG.value, None
+    if tuple(machine.committed_out) != trace.golden_out:
+        return Outcome.SDC.value, None
+    return Outcome.MASKED.value, None
+
+
 def classify_fork(linked, backend, trace: GoldenTrace, fault: FaultSpec,
-                  from_reset: bool = False) -> Verdict:
+                  from_reset: bool = False,
+                  known: Optional[KnownStates] = None) -> Verdict:
     """Run one injection on stable power and classify its end state.
 
     The fork restores the nearest golden snapshot at or before the
@@ -94,42 +144,84 @@ def classify_fork(linked, backend, trace: GoldenTrace, fault: FaultSpec,
 
     ``detected`` cannot occur on stable power: no monitor, no runtime
     recovery machinery is in the loop.
+
+    Given ``known``, the drain runs in legs that end at golden snapshot
+    steps: snapshots k1, k1+1, k1+3, k1+7, ... where k1 is the first
+    after the trigger and the gaps double; past the last snapshot the
+    fork drains to the budget.  At each leg end the fired fork stops if
+    its state is golden's at that step (``masked``) or one a finished
+    fork of ``known`` passed through (that fork's verdict).  The stop is
+    exact: a fired injector does nothing more, the budget is absolute,
+    and the rest of a stable-power run depends only on the state key, so
+    the fork would halt, trap or hang exactly as the state's first
+    owner did.
     """
     from ..faultsim.injector import FaultInjector
 
     machine = Machine(linked)
     if not from_reset:
         machine.restore(trace.snapshot_before(fault.trigger_step))
-    machine.attach(fault_hook=FaultInjector(fault))
-    exc = drain(machine, backend, trace.budget - machine.instr_count)
-    if exc is not None:
-        return Outcome.BRICK.value, f"{type(exc).__name__}: {exc}"
-    if not machine.halted:
-        return Outcome.HANG.value, None
-    if tuple(machine.committed_out) != trace.golden_out:
-        return Outcome.SDC.value, None
-    return Outcome.MASKED.value, None
+    injector = FaultInjector(fault)
+    machine.attach(fault_hook=injector)
+    if known is None:
+        return _verdict(machine, trace, drain(
+            machine, backend, trace.budget - machine.instr_count))
+    passed: List[tuple] = []
+    snapshots = trace.snapshots
+    k = fault.trigger_step // trace.stride + 1
+    gap = 1
+    while k < len(snapshots):
+        exc = drain(machine, backend,
+                    k * trace.stride - machine.instr_count)
+        if exc is not None or machine.halted:
+            verdict = _verdict(machine, trace, exc)
+            break
+        if injector.fired:
+            key = _state_key(machine)
+            if key == _snapshot_key(snapshots[k]):
+                known.golden_stops += 1
+                verdict = Outcome.MASKED.value, None
+                break
+            verdict = known.verdicts.get(key)
+            if verdict is not None:
+                known.sibling_stops += 1
+                break
+            passed.append(key)
+        k += gap
+        gap *= 2
+    else:
+        verdict = _verdict(machine, trace, drain(
+            machine, backend, trace.budget - machine.instr_count))
+    for key in passed:
+        known.verdicts[key] = verdict
+    return verdict
 
 
 # ----------------------------------------------------------------------
 # Worker side (multiprocessing pool).
 # ----------------------------------------------------------------------
 def _simulate_chunk(context: tuple, payload: dict
-                    ) -> List[List[Optional[str]]]:
+                    ) -> Tuple[List[List[Optional[str]]], int, int]:
     """Executor task: classify one chunk of representative injections.
 
     ``context`` is ``(linked, backend, trace, from_reset)``, built once
     by the parent and installed in every worker by the executor; the
     payload carries the chunk's :class:`FaultSpec` values themselves
-    (frozen plain data, picklable as they are).
+    (frozen plain data, picklable as they are).  Returns the verdicts in
+    chunk order plus the golden and sibling stop counts of the chunk's
+    :class:`KnownStates` (none from reset: the naive mapper is the
+    oracle and drains every fork in full).
     """
     linked, backend, trace, from_reset = context
+    known = None if from_reset else KnownStates()
     out: List[List[Optional[str]]] = []
     for fault in payload["faults"]:
         outcome, error = classify_fork(linked, backend, trace, fault,
-                                       from_reset=from_reset)
+                                       from_reset=from_reset, known=known)
         out.append([outcome, error])
-    return out
+    if known is None:
+        return out, 0, 0
+    return out, known.golden_stops, known.sibling_stops
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +264,10 @@ def _simulate_representatives(spec: ExhaustiveSpec,
         if not result.ok:
             return
         chunk = chunks[result.index]
-        for (key, fault), (outcome, error) in zip(chunk, result.result):
+        out, golden_stops, sibling_stops = result.result
+        stats.golden_stops += golden_stops
+        stats.sibling_stops += sibling_stops
+        for (key, fault), (outcome, error) in zip(chunk, out):
             verdicts[key] = (outcome, error)
             stats.simulated += 1
             if store is not None and store.put(

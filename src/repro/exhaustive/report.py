@@ -23,7 +23,10 @@ class ReductionStats:
     ``enumerated`` is the complete space (what the naive mapper would
     simulate); ``representatives`` + ``campaign_points`` is what a cold
     reduced run must simulate; ``simulated`` / ``campaign_executed`` is
-    what *this* run actually executed after store memoization.
+    what *this* run actually executed after store memoization.  Of the
+    ``simulated`` forks, ``golden_stops`` ended early on golden's state
+    and ``sibling_stops`` on a state another fork of their chunk had
+    classified (always 0 for the naive mapper, which drains in full).
     """
 
     naive: bool = False
@@ -38,6 +41,9 @@ class ReductionStats:
     simulated: int = 0
     store_hits: int = 0
     store_puts: int = 0
+    #: Simulated forks stopped early on a known state.
+    golden_stops: int = 0
+    sibling_stops: int = 0
     #: Time-triggered grid: size, store hits, executions.
     campaign_points: int = 0
     campaign_store_hits: int = 0
@@ -78,6 +84,8 @@ class ReductionStats:
             "simulated": self.simulated,
             "store_hits": self.store_hits,
             "store_puts": self.store_puts,
+            "golden_stops": self.golden_stops,
+            "sibling_stops": self.sibling_stops,
             "campaign_points": self.campaign_points,
             "campaign_store_hits": self.campaign_store_hits,
             "campaign_executed": self.campaign_executed,
@@ -98,6 +106,9 @@ class ReductionStats:
         lines.append(f"  executed now: {self.executed_simulations} "
                      f"(store served {self.store_hits} reps, "
                      f"{self.campaign_store_hits} grid points)")
+        lines.append(f"  forks stopped at a known state: "
+                     f"{self.golden_stops} golden, "
+                     f"{self.sibling_stops} sibling")
         lines.append(f"  reduction factor: {self.reduction_factor():.1f}x "
                      f"vs naive ({self.naive_simulations} simulations)")
         return "\n".join(lines)

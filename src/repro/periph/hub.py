@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..errors import MachineFault
 from ..isa.instructions import Opcode
 from ..isa.operands import NUM_REGS, wrap32
 from ..isa.program import (
@@ -131,17 +132,17 @@ class PeriphHub:
             self._entry_pc[vector] = program.func_entry[fname]
             self._ret_addr[vector] = program.ret_slot[fname]
 
-        # Device table: (ctrl, period, base, count, fire).  The DMA engine
-        # reuses its transfer counter as the generic fire counter.
+        # Device table: (name, ctrl, period, base, count, fire).  The DMA
+        # engine reuses its transfer counter as the generic fire counter.
         self._devices = (
-            (addr["__t0_ctrl"], addr["__t0_period"], addr["__t0_base"],
-             addr["__t0_count"], self._fire_timer),
-            (addr["__adc_ctrl"], addr["__adc_period"], addr["__adc_base"],
-             addr["__adc_count"], self._fire_adc),
-            (addr["__gpio_ctrl"], addr["__gpio_period"], addr["__gpio_base"],
-             addr["__gpio_count"], self._fire_gpio),
-            (addr["__dma_ctrl"], addr["__dma_rate"], addr["__dma_base"],
-             addr["__dma_xfrd"], self._fire_dma),
+            ("timer", addr["__t0_ctrl"], addr["__t0_period"],
+             addr["__t0_base"], addr["__t0_count"], self._fire_timer),
+            ("adc", addr["__adc_ctrl"], addr["__adc_period"],
+             addr["__adc_base"], addr["__adc_count"], self._fire_adc),
+            ("gpio", addr["__gpio_ctrl"], addr["__gpio_period"],
+             addr["__gpio_base"], addr["__gpio_count"], self._fire_gpio),
+            ("dma", addr["__dma_ctrl"], addr["__dma_rate"],
+             addr["__dma_base"], addr["__dma_xfrd"], self._fire_dma),
         )
 
         # Territory: the pc-ownership closure of each handler (the handler
@@ -210,13 +211,13 @@ class PeriphHub:
                 or self._select(machine) is not None:
             return -1
         first = float("inf")
-        for ctrl_a, period_a, base_a, count_a, _fire in self._devices:
+        for _name, ctrl_a, period_a, base_a, count_a, _fire in self._devices:
             if not mem[ctrl_a]:
                 continue
             base = mem[base_a]
             count = mem[count_a]
-            if base == 0 or count < 0:
-                return -1  # arming, or a fire due at any boundary
+            if base <= 0 or count < 0:
+                return -1  # arming, or a corrupted device that traps
             period = mem[period_a]
             if period > 0:
                 first = min(first, base - 1 + (count + 1) * period)
@@ -256,12 +257,25 @@ class PeriphHub:
     # Device models.
     # ------------------------------------------------------------------
     def _advance(self, machine, now: int) -> None:
+        """Fire every enabled device's due events up to cycle ``now``.
+
+        No fault-free run holds a negative fire count or base: the
+        firmware stores 0 to both when it starts a device, and arming
+        sets ``base = now + 1``.  A corrupted one (a flipped sign bit in
+        the firmware's store) traps here, naming the device, instead of
+        firing it once per count from far below zero.
+        """
         mem = machine.mem
         wear = machine.wear
-        for ctrl_a, period_a, base_a, count_a, fire in self._devices:
+        for name, ctrl_a, period_a, base_a, count_a, fire in self._devices:
             if not mem[ctrl_a]:
                 continue
             base = mem[base_a]
+            count = mem[count_a]
+            if base < 0 or count < 0:
+                raise MachineFault(
+                    f"pc={machine.pc}: {name} device corrupted "
+                    f"(base {base}, count {count})")
             if base == 0:
                 # Arm at this boundary; first fire one period from now.
                 base = now + 1
@@ -272,7 +286,6 @@ class PeriphHub:
                 continue
             origin = base - 1
             due = (now - origin) // period if now >= origin else 0
-            count = mem[count_a]
             while count < due and mem[ctrl_a]:
                 count += 1
                 mem[count_a] = count

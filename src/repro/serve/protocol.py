@@ -103,8 +103,12 @@ def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
         sock = socket.create_connection(value, timeout=timeout)
     else:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(value)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(value)
+        except BaseException:
+            sock.close()
+            raise
     return sock
 
 

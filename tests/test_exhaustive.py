@@ -18,6 +18,7 @@ from repro.exhaustive import (
     injection_digest,
     program_digest,
 )
+from repro.exhaustive.mapper import CHUNK_SIZE, KnownStates, _simulate_chunk
 from repro.faultsim import (
     CKPT_CORRUPT,
     FaultSimError,
@@ -310,6 +311,97 @@ class TestDifferential:
         )
         result = exhaustive_map(spec)
         assert result.stats.reduction_factor() >= 10.0
+
+
+# ----------------------------------------------------------------------
+# Forks that stop at a known state: golden's, or a sibling's.
+# ----------------------------------------------------------------------
+#: Strided whole-run slices whose reduced maps stop forks at both kinds
+#: of known state.  crc16 alone would not catch a key that leaves out
+#: memory or the output buffer; blink and glucose do.
+STOP_SLICES = {"crc16": 224, "blink": 37, "glucose": 29}
+
+#: A timer races a branch that takes MUL instead of ADD when R6 is set:
+#: both paths leave the same registers and words, 10 cycles apart, and
+#: the timer's count read after the NOPs differs by one.
+TIMER_RACE = """
+.func main
+    li R4, #100
+    st R4, [@__t0_period + #0]
+    li R4, #1
+    st R4, [@__t0_ctrl + #0]
+    li R6, #0
+    li R5, #2
+    bnz R6, .slow
+    add R7, R5, R5
+    jmp .join
+slow:
+    mul R7, R5, R5
+    jmp .join
+join:
+    li R6, #0
+""" + "    nop\n" * 82 + """
+    ld R8, [@__t0_count + #0]
+    out R8
+    halt
+"""
+
+
+class TestKnownStateStops:
+    @pytest.mark.parametrize("backend_name", ["interpreter", "threaded"])
+    @pytest.mark.parametrize("workload", sorted(STOP_SLICES))
+    def test_stopped_forks_match_naive(self, workload, backend_name):
+        spec = ExhaustiveSpec(
+            victim=fault_victim(workload, "nvp", backend=backend_name),
+            models=(REG_FLIP, INSTR_SKIP),
+            step_stride=STOP_SLICES[workload], bits=(0, 7, 31))
+        reduced = exhaustive_map(spec)
+        naive = exhaustive_map(spec, naive=True)
+        assert reduced.stats.golden_stops > 0
+        assert reduced.stats.sibling_stops > 0
+        assert naive.stats.golden_stops == naive.stats.sibling_stops == 0
+        assert reduced.map.fingerprint() == naive.map.fingerprint()
+        shown = reduced.stats.to_dict()
+        assert (shown["golden_stops"], shown["sibling_stops"]) \
+            == (reduced.stats.golden_stops, reduced.stats.sibling_stops)
+
+    @pytest.mark.parametrize("backend_name", ["interpreter", "threaded"])
+    def test_cycles_keep_a_state_off_golden(self, backend_name):
+        """The R6 flip before the branch reaches golden's registers and
+        memory with 10 more cycles; the hub's timer then fires one
+        period sooner in program order.  That state is not golden's, so
+        the fork must drain on to the sdc the from-reset run sees; every
+        other injection of the program must agree with from-reset too."""
+        program = parse_program(TIMER_RACE)
+        program.uses_periph = True
+        linked = link(program)
+        trace = capture_trace(linked, snapshot_stride=16)
+        backend = backend_for(backend_name)
+        race = FaultSpec(model=REG_FLIP, trigger_step=6, target=6, bit=0)
+        known = KnownStates()
+        assert classify_fork(linked, backend, trace, race,
+                             from_reset=True) == ("sdc", None)
+        assert classify_fork(linked, backend, trace, race,
+                             known=known) == ("sdc", None)
+        assert known.golden_stops == known.sibling_stops == 0
+
+        faults = [FaultSpec(model=INSTR_SKIP, trigger_step=step)
+                  for step in range(trace.golden_steps)]
+        faults += [FaultSpec(model=REG_FLIP, trigger_step=step,
+                             target=target, bit=bit)
+                   for step in range(trace.golden_steps)
+                   for target in range(16) for bit in (0, 31)]
+        stops = [0, 0]
+        for start in range(0, len(faults), CHUNK_SIZE):
+            payload = {"faults": faults[start:start + CHUNK_SIZE]}
+            reduced, *counts = _simulate_chunk(
+                (linked, backend, trace, False), payload)
+            naive, *none = _simulate_chunk(
+                (linked, backend, trace, True), payload)
+            assert reduced == naive
+            assert none == [0, 0]
+            stops = [a + b for a, b in zip(stops, counts)]
+        assert stops[0] > 0 and stops[1] > 0
 
 
 # ----------------------------------------------------------------------

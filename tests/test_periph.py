@@ -17,7 +17,9 @@ Covers the contracts the reactive suite rests on:
   :mod:`repro.adversary.isrspace`).
 """
 
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -30,7 +32,14 @@ from repro.adversary import (
 )
 from repro.core import compile_scheme
 from repro.errors import CompileError, ParseError, SemanticError
-from repro.faultsim import FaultCampaignSpec, FaultSimError, fault_victim
+from repro.exhaustive import capture_trace, classify_fork
+from repro.faultsim import (
+    REG_FLIP,
+    FaultCampaignSpec,
+    FaultSimError,
+    FaultSpec,
+    fault_victim,
+)
 from repro.faultsim.explorer import profile_execution
 from repro.isa.program import ISR_SOURCES, PERIPH_CONTROL_SYMBOLS
 from repro.periph import (
@@ -39,7 +48,7 @@ from repro.periph import (
     isr_trace,
     phase_locked_windows,
 )
-from repro.runtime import Machine
+from repro.runtime import Machine, backend_for
 from repro.workloads import (
     KERNEL,
     REACTIVE,
@@ -275,6 +284,42 @@ class TestDelivery:
         """
         machine = _run(compile_scheme(src, "nvp").linked)
         assert machine.committed_out == [1, 1]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, a body that runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCorruptedDevice:
+    @pytest.mark.parametrize("backend_name", ["interpreter", "threaded"])
+    def test_negative_fire_count_traps_instead_of_hanging(self,
+                                                          backend_name):
+        """A sign-bit flip in the register ``adc_start`` stores as the
+        ADC's fire count must trap at the next boundary, naming the
+        device, instead of firing the ADC once per count from -2**31
+        up: over two billion fires."""
+        linked = compile_scheme(source("heartbeat"), "nvp").linked
+        trace = capture_trace(linked, snapshot_stride=64)
+        assert str(linked.instrs[trace.pcs[14]]) \
+            == "st R4, [@__adc_count + #0]"
+        fault = FaultSpec(model=REG_FLIP, trigger_step=14, target=4, bit=31)
+        with _deadline(30):
+            outcome, error = classify_fork(
+                linked, backend_for(backend_name), trace, fault)
+        assert outcome == "brick"
+        assert "adc device corrupted" in error
+        assert "count -2147483648" in error
 
 
 # ----------------------------------------------------------------------

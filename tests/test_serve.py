@@ -63,6 +63,26 @@ class TestAddresses:
         with pytest.raises(ServeError):
             parse_address("")
 
+    def test_failed_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        """A dial to a path nobody serves (a server not up yet, or gone)
+        closes its socket before raising, instead of leaving it to the
+        garbage collector once per failed poll."""
+        import socket
+
+        made = []
+        real = socket.socket
+
+        def recording_socket(*args, **kwargs):
+            sock = real(*args, **kwargs)
+            made.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "socket", recording_socket)
+        with pytest.raises(OSError):
+            connect(str(tmp_path / "absent.sock"), timeout=1.0)
+        assert len(made) == 1
+        assert made[0].fileno() == -1   # closed
+
 
 # ----------------------------------------------------------------------
 # The wire codec.
