@@ -16,9 +16,10 @@ Orchestration of one :class:`~repro.exhaustive.space.ExhaustiveSpec`:
    nearest golden snapshot instead of re-running from reset, and
    stopped at the first golden snapshot step where its state is one the
    chunk already classified: golden's (``masked``) or one a finished
-   sibling passed through (that sibling's verdict); the executor's
-   result sink stores each chunk's classifications as the chunk lands,
-   so a map that dies mid-way keeps every finished chunk;
+   sibling passed through (that sibling's verdict), with chunks cut in
+   ``(model, target, bit, trigger_step)`` order so the forks most likely
+   to meet share one; the executor's result sink stores each chunk's
+   classifications as it lands, so a failed map keeps finished chunks;
 4. run the time-triggered models as a deterministic-grid campaign over
    :class:`~repro.eval.campaign.CampaignRunner` (which brings its own
    store memoization and resilient fan-out);
@@ -257,6 +258,9 @@ def _simulate_representatives(spec: ExhaustiveSpec,
     if not missing:
         return verdicts
 
+    # Flips of one register bit are the forks most likely to meet.
+    missing.sort(key=lambda item: (item[1].model, item[1].target,
+                                   item[1].bit, item[1].trigger_step))
     chunks = [missing[i:i + CHUNK_SIZE]
               for i in range(0, len(missing), CHUNK_SIZE)]
 

@@ -28,8 +28,9 @@ symbol                    purpose
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import AsmError
 from .instructions import Instr, Opcode
@@ -267,6 +268,25 @@ class LinkedProgram:
             if instr.op in BLOCK_ENDERS and index + 1 < len(self.instrs):
                 leaders.add(index + 1)
         return frozenset(leaders)
+
+
+#: What :func:`derived` built, keyed by ``(id(program), build)``.
+_DERIVED: Dict[tuple, Tuple["weakref.ref", object]] = {}
+
+
+def derived(program: LinkedProgram, build: Callable) -> object:
+    """``build(program)``, built once per live program and then shared:
+    never on the :class:`LinkedProgram`, which worker pools pickle.  A
+    weakref guards the id-keyed entry against id reuse, and a finalizer
+    drops it with the program."""
+    key = (id(program), build)
+    entry = _DERIVED.get(key)
+    if entry is not None and entry[0]() is program:
+        return entry[1]
+    value = build(program)
+    _DERIVED[key] = (weakref.ref(program), value)
+    weakref.finalize(program, _DERIVED.pop, key, None)
+    return value
 
 
 def link(program: MachineProgram) -> LinkedProgram:

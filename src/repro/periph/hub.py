@@ -53,6 +53,7 @@ from ..isa.program import (
     ISR_MAX_DEPTH,
     ISR_SOURCES,
     LinkedProgram,
+    derived,
 )
 
 #: Deterministic sample-stream offsets per device, far from the ``SENSE``
@@ -83,6 +84,23 @@ class IsrSpan:
     @property
     def closed(self) -> bool:
         return self.exit_step is not None
+
+
+def _territories(program: LinkedProgram) -> Dict[int, FrozenSet[str]]:
+    """Each vector's handler plus every function reachable from it."""
+    callees: Dict[str, Set[str]] = {name: set() for name in program.func_entry}
+    for pc, instr in enumerate(program.instrs):
+        if instr.op is Opcode.CALL:
+            callees[program.owner[pc]].add(instr.callee)
+    territory = {}
+    for vector, root in program.isr_vectors.items():
+        seen, work = {root}, [root]
+        while work:
+            fresh = callees.get(work.pop(), set()) - seen
+            seen |= fresh
+            work.extend(fresh)
+        territory[vector] = frozenset(seen)
+    return territory
 
 
 class PeriphHub:
@@ -145,14 +163,10 @@ class PeriphHub:
              addr["__dma_base"], addr["__dma_xfrd"], self._fire_dma),
         )
 
-        # Territory: the pc-ownership closure of each handler (the handler
-        # plus every function reachable from it).  Used to tell "resumed
-        # inside the handler" (NVP JIT restore) apart from "rolled back to
-        # the interrupted main region" (GECKO), which must heal.
-        self._territory: Dict[int, FrozenSet[str]] = {
-            vector: self._closure(fname)
-            for vector, fname in self._vectors.items()
-        }
+        # Each handler's pc-ownership closure: "resumed inside the handler"
+        # (NVP JIT restore) vs "rolled back to the interrupted main region"
+        # (GECKO), which must heal.
+        self._territory = derived(program, _territories)
 
         self.trace: List[IsrSpan] = []
         self._open: List[IsrSpan] = []
@@ -163,22 +177,6 @@ class PeriphHub:
         self.heals: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
-    def _closure(self, root: str) -> FrozenSet[str]:
-        callees: Dict[str, Set[str]] = {
-            name: set() for name in self.program.func_entry
-        }
-        for pc, instr in enumerate(self.program.instrs):
-            if instr.op is Opcode.CALL:
-                callees[self._owner[pc]].add(instr.callee)
-        seen = {root}
-        work = [root]
-        while work:
-            for callee in callees.get(work.pop(), ()):
-                if callee not in seen:
-                    seen.add(callee)
-                    work.append(callee)
-        return frozenset(seen)
-
     def territory(self, vector: int) -> FrozenSet[str]:
         """Function names owned by ``vector``'s handler closure."""
         return self._territory.get(vector, _EMPTY)

@@ -82,9 +82,9 @@ and the CI cross-check):
   programs unless the horizon covers the whole block.
 
 Block functions close over nothing picklable-hostile on the program:
-compiled blocks live in a module-level cache keyed by ``id(program)``
-with a weakref guard, so :class:`LinkedProgram` instances remain
-picklable for campaign worker pools.
+compiled blocks live in :func:`~repro.isa.program.derived`'s weakref-
+guarded cache, so :class:`LinkedProgram` instances remain picklable for
+campaign worker pools.
 
 Because blocks are compiled lazily *per entry pc*, a ``pc`` that lands
 mid-block — a JIT-checkpoint restore, or a
@@ -97,14 +97,13 @@ alignment with the static block leaders is required.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import MachineFault, SimulationError
 from ..isa.instructions import (
     ALU, BLOCK_ENDERS, WRAP32_TEXT, Instr, Opcode, alu_expr)
 from ..isa.operands import Imm, PReg, trunc_div, trunc_rem
-from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram
+from ..isa.program import PERIPH_CONTROL_SYMBOLS, LinkedProgram, derived
 from .machine import OPCODE_CLASSES, Machine
 
 #: Maximum instructions per compiled block.  Bounded so that a block is
@@ -155,14 +154,14 @@ class _RegionEntry:
     def __init__(self, fn, n: int) -> None:
         self.fn = fn
         self.n = n
-        #: Regions run as ``fn(m, regs, mem, wear, left) -> executed``.
+        #: Regions run as ``fn(m, regs, mem, wear, left) -> left``.
         self.region = True
 
 
-def _operand(operand) -> str:
+def _operand(operand, reg: str) -> str:
     """Expression for an operand's value: register read or literal."""
     if isinstance(operand, PReg):
-        return f"regs[{operand.index}]"
+        return reg.format(operand.index)
     if isinstance(operand, Imm):
         return repr(operand.value)
     raise MachineFault(f"bad operand {operand!r}")
@@ -227,7 +226,12 @@ def _loop_regions(program: LinkedProgram,
 class _BlockCompiler:
     """Compiles the block starting at one pc — or, given ``members``,
     every member block of one loop region, or given ``residue``, the
-    block's residue — into one Python closure."""
+    block's residue — into one Python closure.
+
+    A region keeps the registers its members touch in locals ``r<i>``,
+    its cycles in ``cyc`` and its count in ``budget - left``, and writes
+    them back on return, on trap paths and around ``MARK``/``SENSE``.
+    """
 
     def __init__(self, program: LinkedProgram, start: int,
                  leaders: frozenset, members: Tuple[int, ...] = (),
@@ -254,6 +258,11 @@ class _BlockCompiler:
         # accounting (cost lands *after* an instruction dispatches).
         self.pending_cycles = 0
         self.pending_count = 0
+        # How a register is read or written, a region's register locals,
+        # and one past the last pc of the block being emitted.
+        self.reg = "r{}" if members else "regs[{}]"
+        self.locals: Tuple[int, ...] = ()
+        self.end = start
 
     # -- emission helpers ----------------------------------------------
     def emit(self, line: str, depth: int = 1) -> None:
@@ -262,8 +271,9 @@ class _BlockCompiler:
     def flush_stmts(self) -> List[str]:
         stmts = []
         if self.pending_cycles:
-            stmts.append(f"m.cycles += {self.pending_cycles}")
-        if self.pending_count:
+            cycles = "cyc" if self.members else "m.cycles"
+            stmts.append(f"{cycles} += {self.pending_cycles}")
+        if self.pending_count and not self.members:
             stmts.append(f"m.instr_count += {self.pending_count}")
         return stmts
 
@@ -273,11 +283,31 @@ class _BlockCompiler:
         self.pending_cycles = 0
         self.pending_count = 0
 
+    def spill(self, template: str, depth: int = 1) -> None:
+        """Emit one line applying ``template`` to each register local."""
+        if self.locals:
+            self.emit("; ".join(map(template.format, self.locals)), depth)
+
+    def sync(self, pc: int, depth: int = 1, resume: bool = False) -> None:
+        """Emit what makes the machine exact before ``pc`` runs; with
+        ``resume`` (a call-out, not a trap) the counts restart there."""
+        self.emit(f"m.pc = {pc}", depth)
+        if not self.members:
+            for stmt in self.flush_stmts():
+                self.emit(stmt, depth)
+        else:
+            self.spill("regs[{0}] = r{0}", depth)
+            self.emit(f"m.cycles += cyc + {self.pending_cycles}", depth)
+            self.emit(f"m.instr_count += budget - left - {self.end - pc}",
+                      depth)
+            if resume:
+                self.emit(f"cyc = 0; budget = left + {self.end - pc}")
+        if resume:
+            self.pending_cycles = self.pending_count = 0
+
     def trap(self, pc: int, message_expr: str, depth: int) -> None:
         """Emit a trap path: exact pc/cycle state, interpreter message."""
-        self.emit(f"m.pc = {pc}", depth)
-        for stmt in self.flush_stmts():
-            self.emit(stmt, depth)
+        self.sync(pc, depth)
         self.emit(f"raise MachineFault({message_expr})", depth)
 
     def addr_expr(self, pc: int, instr: Instr) -> str:
@@ -293,7 +323,7 @@ class _BlockCompiler:
             self.emit("if True:")
             self.trap(pc, repr(message), depth=2)
             return repr(base)  # unreachable
-        off = _operand(instr.off)
+        off = _operand(instr.off, self.reg)
         self.emit(f"_o = {off}")
         self.emit(f"if _o < 0 or _o >= {size}:")
         message = (f'f"pc={pc}: access {instr.sym.name}[{{_o}}] '
@@ -324,13 +354,21 @@ class _BlockCompiler:
                                  classes,
                                  last.op is Opcode.RET or _mmio_store(last))
         lengths: Dict[int, int] = {}
+        end = _block_end(self.program, self.members[-1], self.leaders)
+        self.locals = tuple(sorted({
+            reg.index for instr in self.program.instrs[self.members[0]:end]
+            for reg in instr.defs() + instr.uses()}))
         self.goto = "pc"
         self.emit("budget = left")
         self.emit("pc = m.pc")
+        self.emit("cyc = 0")
+        self.spill("r{0} = regs[{0}]")
         self.emit("while True:")
         self.dispatch(self.members, 2, lengths)
         self.emit("m.pc = pc")
-        self.emit("return budget - left")
+        self.spill("regs[{0}] = r{0}")
+        self.emit("m.cycles += cyc; m.instr_count += budget - left")
+        self.emit("return left")
         fn = self.build("__tregion", "m, regs, mem, wear, left",
                         f"<threaded-region@{self.start}>")
         return {start: _RegionEntry(fn, n) for start, n in lengths.items()}
@@ -379,6 +417,7 @@ class _BlockCompiler:
         instrs = self.program.instrs
         cycles = 0
         classes: Dict[str, int] = {}
+        self.end = end
         for pc in range(start, end):
             instr = instrs[pc]
             self.instruction(pc, instr)
@@ -402,10 +441,12 @@ class _BlockCompiler:
     def instruction(self, pc: int, instr: Instr) -> None:  # noqa: C901
         op = instr.op
         emit = self.emit
+        reg = self.reg
+        dst = None if instr.dst is None else reg.format(instr.dst.index)
         if op is Opcode.LI or op is Opcode.MOV:
-            emit(f"regs[{instr.dst.index}] = {_operand(instr.a)}")
+            emit(f"{dst} = {_operand(instr.a, reg)}")
         elif op in ALU:
-            b = "0" if instr.b is None else _operand(instr.b)
+            b = "0" if instr.b is None else _operand(instr.b, reg)
             if (op is Opcode.DIV or op is Opcode.REM) \
                     and not (isinstance(instr.b, Imm) and instr.b.value != 0):
                 # A provably nonzero ``Imm`` divisor needs no guard.
@@ -413,24 +454,23 @@ class _BlockCompiler:
                 emit("if _b == 0:")
                 self.trap(pc, repr(f"pc={pc}: division by zero"), depth=2)
                 b = "_b"
-            emit(f"regs[{instr.dst.index}] = "
-                 f"{alu_expr(op, _operand(instr.a), b)}")
+            emit(f"{dst} = {alu_expr(op, _operand(instr.a, reg), b)}")
         elif op is Opcode.LD:
             address = self.addr_expr(pc, instr)
-            emit(f"regs[{instr.dst.index}] = mem[{address}]")
+            emit(f"{dst} = mem[{address}]")
         elif op is Opcode.ST:
             address = self.addr_expr(pc, instr)
             if address.isdigit():
-                emit(f"mem[{address}] = {_operand(instr.a)}")
+                emit(f"mem[{address}] = {_operand(instr.a, reg)}")
                 emit(f"wear[{address}] += 1")
             else:
                 emit(f"_a = {address}")
                 # The interpreter stores the raw operand value (no wrap).
-                emit(f"mem[_a] = {_operand(instr.a)}")
+                emit(f"mem[_a] = {_operand(instr.a, reg)}")
                 emit("wear[_a] += 1")
         elif op is Opcode.BNZ:
             target = self.program.targets[pc]
-            emit(f"{self.goto} = {target} if {_operand(instr.a)} != 0 "
+            emit(f"{self.goto} = {target} if {_operand(instr.a, reg)} != 0 "
                  f"else {pc + 1}")
         elif op is Opcode.JMP:
             emit(f"{self.goto} = {self.program.targets[pc]}")
@@ -447,25 +487,25 @@ class _BlockCompiler:
             emit("m.halted = True")
             emit("m._commit_output()")
         elif op is Opcode.OUT:
-            emit(f"m.out_buffer.append({_operand(instr.a)})")
+            emit(f"m.out_buffer.append({_operand(instr.a, reg)})")
         elif op is Opcode.SENSE:
-            # The sensor stream is user code: synchronize exact state first.
-            self.flush()
-            emit(f"m.pc = {pc}")
+            # The sensor stream is user code: synchronize exact state.
+            self.sync(pc, resume=True)
             value = "m.sensor_stream(m.sensor_cursor)"
             emit(f"regs[{instr.dst.index}] = {WRAP32_TEXT.format(value)}")
             emit("m.sensor_cursor += 1")
+            self.spill("r{0} = regs[{0}]")
         elif op is Opcode.CKPT:
             self.ckpt(instr)
         elif op is Opcode.MARK:
             # Region commit emits on the observability bus: synchronize
             # exact state, then reuse the interpreter's commit routine
             # verbatim (it reads ``self.pc + 1`` for the re-entry pc).
-            self.flush()
-            emit(f"m.pc = {pc}")
+            self.sync(pc, resume=True)
             name = f"_instr_{pc}"
             self.env[name] = instr
             emit(f"m._commit_region({name})")
+            self.spill("r{0} = regs[{0}]")
         elif op is Opcode.NOP:
             pass
         else:  # pragma: no cover - exhaustive dispatch
@@ -478,7 +518,7 @@ class _BlockCompiler:
         symtab = self.program.symtab
         ckpt0, _ = symtab["__ckpt0"]
         ckpt1, _ = symtab["__ckpt1"]
-        source = f"regs[{instr.a.index}]"
+        source = self.reg.format(instr.a.index)
         if instr.color is not None:
             address = (ckpt1 if instr.color else ckpt0) + instr.reg_index
             emit(f"mem[{address}] = {WRAP32_TEXT.format(source)}")
@@ -553,22 +593,8 @@ class _ProgramBlocks:
         return entries[pc]
 
 
-#: Per-program block caches, keyed by ``id(program)``.  Closures are not
-#: picklable, so blocks must never live on the ``LinkedProgram`` itself
-#: (campaign compile caches are pickled into worker pools); the weakref
-#: guards against id reuse and a finalizer drops dead entries.
-_CACHES: Dict[int, Tuple["weakref.ref", _ProgramBlocks]] = {}
-
-
 def _blocks_for(program: LinkedProgram) -> _ProgramBlocks:
-    key = id(program)
-    entry = _CACHES.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    cache = _ProgramBlocks(program)
-    _CACHES[key] = (weakref.ref(program), cache)
-    weakref.finalize(program, _CACHES.pop, key, None)
-    return cache
+    return derived(program, _ProgramBlocks)
 
 
 def compile_block(program: LinkedProgram, start: int) -> CompiledBlock:
@@ -678,8 +704,8 @@ class ThreadedBackend:
                         horizon = None
                     continue
                 if unit.region:
-                    executed += unit.fn(machine, machine.regs, machine.mem,
-                                        machine.wear, left)
+                    executed = limit - unit.fn(machine, machine.regs,
+                                               machine.mem, machine.wear, left)
                     continue
                 if prof is None:
                     unit.fn(machine, machine.regs, machine.mem, machine.wear)

@@ -16,8 +16,10 @@ claim, stated as asserts:
   zero and out-of-bounds access;
 * the ``Machine.attach`` hook API;
 * loop regions (every slice budget, entry at every pc inside a region,
-  traps inside a region), the armed-hook fast-forward to a declared
-  ``trigger_step``, and profiler cycle attribution from plain blocks;
+  traps inside a region, every exit that writes a region's register
+  locals back: traps, ``MARK``/``SENSE`` call-outs, the return), the
+  armed-hook fast-forward to a declared ``trigger_step``, and profiler
+  cycle attribution from plain blocks;
 * slice-edge residues (every budget on the hub programs, traps inside a
   residue, no steps at the victims' quantum, one residue per block
   start), the hub's horizon (a pend injected between slices, a handler
@@ -44,7 +46,7 @@ from repro.faultsim.injector import FaultInjector
 from repro.faultsim.models import CKPT_CORRUPT, INSTR_SKIP, REG_FLIP, FaultSpec
 from repro.isa import link, parse_program
 from repro.isa.instructions import Opcode
-from repro.obs import Observability
+from repro.obs import REGION_COMMIT, Observability
 from repro.obs.profiler import Profiler
 from repro.runtime import (
     BACKEND_NAMES,
@@ -707,6 +709,122 @@ class TestRegions:
         assert (block.start, block.n) == (loop, 3)
         assert block.cycles == sum(linked.instrs[pc].cycles
                                    for pc in range(loop, loop + 3))
+
+
+#: A loop that writes registers, then traps on an out-of-bounds load in
+#: the same iteration.
+OOB_AFTER_WRITES_TEXT = """
+.data
+    arr 4
+.func main
+    li R4, #0
+    li R6, #1
+    li R7, #0
+loop:
+    add R7, R7, #5
+    mul R8, R7, R7
+    ld R5, [@arr + R4]
+    add R4, R4, #1
+    bnz R6, .loop
+    halt
+"""
+
+#: A loop that writes registers, then divides by zero in its third
+#: iteration.
+DIV_AFTER_WRITES_TEXT = """
+.func main
+    li R4, #12
+    li R5, #3
+    li R7, #1
+loop:
+    add R8, R8, R4
+    sub R5, R5, #1
+    div R6, R4, R5
+    bnz R7, .loop
+    halt
+"""
+
+#: A loop that commits a region between register writes; the commit's
+#: subscriber reads the registers and bumps R9, which the loop reads.
+MARK_LOOP_TEXT = """
+.data
+    s 1
+.func main
+    li R4, #5
+    li R5, #0
+loop:
+    add R5, R5, R4
+    sub R4, R4, #1
+    mark region=1
+    add R6, R5, R9
+    bnz R4, .loop
+    out R6
+    halt
+"""
+
+#: A loop whose sensor stream reads the register written just before.
+SENSE_LOOP_TEXT = """
+.data
+    s 1
+.func main
+    li R4, #6
+    li R5, #0
+loop:
+    add R5, R5, R4
+    sense R6
+    add R5, R5, R6
+    sub R4, R4, #1
+    bnz R4, .loop
+    out R5
+    halt
+"""
+
+
+def _observed(machine):
+    return (list(machine.regs), machine.pc, machine.cycles,
+            machine.instr_count)
+
+
+class TestRegionWriteBacks:
+    """A region keeps registers and costs in locals: every way out of
+    its code — a trap, a ``MARK`` or ``SENSE`` call-out, the return —
+    must hand the interpreter's exact state over."""
+
+    @staticmethod
+    def _run(linked, backend, budget, watch):
+        machine = Machine(linked)
+        seen = []
+        if watch == "mark":
+            def on_commit(event):
+                seen.append(_observed(machine))
+                machine.regs[9] += 1
+
+            obs = Observability()
+            obs.bus.subscribe(on_commit, kinds=[REGION_COMMIT])
+            machine.attach(obs=obs)
+        elif watch == "sense":
+            def stream(index):
+                seen.append(_observed(machine))
+                return machine.regs[5] * 3 + index
+
+            machine.sensor_stream = stream
+        _, fault = _drain(backend_for(backend), machine, budget)
+        return _state(machine), str(fault) if fault else None, seen
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 1_000_000])
+    @pytest.mark.parametrize("text,watch", [
+        ("OOB_AFTER_WRITES_TEXT", None), ("DIV_AFTER_WRITES_TEXT", None),
+        ("MARK_LOOP_TEXT", "mark"), ("SENSE_LOOP_TEXT", "sense")])
+    def test_matches_interpreter(self, text, watch, budget):
+        linked = _linked(text)
+        expected = self._run(linked, "interpreter", budget, watch)
+        assert self._run(linked, "threaded", budget, watch) == expected
+        _, fault, seen = expected
+        assert (fault is not None) == (watch is None)
+        assert len(seen) == (0 if watch is None else 5 if watch == "mark"
+                             else 6)
+        if budget >= 7:
+            assert _runs_regions(linked)
 
 
 class _CountingSteps:

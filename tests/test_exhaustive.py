@@ -473,6 +473,11 @@ class TestStoreMemoization:
 # ----------------------------------------------------------------------
 # Parallel determinism.
 # ----------------------------------------------------------------------
+#: A strided whole-run crc16/nvp slice in faultmap-slice's shape.
+CHUNKED_SLICE = dict(models=(REG_FLIP, INSTR_SKIP), step_stride=224,
+                     bits=(0, 7, 31))
+
+
 class TestParallelDeterminism:
     def test_workers_do_not_change_the_map(self):
         spec = ExhaustiveSpec(
@@ -483,3 +488,29 @@ class TestParallelDeterminism:
         parallel = exhaustive_map(spec, workers=2)
         assert serial.map.fingerprint() == parallel.map.fingerprint()
         assert serial.stats.representatives == parallel.stats.representatives
+
+    def test_chunking_does_not_change_the_map(self, monkeypatch):
+        """Known-state stops are exact: how the representatives are cut
+        into chunks moves only the stop counts, never a verdict."""
+        import repro.exhaustive.mapper as mapper_mod
+
+        spec = ExhaustiveSpec(victim=fault_victim("crc16", "nvp"),
+                              **CHUNKED_SLICE)
+        maps = {}
+        for size in (1, 7, 64):
+            monkeypatch.setattr(mapper_mod, "CHUNK_SIZE", size)
+            result = exhaustive_map(spec)
+            maps[size] = (result.map.fingerprint(), result.stats.simulated)
+        assert maps[1] == maps[7] == maps[64]
+        assert maps[64][1] > 64
+
+    def test_workers_do_not_change_the_stop_counts(self):
+        spec = ExhaustiveSpec(victim=fault_victim("crc16", "nvp"),
+                              **CHUNKED_SLICE)
+        counts = set()
+        for workers in (1, 2):
+            stats = exhaustive_map(spec, workers=workers).stats
+            counts.add((stats.golden_stops, stats.sibling_stops))
+        assert len(counts) == 1
+        golden, sibling = counts.pop()
+        assert golden > 0 and sibling > 0

@@ -123,6 +123,29 @@ class TestLinkerLayout:
         assert "__gpio_out" in linked.symtab
         assert linked.isr_vectors == {}
 
+    def test_second_machine_computes_no_closure(self, glucose_nvp,
+                                                monkeypatch):
+        """Handler territories depend on the program alone: every
+        ``Machine`` of one program (an exhaustive fork each) shares
+        them, and only the first computes them."""
+        import repro.periph.hub as hub_mod
+
+        calls = []
+        real = hub_mod._territories
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(hub_mod, "_territories", counting)
+        linked = glucose_nvp.linked
+        first, second = Machine(linked), Machine(linked)
+        assert calls == [linked]
+        for vector, handler in linked.isr_vectors.items():
+            territory = first._periph.territory(vector)
+            assert handler in territory
+            assert second._periph.territory(vector) is territory
+
     def test_control_symbols_cover_every_source(self):
         for prefix in ("__t0", "__adc", "__gpio", "__dma"):
             assert any(s.startswith(prefix)
