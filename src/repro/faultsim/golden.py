@@ -156,13 +156,12 @@ def capture_trace(linked, snapshot_stride: int = 0) -> GoldenTrace:
     if not machine.halted:
         raise FaultSimError(
             f"golden capture did not halt within {_TRACE_STEP_CAP} steps")
-    hub = machine._periph
     spans = tuple(
         span if span.closed else IsrSpan(
             vector=span.vector, entry_step=span.entry_step,
             entry_cycles=span.entry_cycles,
             exit_step=machine.instr_count, exit_cycles=machine.cycles)
-        for span in (hub.trace if hub is not None else ()))
+        for span in machine.isr_spans)
     return GoldenTrace(
         pcs=pcs,
         profile=ExecutionProfile(
@@ -174,7 +173,7 @@ def capture_trace(linked, snapshot_stride: int = 0) -> GoldenTrace:
         golden_out=tuple(machine.committed_out),
         golden_steps=machine.instr_count,
         golden_cycles=machine.cycles,
-        has_periph=hub is not None,
+        has_periph=machine._periph is not None,
         isr_spans=spans,
         mark_cycles=tuple(mark_cycles),
     )

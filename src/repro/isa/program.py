@@ -278,7 +278,9 @@ def derived(program: LinkedProgram, build: Callable) -> object:
     """``build(program)``, built once per live program and then shared:
     never on the :class:`LinkedProgram`, which worker pools pickle.  A
     weakref guards the id-keyed entry against id reuse, and a finalizer
-    drops it with the program."""
+    drops it with the program.  The built value must not reference its
+    program: the entry holds it strongly, so it would keep the program
+    alive and the finalizer would never run."""
     key = (id(program), build)
     entry = _DERIVED.get(key)
     if entry is not None and entry[0]() is program:
@@ -287,6 +289,11 @@ def derived(program: LinkedProgram, build: Callable) -> object:
     _DERIVED[key] = (weakref.ref(program), value)
     weakref.finalize(program, _DERIVED.pop, key, None)
     return value
+
+
+def symbol_addresses(program: LinkedProgram) -> Dict[str, int]:
+    """Symbol name -> base address, shared read-only via :func:`derived`."""
+    return {name: base for name, (base, _) in program.symtab.items()}
 
 
 def link(program: MachineProgram) -> LinkedProgram:

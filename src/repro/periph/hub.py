@@ -14,9 +14,10 @@ Design rules that keep every existing guarantee intact:
   ``PERIPH_SYMBOLS`` control block the linker appends for programs that
   use peripherals).  ``Machine.snapshot()``/``restore()``, power cycles,
   and checkpoint runtimes therefore round-trip pending interrupts and
-  peripheral state with no new machinery; the hub itself holds only
-  static caches derived from the program plus a volatile diagnostic
-  trace.
+  peripheral state with no new machinery.  The hub holds only what the
+  program fixes, so every machine of a program shares one hub, and each
+  machine records its own deliveries and heals (``isr_spans``,
+  ``isr_heals``).
 * **Everything advances at instruction boundaries.**  The interpreter
   calls :meth:`PeriphHub.on_boundary` after every instruction.  The
   threaded backend asks :meth:`PeriphHub.horizon` instead: the first
@@ -43,7 +44,7 @@ Design rules that keep every existing guarantee intact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 from ..errors import MachineFault
 from ..isa.instructions import Opcode
@@ -54,6 +55,7 @@ from ..isa.program import (
     ISR_SOURCES,
     LinkedProgram,
     derived,
+    symbol_addresses,
 )
 
 #: Deterministic sample-stream offsets per device, far from the ``SENSE``
@@ -65,7 +67,7 @@ DMA_STREAM_BASE = 3 << 16
 #: DMA buffer capacity in words (size of ``__dma_buf``).
 DMA_BUF_WORDS = 16
 
-#: Diagnostic-trace cap: delivery keeps working beyond it, recording stops.
+#: Cap on each machine's ISR records: delivery goes on, recording stops.
 TRACE_CAP = 200_000
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -73,7 +75,7 @@ _EMPTY: FrozenSet[str] = frozenset()
 
 @dataclass
 class IsrSpan:
-    """One handler activation in the volatile diagnostic trace."""
+    """One handler activation in a machine's ``isr_spans``."""
 
     vector: int
     entry_step: int
@@ -107,18 +109,15 @@ class PeriphHub:
     """Interrupt controller + device models for one linked program.
 
     The hub is configuration, not state: everything it needs between
-    boundaries lives in the program's NVM control block, so a fresh hub
-    attached to restored memory behaves identically.  ``trace`` is the
-    one exception — a volatile list of :class:`IsrSpan` used by
-    profiling and ISR-aware attack planning, never by execution.
+    boundaries lives in the program's NVM control block, so ``Machine``
+    shares one hub per program, built through ``derived`` (it must not
+    reference the program).  What it delivers and heals it records on
+    the machine, in ``isr_spans`` (:class:`IsrSpan`) and ``isr_heals``:
+    diagnostics for profiling, attack planning and torture's oracles.
     """
 
     def __init__(self, program: LinkedProgram) -> None:
-        symtab = program.symtab
-        if "__isr_sp" not in symtab:
-            raise ValueError("program was linked without peripheral support")
-        addr = {name: base for name, (base, _) in symtab.items()}
-        self.program = program
+        addr = derived(program, symbol_addresses)
         self._code_size = len(program.instrs)
         self._owner = program.owner
         # Sentinel pcs live strictly beyond any legal pc (and beyond the
@@ -166,20 +165,7 @@ class PeriphHub:
         # Each handler's pc-ownership closure: "resumed inside the handler"
         # (NVP JIT restore) vs "rolled back to the interrupted main region"
         # (GECKO), which must heal.
-        self._territory = derived(program, _territories)
-
-        self.trace: List[IsrSpan] = []
-        self._open: List[IsrSpan] = []
-        #: Volatile diagnostic: ``(instr_count, vector)`` for every
-        #: stacked activation dropped (and re-pended) by a stale-frame
-        #: heal.  The torture at-least-once oracle checks each entry is
-        #: re-delivered later or still pending at halt.
-        self.heals: List[Tuple[int, int]] = []
-
-    # ------------------------------------------------------------------
-    def territory(self, vector: int) -> FrozenSet[str]:
-        """Function names owned by ``vector``'s handler closure."""
-        return self._territory.get(vector, _EMPTY)
+        self._territory = _territories(program)
 
     # ------------------------------------------------------------------
     # The boundary hook, and the horizon before which it does nothing.
@@ -336,19 +322,21 @@ class PeriphHub:
         if sp == 0 or self._in_handler(machine, sp):
             return  # main code, or genuinely executing the handler
         repend = 0
+        heals = machine.isr_heals
         for i in range(max(0, min(sp, ISR_MAX_DEPTH))):
             vector = mem[self._stack_a + i]
             if vector in self._vectors:
                 repend |= 1 << vector
-                if len(self.heals) < TRACE_CAP:
-                    self.heals.append((machine.instr_count, vector))
+                if len(heals) < TRACE_CAP:
+                    heals.append((machine.instr_count, vector))
         mem[self._sp_a] = 0
         machine.wear[self._sp_a] += 1
         if repend:
             mem[self._pend_a] |= repend
             machine.wear[self._pend_a] += 1
-        while self._open:
-            span = self._open.pop()
+        opened = machine._isr_open
+        while opened:
+            span = opened.pop()
             span.exit_step = machine.instr_count
             span.exit_cycles = machine.cycles
         # at-least-once: the dropped activations re-run from delivery
@@ -410,20 +398,21 @@ class PeriphHub:
         # Return-address seeding mirrors CALL's return-slot write (no wear).
         mem[self._ret_addr[vector]] = self._sentinel_base + vector
         machine.pc = self._entry_pc[vector]
-        if len(self.trace) < TRACE_CAP:
+        if len(machine.isr_spans) < TRACE_CAP:
             span = IsrSpan(vector=vector, entry_step=machine.instr_count,
                            entry_cycles=machine.cycles)
-            self.trace.append(span)
-            self._open.append(span)
+            machine.isr_spans.append(span)
+            machine._isr_open.append(span)
 
     # ------------------------------------------------------------------
     def _close_span(self, machine, vector: int) -> None:
-        for index in range(len(self._open) - 1, -1, -1):
-            span = self._open[index]
+        opened = machine._isr_open
+        for index in range(len(opened) - 1, -1, -1):
+            span = opened[index]
             if span.vector == vector:
                 span.exit_step = machine.instr_count
                 span.exit_cycles = machine.cycles
-                del self._open[index]
+                del opened[index]
                 return
 
     # ------------------------------------------------------------------
@@ -441,8 +430,3 @@ class PeriphHub:
                 f"vector {vector} has no registered handler "
                 f"(registered: {sorted(self._vectors)})")
         self._pend(machine, vector)
-
-    # ------------------------------------------------------------------
-    def deliveries(self) -> int:
-        """Handler activations recorded so far (diagnostic)."""
-        return len(self.trace)

@@ -25,6 +25,7 @@ Peripheral semantics chosen for deterministic crash-consistency testing:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -38,10 +39,15 @@ from ..isa.operands import (
     PReg,
     wrap32,
 )
-from ..isa.program import LinkedProgram
+from ..isa.program import LinkedProgram, derived, symbol_addresses
 
 #: Maximum OUT values the JIT checkpoint can persist (area ``__jit_out``).
 JIT_OUT_CAPACITY = 32
+
+#: What :meth:`Machine._commit_region` writes, read off the address map.
+_COMMIT_WORDS = operator.itemgetter(
+    "__region_cur", "__region_pc", "__region_done", "__color", "__rcolor",
+    "__sensor_idx")
 
 
 def default_sensor_stream(index: int) -> int:
@@ -118,7 +124,8 @@ class MachineSnapshot:
 
 
 class Machine:
-    """Interpreter for a linked program with power-failure support."""
+    """Interpreter for a linked program with power-failure support.  It
+    holds run state only: the address map and hub are per program."""
 
     def __init__(self, program: LinkedProgram) -> None:
         self.program = program
@@ -147,13 +154,9 @@ class Machine:
         #: Per-word NVM write counts (FRAM endurance bookkeeping; the wear
         #: vector the related-work NVP wear-out attacks exploit).
         self.wear: List[int] = [0] * program.data_words
-        self._addr_cache: Dict[str, int] = {
-            name: base for name, (base, _) in program.symtab.items()
-        }
-        #: What :meth:`_commit_region` writes, resolved once.
-        self._commit_addrs = tuple(self._addr_cache[name] for name in (
-            "__region_cur", "__region_pc", "__region_done", "__color",
-            "__rcolor", "__sensor_idx"))
+        #: The program's symbol -> address map, shared read-only.
+        self._addr_cache: Dict[str, int] = derived(program, symbol_addresses)
+        self._commit_addrs = _COMMIT_WORDS(self._addr_cache)
         # Hook registration (see :meth:`attach`): the fault-injection hook
         # (:mod:`repro.faultsim`), the observability bundle
         # (:mod:`repro.obs`), and the pre-resolved profiler (None unless
@@ -163,15 +166,20 @@ class Machine:
         self._fault_hook = None
         self._obs = None
         self._prof = None
-        # Peripheral hub: auto-attached for programs linked with the
-        # peripheral control block (lazy import avoids a cycle).  The hub
-        # is stateless configuration — all controller/device state lives
-        # in NVM words — so a fresh hub on restored memory is exact.
+        # Peripheral hub: one per program linked with the peripheral
+        # control block (lazy import avoids a cycle).  It holds no run
+        # state — the controller and devices live in NVM words — so every
+        # machine of the program shares it.
         self._periph = None
         if "__isr_sp" in program.symtab:
             from ..periph.hub import PeriphHub
 
-            self._periph = PeriphHub(program)
+            self._periph = derived(program, PeriphHub)
+        #: The hub's record of this run, never read by execution: each
+        #: ``IsrSpan`` and each heal's dropped ``(instr_count, vector)``.
+        self.isr_spans: List = []
+        self.isr_heals: List[Tuple[int, int]] = []
+        self._isr_open: List = []
 
     # ------------------------------------------------------------------
     # Hook registration.
@@ -200,9 +208,10 @@ class Machine:
             profiler: the pre-resolved cycle profiler (or ``None``);
                 usually ``maybe(obs.profiler)``.
 
-        Programs linked with peripheral support carry a
-        :class:`~repro.periph.hub.PeriphHub` from construction; its
-        ``on_boundary(machine)`` runs after every instruction on the
+        Programs linked with peripheral support share their program's
+        :class:`~repro.periph.hub.PeriphHub` from construction, which
+        records deliveries and heals in ``isr_spans`` and ``isr_heals``.
+        Its ``on_boundary(machine)`` runs after every instruction on the
         interpreter.  The threaded backend runs whole blocks only before
         the hub's ``horizon``, where the hook does nothing except after
         a ``RET`` or a peripheral MMIO store, and calls it just there.

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 from ..errors import SimulationError
 from ..isa.instructions import ALU, CYCLES, Opcode
 from ..isa.operands import Imm, NUM_REGS, PReg, wrap32
-from ..isa.program import LinkedProgram
+from ..isa.program import LinkedProgram, derived
 from ..core.plans import RegionPlan, SliceExec, SlotLoad
 from .machine import _UNSET, Machine
 from .nvp import RuntimeStats
@@ -98,7 +98,7 @@ class RollbackRuntime:
     name = "ratchet"
 
     def __init__(self, program: LinkedProgram) -> None:
-        self.table = build_region_table(program)
+        self.table = derived(program, build_region_table)
         self.stats = RuntimeStats()
         #: Observability bundle (:mod:`repro.obs`), simulator-attached.
         self.obs = None

@@ -445,19 +445,18 @@ class _TortureRun:
                     TORN_STATE,
                     f"halted with __isr_sp = {sp}: a handler activation "
                     f"was lost (stale frames never healed)"))
-        if hub is not None:
-            pend = self._read("__irq_pend")
-            for heal_step, vector in hub.heals:
-                redelivered = any(
-                    span.vector == vector and span.entry_step >= heal_step
-                    for span in hub.trace)
-                if not redelivered and not pend >> vector & 1:
-                    self.violations.append(Violation(
-                        ISR_AT_LEAST_ONCE,
-                        f"vector {vector} dropped at a heal "
-                        f"(step {heal_step}) was never re-delivered and "
-                        f"is not pending"))
-                    break
+        pend = self._read("__irq_pend")
+        for heal_step, vector in machine.isr_heals:
+            redelivered = any(
+                span.vector == vector and span.entry_step >= heal_step
+                for span in machine.isr_spans)
+            if not redelivered and not pend >> vector & 1:
+                self.violations.append(Violation(
+                    ISR_AT_LEAST_ONCE,
+                    f"vector {vector} dropped at a heal "
+                    f"(step {heal_step}) was never re-delivered and is "
+                    f"not pending"))
+                break
         if machine.halted and golden_applies(self.schedule):
             if tuple(machine.committed_out) != self.target.golden_out:
                 self.violations.append(Violation(
@@ -470,9 +469,8 @@ class _TortureRun:
     # -- fingerprint ---------------------------------------------------
     def _fingerprint(self) -> str:
         machine = self.machine
-        hub = self.hub
         trace = [(span.vector, span.entry_step)
-                 for span in (hub.trace if hub is not None else [])][:4096]
+                 for span in machine.isr_spans][:4096]
         return content_digest({
             "out": list(machine.committed_out),
             "cycles": machine.cycles,
@@ -506,7 +504,6 @@ class _TortureRun:
             if not self._slice(self.remaining):
                 break
         self._check_final()
-        hub = self.hub
         return TortureOutcome(
             violations=self.violations,
             fingerprint=self._fingerprint(),
@@ -515,8 +512,8 @@ class _TortureRun:
             cycles=self.machine.cycles,
             instr_count=self.machine.instr_count,
             crashes=self.crashes,
-            deliveries=hub.deliveries() if hub is not None else 0,
-            heals=len(hub.heals) if hub is not None else 0,
+            deliveries=len(self.machine.isr_spans),
+            heals=len(self.machine.isr_heals),
             triggered=self.triggered,
         )
 

@@ -461,7 +461,7 @@ class TestInterruptDifferential:
                 machine.halted, machine.cycles, machine.instr_count,
                 list(machine.committed_out),
                 [(s.vector, s.entry_step, s.exit_step)
-                 for s in machine._periph.trace])
+                 for s in machine.isr_spans])
 
     @pytest.mark.parametrize("workload", REACTIVE_WORKLOADS)
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1044,11 +1044,10 @@ void main() {
 
 def _hub_state(machine):
     """``_state`` plus the hub's volatile diagnostics."""
-    hub = machine._periph
     return (_state(machine),
             [(s.vector, s.entry_step, s.entry_cycles, s.exit_step,
-              s.exit_cycles) for s in hub.trace],
-            list(hub.heals))
+              s.exit_cycles) for s in machine.isr_spans],
+            list(machine.isr_heals))
 
 
 def _lockstep(linked, budget: int, between=None):
@@ -1161,7 +1160,7 @@ class TestHubHorizon:
         assert fast.halted
         assert len(injected) == 8
         # Delivered at the first boundary of the next slice.
-        entries = {span.entry_step for span in fast._periph.trace}
+        entries = {span.entry_step for span in fast.isr_spans}
         assert all(step + 1 in entries for step in injected)
 
     @pytest.mark.parametrize("budget", [7, 64])
@@ -1189,7 +1188,7 @@ class TestHubHorizon:
         fast = _lockstep(linked, budget, redirect)
         assert fast.halted
         assert rewritten
-        heals = fast._periph.heals
+        heals = fast.isr_heals
         assert heals and heals[0][0] > rewritten[0]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -1200,8 +1199,8 @@ class TestHubHorizon:
         linked = compile_scheme(MASKED_TIMER, scheme).linked
         fast = _lockstep(linked, budget)
         assert fast.halted
-        assert fast._periph.deliveries() >= 2
-        assert fast.committed_out[-1] == fast._periph.deliveries()
+        assert len(fast.isr_spans) >= 2
+        assert fast.committed_out[-1] == len(fast.isr_spans)
 
 
 def test_commit_region_writes_pinned_words():

@@ -40,11 +40,10 @@ def reference_run(linked):
         if machine.marks_executed != marks:
             marks = machine.marks_executed
             mark_cycles.append(machine.cycles)
-    hub = machine._periph
     spans = [(span.vector, span.entry_step, span.entry_cycles,
               span.exit_step if span.closed else machine.instr_count,
               span.exit_cycles if span.closed else machine.cycles)
-             for span in (hub.trace if hub is not None else [])]
+             for span in machine.isr_spans]
     return machine, regions, mark_cycles, spans
 
 

@@ -8,7 +8,7 @@ Covers the contracts the reactive suite rests on:
 * language — the ``isr`` declaration form, registration validation, and
   handler-exclusivity / WCET compile checks;
 * delivery — enable masks, priorities, nesting, and the sentinel-return
-  protocol, observed through the hub's diagnostic trace;
+  protocol, observed through each machine's ``isr_spans``;
 * crash consistency — snapshot/restore round-trips mid-handler (the
   PR 8 rewind property, restated over reactive state), and heal-by-
   re-delivery after an NVP-style rollback into stale frames;
@@ -18,8 +18,10 @@ Covers the contracts the reactive suite rests on:
 """
 
 import contextlib
+import gc
 import random
 import signal
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -48,7 +50,7 @@ from repro.periph import (
     isr_trace,
     phase_locked_windows,
 )
-from repro.runtime import Machine, backend_for
+from repro.runtime import Machine, backend_for, runtime_for
 from repro.workloads import (
     KERNEL,
     REACTIVE,
@@ -123,34 +125,103 @@ class TestLinkerLayout:
         assert "__gpio_out" in linked.symtab
         assert linked.isr_vectors == {}
 
-    def test_second_machine_computes_no_closure(self, glucose_nvp,
-                                                monkeypatch):
-        """Handler territories depend on the program alone: every
-        ``Machine`` of one program (an exhaustive fork each) shares
-        them, and only the first computes them."""
+    def test_second_machine_computes_no_closure(self, monkeypatch):
+        """The hub, its handler territories and the address map depend
+        on the program alone: every ``Machine`` of one program (an
+        exhaustive fork each) shares them, and only the first builds
+        them."""
         import repro.periph.hub as hub_mod
+        import repro.runtime.machine as machine_mod
 
         calls = []
-        real = hub_mod._territories
 
-        def counting(program):
-            calls.append(program)
-            return real(program)
+        def counting(build):
+            def wrapper(program):
+                calls.append((build.__name__, program))
+                return build(program)
+            return wrapper
 
-        monkeypatch.setattr(hub_mod, "_territories", counting)
-        linked = glucose_nvp.linked
+        init = hub_mod.PeriphHub.__init__
+
+        def counting_init(hub, program):
+            calls.append(("PeriphHub", program))
+            init(hub, program)
+
+        addresses = counting(machine_mod.symbol_addresses)
+        monkeypatch.setattr(machine_mod, "symbol_addresses", addresses)
+        monkeypatch.setattr(hub_mod, "symbol_addresses", addresses)
+        monkeypatch.setattr(hub_mod, "_territories",
+                            counting(hub_mod._territories))
+        monkeypatch.setattr(hub_mod.PeriphHub, "__init__", counting_init)
+        linked = compile_scheme(source("glucose"), "nvp").linked
         first, second = Machine(linked), Machine(linked)
-        assert calls == [linked]
+        assert calls == [("symbol_addresses", linked),
+                         ("PeriphHub", linked), ("_territories", linked)]
+        assert second._periph is first._periph
+        assert second._addr_cache is first._addr_cache
         for vector, handler in linked.isr_vectors.items():
-            territory = first._periph.territory(vector)
-            assert handler in territory
-            assert second._periph.territory(vector) is territory
+            assert handler in first._periph._territory[vector]
 
     def test_control_symbols_cover_every_source(self):
         for prefix in ("__t0", "__adc", "__gpio", "__dma"):
             assert any(s.startswith(prefix)
                        for s in PERIPH_CONTROL_SYMBOLS)
         assert set(ISR_SOURCES) == {"timer", "adc", "gpio", "dma"}
+
+
+# ----------------------------------------------------------------------
+# One hub per program; each machine keeps its own record.
+# ----------------------------------------------------------------------
+def _run_with_runtime_and_drop(workload, scheme, backend):
+    """Run one program to halt under its runtime; returns a weakref to
+    the program and its id, holding nothing else of the run."""
+    compiled = compile_scheme(source(workload), scheme)
+    machine = Machine(compiled.linked)
+    runtime_for(compiled).on_reboot(machine)
+    machine.run(max_steps=3_000_000, backend=backend)
+    assert machine.halted
+    return weakref.ref(compiled.linked), id(compiled.linked)
+
+
+class TestPerProgramHub:
+    @pytest.mark.parametrize("backend", ["interpreter", "threaded"])
+    @pytest.mark.parametrize("workload", ["glucose", "heartbeat"])
+    def test_interleaved_machines_keep_their_own_record(self, workload,
+                                                        backend):
+        """Two machines of one program share its hub, but each records
+        its own deliveries and heals: interleaved in 64-instruction
+        slices, one 37 instructions behind, each matches a solo run."""
+        def record(machine):
+            return ([(s.vector, s.entry_step, s.entry_cycles, s.exit_step,
+                      s.exit_cycles) for s in machine.isr_spans],
+                    list(machine.isr_heals))
+
+        linked = compile_scheme(source(workload), "nvp").linked
+        solo = record(_run(linked, backend=backend))
+        assert solo[0]
+        engine = backend_for(backend)
+        ahead, behind = Machine(linked), Machine(linked)
+        assert engine.run_slice(ahead, 37)[1] is None
+        while not (ahead.halted and behind.halted):
+            for machine in (behind, ahead):
+                assert engine.run_slice(machine, 64)[1] is None
+        for machine in (ahead, behind):
+            assert record(machine) == solo
+
+    @pytest.mark.parametrize("backend", ["interpreter", "threaded"])
+    @pytest.mark.parametrize("workload,scheme", [
+        ("glucose", "nvp"), ("heartbeat", "gecko"), ("crc16", "gecko")])
+    def test_no_program_stays_pinned(self, workload, scheme, backend):
+        """What ``derived`` builds (hub, address map, region table,
+        threaded blocks) must not reference its program: once a run is
+        over, the program is freed and its entries are gone."""
+        from repro.isa import program as program_mod
+
+        ref, key = _run_with_runtime_and_drop(workload, scheme, backend)
+        gc.collect()
+        assert ref() is None
+        assert not [entry for entry in program_mod._DERIVED
+                    if entry[0] == key]
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +322,7 @@ class TestDelivery:
         machine = _run(ticks_nvp.linked)
         assert machine.halted
         assert machine.committed_out == [5]
-        assert machine._periph.deliveries() >= 5
+        assert len(machine.isr_spans) >= 5
 
     def test_disabled_source_pends_but_never_delivers(self):
         src = """
@@ -269,13 +340,13 @@ class TestDelivery:
         ticks, pending = machine.committed_out
         assert ticks == 0
         assert pending & 1
-        assert machine._periph.deliveries() == 0
+        assert len(machine.isr_spans) == 0
 
     def test_nesting_preempts_lower_priority_handler(self):
         linked = compile_scheme(source("heartbeat"), "nvp").linked
         machine = _run(linked)
         assert machine.halted
-        spans = machine._periph.trace
+        spans = machine.isr_spans
         # A timer beat (vector 0) delivered strictly inside an adc
         # activation (vector 1) is a real preemption.
         nested = [
@@ -287,7 +358,7 @@ class TestDelivery:
 
     def test_no_nesting_without_irq_nest(self, ticks_nvp):
         machine = _run(ticks_nvp.linked)
-        spans = sorted(machine._periph.trace, key=lambda s: s.entry_step)
+        spans = sorted(machine.isr_spans, key=lambda s: s.entry_step)
         for earlier, later in zip(spans, spans[1:]):
             assert earlier.exit_step <= later.entry_step
 
@@ -413,11 +484,11 @@ class TestCrashConsistency:
         victim = Machine(linked)
         victim.restore(checkpoint)
         victim.mem[:] = stale_mem                 # FRAM survived the crash
-        before = victim._periph.deliveries()
+        before = len(victim.isr_spans)
         victim.run(max_steps=3_000_000)
         assert victim.halted
         assert victim.committed_out == golden.committed_out
-        assert victim._periph.deliveries() > before
+        assert len(victim.isr_spans) > before
 
     def test_reactive_outputs_stable_across_schemes(self):
         # glucose is count-keyed end to end: identical committed output

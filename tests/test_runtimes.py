@@ -113,6 +113,27 @@ class TestRollbackRuntime:
         table = build_region_table(program.linked)
         assert len(table) == program.region_count
 
+    def test_runtimes_of_one_program_share_one_table(self, monkeypatch):
+        """The region table depends on the program alone: the first
+        runtime of a program builds it, and every later one (a torture
+        case or a simulation task each) shares it."""
+        import repro.runtime.rollback as rollback
+
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return build_region_table(program)
+
+        monkeypatch.setattr(rollback, "build_region_table", counting)
+        linked = compile_gecko(SRC).linked
+        first, second = GeckoRuntime(linked), GeckoRuntime(linked)
+        pure = RollbackRuntime(linked)
+        assert calls == [linked]
+        assert first._rollback.table is second._rollback.table \
+            is pure.table
+        assert pure.table == build_region_table(linked)
+
     def test_restore_reenters_committed_region(self):
         program, machine, runtime = fresh("ratchet")
         runtime.on_reboot(machine)
