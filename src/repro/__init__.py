@@ -54,7 +54,8 @@ def simulate_program(compiled, duration_s: float = 0.5, runtime=None,
         monitor_kind: ``"adc"`` or ``"comp"``.
         config: a :class:`~repro.runtime.SimConfig`.
         backend: execution backend, ``"interpreter"`` (reference) or
-            ``"threaded"`` (precompiled blocks, ~9-16x faster, identical
+            ``"threaded"`` (precompiled blocks, 13.2-19.9x faster on the
+            crc16 and dhrystone kernels and 6.7-7.1x on glucose, identical
             results) — see ``docs/execution-backends.md``.
 
     Returns:

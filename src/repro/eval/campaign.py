@@ -32,7 +32,7 @@ import dataclasses
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..emi import AttackSchedule, DPIPath, EMISource, RemotePath
@@ -155,13 +155,22 @@ def _key_of(obj: Any) -> Any:
     return obj if isinstance(obj, (AttackSpec, PathSpec)) else repr(obj)
 
 
+#: The attack side of a run: the fields :meth:`RunSpec.silenced` clears
+#: and :meth:`RunSpec.baseline_key` leaves out.
+_ATTACK_SIDE = ("attack", "fault", "chaos")
+
+
 # ----------------------------------------------------------------------
 # Grid points.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunSpec:
     """One fully-resolved grid point.  Picklable: workers build their own
-    simulator from it, so campaigns fan out across processes safely."""
+    simulator from it, so campaigns fan out across processes safely.
+
+    Its fields are the one definition of a run: the serve codec
+    (:mod:`repro.serve.codec`), :meth:`baseline_key`, :meth:`silenced`
+    and :meth:`ExperimentSpec._resolve` read them by name."""
 
     victim: VictimConfig
     attack: Any = field(default_factory=AttackSpec.silent)
@@ -193,15 +202,27 @@ class RunSpec:
         return self.victim.compile_key()
 
     def baseline_key(self) -> Tuple:
-        """Everything the silent baseline depends on — not the attack."""
-        return (self.victim.cache_key(), _key_of(self.path), self.duration,
-                self.sim_overrides, self.mode, self.target_completions,
-                self.batch_window_s, self.max_sim_s, self.telemetry)
+        """Everything the silent baseline depends on: every field off the
+        attack side, in field order — the victim by its cache key, the
+        path by :func:`_key_of`, the duration resolved.  A field added
+        later therefore splits baselines instead of being shared."""
+        keyed = {"victim": self.victim.cache_key(),
+                 "path": _key_of(self.path), "duration_s": self.duration}
+        return tuple(keyed[name] if name in keyed else getattr(self, name)
+                     for name in _BASELINE_FIELDS)
 
     def silenced(self) -> "RunSpec":
-        """The golden reference point: no attack, no injected fault."""
-        return replace(self, attack=AttackSpec.silent(), fault=None,
-                       chaos=None)
+        """The golden reference point: the attack side at its defaults
+        (no attack, no injected fault, no drill)."""
+        return replace(self, **{
+            f.name: f.default_factory() if f.default is MISSING
+            else f.default
+            for f in fields(self) if f.name in _ATTACK_SIDE})
+
+
+#: The fields :meth:`RunSpec.baseline_key` keys on, in field order.
+_BASELINE_FIELDS = tuple(f.name for f in fields(RunSpec)
+                         if f.name not in _ATTACK_SIDE)
 
 
 def execute_run(run: RunSpec, compiled) -> SimResult:
@@ -213,7 +234,7 @@ def execute_run(run: RunSpec, compiled) -> SimResult:
     injector = None
     if run.fault is not None:
         from ..faultsim.injector import FaultInjector  # avoid import cycle
-        injector = FaultInjector.from_spec(run.fault)
+        injector = FaultInjector(run.fault)
     obs = Observability.for_telemetry() if run.telemetry else None
     sim = IntermittentSimulator(
         machine=Machine(compiled.linked),
@@ -336,26 +357,14 @@ class ExperimentSpec:
         return grid
 
     def _resolve(self, params: Mapping[str, Any]) -> RunSpec:
-        victim = self.victim if self.backend is None \
-            else self.victim.with_overrides(backend=self.backend)
-        state = {"victim": victim, "attack": self.attack,
-                 "path": self.path, "duration": self.duration_s,
-                 "fault": self.fault, "chaos": self.chaos}
+        state = {name: getattr(self, name) for name in _SPEC_FIELDS}
+        if self.backend is not None:
+            state["victim"] = self.victim.with_overrides(backend=self.backend)
         overrides = dict(self.sim_overrides)
 
         def apply(target: str, value: Any) -> None:
-            if target == "victim":
-                state["victim"] = value
-            elif target == "attack":
-                state["attack"] = value
-            elif target == "path":
-                state["path"] = value
-            elif target == "fault":
-                state["fault"] = value
-            elif target == "chaos":
-                state["chaos"] = value
-            elif target == "duration_s":
-                state["duration"] = value
+            if target in _WHOLE_AXES:
+                state[target] = value
             elif target == "backend":
                 state["victim"] = \
                     state["victim"].with_overrides(backend=value)
@@ -389,15 +398,15 @@ class ExperimentSpec:
                     apply(sub_target, sub_value)
             else:
                 apply(target, value)
-        victim, attack, path = state["victim"], state["attack"], state["path"]
-        duration, fault = state["duration"], state["fault"]
-        return RunSpec(
-            victim=victim, attack=attack, path=path, duration_s=duration,
-            sim_overrides=tuple(sorted(overrides.items())),
-            mode=self.mode, target_completions=self.target_completions,
-            batch_window_s=self.batch_window_s, max_sim_s=self.max_sim_s,
-            fault=fault, telemetry=self.telemetry, chaos=state["chaos"],
-        )
+        state["sim_overrides"] = tuple(sorted(overrides.items()))
+        return RunSpec(**state)
+
+
+#: The RunSpec fields an ExperimentSpec sets for every point, by name.
+_SPEC_FIELDS = tuple(f.name for f in fields(RunSpec)
+                     if f.name in {g.name for g in fields(ExperimentSpec)})
+#: Sweep axes that replace a whole RunSpec field.
+_WHOLE_AXES = ("victim", "attack", "path", "duration_s", "fault", "chaos")
 
 
 # ----------------------------------------------------------------------

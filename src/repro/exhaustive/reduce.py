@@ -84,17 +84,12 @@ class _AccessIndex:
     For register ``r`` and step ``s``: the first step ``t >= s`` whose
     instruction touches ``r``, and whether that touch reads it.  An
     instruction both reading and writing ``r`` (``ADD r, r, 1``) counts
-    as a read — the flipped value flows into it.
+    as a read — the flipped value flows into it.  The per-pc register
+    masks are the ones :func:`~repro.ir.liveness.linked_liveness` built.
     """
 
-    def __init__(self, trace: GoldenTrace, program) -> None:
-        use_mask = [0] * len(program.instrs)
-        def_mask = [0] * len(program.instrs)
-        for pc, instr in enumerate(program.instrs):
-            for reg in instr.uses():
-                use_mask[pc] |= 1 << reg.index
-            for reg in instr.defs():
-                def_mask[pc] |= 1 << reg.index
+    def __init__(self, trace: GoldenTrace, liveness: LinkedLiveness) -> None:
+        use_mask, def_mask = liveness.use_mask, liveness.def_mask
         self._steps: List[List[int]] = [[] for _ in range(NUM_REGS)]
         self._reads: List[List[bool]] = [[] for _ in range(NUM_REGS)]
         for step, pc in enumerate(trace.pcs):
@@ -118,9 +113,9 @@ class _AccessIndex:
 
 
 def reduce_reg_flips(spec: ExhaustiveSpec, trace: GoldenTrace,
-                     liveness: LinkedLiveness, program) -> ReducedPlan:
+                     liveness: LinkedLiveness) -> ReducedPlan:
     """Reduce the full reg_flip space of one victim."""
-    index = _AccessIndex(trace, program)
+    index = _AccessIndex(trace, liveness)
     entries: List[Tuple[FaultSpec, Optional[RepKey]]] = []
     reps: Dict[RepKey, FaultSpec] = {}
     layers = {"liveness_pruned": 0, "dead_tail_pruned": 0,
@@ -201,7 +196,7 @@ def naive_step_plan(spec: ExhaustiveSpec, model: str,
 def reduce_step_model(spec: ExhaustiveSpec, model: str, trace: GoldenTrace,
                       liveness: LinkedLiveness, program) -> ReducedPlan:
     if model == REG_FLIP:
-        return reduce_reg_flips(spec, trace, liveness, program)
+        return reduce_reg_flips(spec, trace, liveness)
     if model == INSTR_SKIP:
         return reduce_instr_skips(spec, trace, liveness, program)
     raise FaultSimError(f"{model} is not a step-triggered model")

@@ -88,18 +88,21 @@ class LinkedLiveness:
     instruction at absolute index ``pc``.  Computed interprocedurally (see
     :func:`linked_liveness`), so a register is dead at ``pc`` only when *no*
     continuation of the whole program — including through calls and returns
-    — reads it before redefining it.
+    — reads it before redefining it.  ``use_mask[pc]`` / ``def_mask[pc]``
+    are the registers the instruction at ``pc`` itself reads / writes.
     """
 
     live_in: List[int]
     live_out: List[int]
+    use_mask: List[int]
+    def_mask: List[int]
 
     def is_live_before(self, pc: int, reg: int) -> bool:
         """Is architectural register ``reg`` live just before ``pc``?"""
         return bool(self.live_in[pc] >> reg & 1)
 
 
-def linked_liveness(program, ignore_ckpt_uses: bool = False) -> LinkedLiveness:
+def linked_liveness(program) -> LinkedLiveness:
     """Interprocedural per-instruction liveness of a ``LinkedProgram``.
 
     A backward dataflow fixpoint over the flat machine-level instruction
@@ -116,11 +119,10 @@ def linked_liveness(program, ignore_ckpt_uses: bool = False) -> LinkedLiveness:
       over-approximation that can only report extra liveness, never less;
     * ``HALT`` is a sink (the machine reads no registers after halting).
 
-    ``ignore_ckpt_uses`` mirrors :func:`liveness`; the default (``False``)
-    conservatively counts a ``CKPT`` as reading its source register, which
-    is what fault-space pruning wants: a flip that lands in checkpoint
-    storage stays un-pruned even though stable-power classification could
-    never observe it.
+    Unlike the compiler's :func:`liveness`, a ``CKPT`` always counts as
+    reading its source register, which is what fault-space pruning wants:
+    a flip that lands in checkpoint storage stays un-pruned even though
+    stable-power classification could never observe it.
 
     The result over-approximates dynamic liveness on every real execution
     path, so "dead at ``pc``" is sound evidence that a register bit-flip
@@ -154,9 +156,8 @@ def linked_liveness(program, ignore_ckpt_uses: bool = False) -> LinkedLiveness:
     def_mask = [0] * n
     preds: List[List[int]] = [[] for _ in range(n)]
     for pc, instr in enumerate(instrs):
-        if not (ignore_ckpt_uses and instr.op is Opcode.CKPT):
-            for reg in instr.uses():
-                use_mask[pc] |= 1 << reg.index
+        for reg in instr.uses():
+            use_mask[pc] |= 1 << reg.index
         for reg in instr.defs():
             def_mask[pc] |= 1 << reg.index
         for succ in successors(pc):
@@ -180,7 +181,8 @@ def linked_liveness(program, ignore_ckpt_uses: bool = False) -> LinkedLiveness:
                 if not queued[pred]:
                     queued[pred] = True
                     worklist.append(pred)
-    return LinkedLiveness(live_in=live_in, live_out=live_out)
+    return LinkedLiveness(live_in=live_in, live_out=live_out,
+                          use_mask=use_mask, def_mask=def_mask)
 
 
 def live_intervals(function: Function) -> Dict[object, Tuple[int, int]]:

@@ -16,13 +16,26 @@ symbol                    purpose
 ``__jit_pc``              JIT checkpoint: saved program counter
 ``__jit_valid``           JIT checkpoint: validity flag
 ``__jit_ack``             GECKO's persisted ACK toggle (§VI-A)
+``__jit_sensor``          JIT checkpoint: saved sensor-stream cursor
+``__jit_outlen``          JIT checkpoint: number of buffered OUT values saved
+``__jit_out``             JIT checkpoint: the buffered OUT values (32 words)
 ``__ckpt0``, ``__ckpt1``  compiler-assisted double-buffered checkpoint storage
 ``__region_cur``          id of the region currently executing
 ``__region_pc``           absolute re-entry PC of the current region
 ``__region_done``         count of region boundaries crossed (completion proof)
+``__color``               buffer (0/1) the last ``MARK`` committed
+``__sensor_idx``          sensor-stream cursor the last ``MARK`` committed
 ``__mode``                persisted runtime mode (0 = JIT on, 1 = rollback)
+``__ack_seen``            GECKO: ``__jit_ack`` as read at the last reboot
+``__done_seen``           GECKO: ``__region_done`` as read at the last reboot
+``__boots``               count of reboots
+``__rcolor``              per-register committed buffer (16 words)
 ``__ra_<f>``              static return-address slot of function ``<f>``
 ``__frame_<f>``           static frame (locals + spills) of function ``<f>``
+``__irq_*``, ``__isr_*``  peripheral block (:data:`PERIPH_SYMBOLS`): the
+                          interrupt controller, the ISR frame stack and the
+                          timer/ADC/GPIO/DMA device words; linked only into
+                          programs that declare ISRs or touch a peripheral
 ========================  =====================================================
 """
 

@@ -19,8 +19,11 @@ Two backends ship:
 * :class:`InterpreterBackend` — the reference semantics: a thin loop
   over :meth:`Machine.step`.
 * :class:`~repro.runtime.threaded.ThreadedBackend` — precompiled
-  basic-block closures (threaded code); byte-identical results, ~9–16×
-  faster.  See ``docs/execution-backends.md``.
+  basic-block closures (threaded code); byte-identical results,
+  13.2–19.9× more simulated cycles per second on the crc16 and
+  dhrystone kernels and 6.7–7.1× on glucose
+  (``benchmarks/results/backend_speed.txt``).  See
+  ``docs/execution-backends.md``.
 
 Backends are stateless and shareable; resolve one by name with
 :func:`backend_for`.

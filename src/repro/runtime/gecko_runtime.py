@@ -28,7 +28,7 @@ from typing import Tuple
 from ..isa.program import LinkedProgram
 from ..obs import MODE_SWITCH, ROLLBACK_RESTORE
 from .machine import _UNSET, Machine
-from .nvp import NVPRuntime, RuntimeStats
+from .nvp import NVPRuntime
 from .rollback import RollbackRuntime
 
 MODE_JIT = 0
@@ -45,7 +45,10 @@ class GeckoRuntime:
                  min_progress_regions: int = 4) -> None:
         self._jit = NVPRuntime()
         self._rollback = RollbackRuntime(program)
-        self.stats = RuntimeStats()
+        #: One set of counters with the JIT protocol, which counts its own
+        #: checkpoints.  Not the rollback protocol's: GECKO counts a cold
+        #: boot in rollback mode as a rollback restore, and it does not.
+        self.stats = self._jit.stats
         #: Cycles that must execute signal-free after a reboot before the
         #: JIT protocol is re-enabled ("within the initial region", §VI-F —
         #: expressed as an execution window because this compiler's I/O
@@ -88,7 +91,6 @@ class GeckoRuntime:
     def _set_mode(self, machine: Machine, mode: int) -> None:
         if machine.read_word("__mode") != mode:
             machine.write_word("__mode", 0, mode)
-            self.stats.mode_switches += 1
             if self.obs is not None:
                 self.obs.emit(MODE_SWITCH, "rollback->jit" if mode == MODE_JIT
                               else "jit->rollback")
@@ -102,10 +104,6 @@ class GeckoRuntime:
         """Checkpoint-fault hook, forwarded to the inner JIT protocol so
         injected image corruption lands on the same code path as NVP's."""
         return self._jit.fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, hook) -> None:
-        self._jit.fault_hook = hook
 
     # -- simulator interface -------------------------------------------
     def monitor_enabled(self, machine: Machine) -> bool:
@@ -124,13 +122,7 @@ class GeckoRuntime:
     def on_checkpoint_signal(self, machine: Machine,
                              energy_cycles: float) -> Tuple[int, bool]:
         if self.mode(machine) == MODE_JIT:
-            cycles, completed = self._jit.jit_checkpoint(
-                machine, energy_cycles
-            )
-            if not completed:
-                self.stats.jit_checkpoint_failures += 1
-            else:
-                self.stats.jit_checkpoints += 1
+            cycles, _ = self._jit.jit_checkpoint(machine, energy_cycles)
             return cycles, True
         if self.in_probe:
             # A signal inside the first region after reboot: the attack is
@@ -167,7 +159,6 @@ class GeckoRuntime:
             self._set_mode(machine, MODE_ROLLBACK)
             cycles = self._rollback.rollback_restore(machine)
             self.stats.rollback_restores += 1
-            self.stats.recovery_cycles += cycles
             self._note_rollback(cycles)
             self._begin_probe(machine)
             return cycles
@@ -175,7 +166,6 @@ class GeckoRuntime:
         if mode == MODE_JIT:
             if machine.read_word("__jit_valid"):
                 cycles = self._jit.jit_restore(machine)
-                self.stats.jit_restores += 1
             else:
                 machine.cold_boot()
                 self.stats.cold_boots += 1
@@ -185,7 +175,6 @@ class GeckoRuntime:
         # Rollback mode: recover, then probe for the end of the attack.
         cycles = self._rollback.rollback_restore(machine)
         self.stats.rollback_restores += 1
-        self.stats.recovery_cycles += cycles
         self._note_rollback(cycles)
         self._begin_probe(machine)
         return cycles

@@ -34,12 +34,9 @@ class RuntimeStats:
 
     jit_checkpoints: int = 0
     jit_checkpoint_failures: int = 0
-    jit_restores: int = 0
     rollback_restores: int = 0
     cold_boots: int = 0
-    recovery_cycles: int = 0
     attacks_detected: int = 0
-    mode_switches: int = 0
 
 
 class NVPRuntime:
@@ -89,7 +86,6 @@ class NVPRuntime:
         """Restore the last committed checkpoint, or cold-boot."""
         machine.write_word("__boots", 0, machine.read_word("__boots") + 1)
         if machine.read_word("__jit_valid"):
-            self.stats.jit_restores += 1
             return self.jit_restore(machine)
         self.stats.cold_boots += 1
         machine.cold_boot()
@@ -173,7 +169,6 @@ class NVPRuntime:
         ]
         words = self.checkpoint_size_words(len(machine.out_buffer))
         cycles = words * _LD
-        self.stats.recovery_cycles += cycles
         if self.obs is not None:
             self.obs.emit(JIT_RESTORE, f"words={words}")
             self.obs.metrics.count("runtime.restore_cycles", cycles,

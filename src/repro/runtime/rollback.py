@@ -168,7 +168,6 @@ class RollbackRuntime:
         machine.sensor_cursor = machine.read_word("__sensor_idx")
         machine.out_buffer = []
         self.stats.rollback_restores += 1
-        self.stats.recovery_cycles += cycles
         if self.obs is not None:
             self.obs.emit("rollback_restore", f"region={region}")
             self.obs.metrics.count("runtime.restore_cycles", cycles,

@@ -1,5 +1,10 @@
 """RunSpec ⇄ JSON: what a run looks like on the wire.
 
+A run travels as its dataclass fields, so :class:`~repro.eval.campaign.
+RunSpec` is the one definition of the format: :func:`encode_run` writes
+``dataclasses.asdict(run)`` and :func:`decode_run` builds each part from
+the keys present, an absent key taking its field's default.
+
 Only the *declarative* spec types travel — :class:`~repro.eval.common.
 VictimConfig`, :class:`~repro.eval.campaign.AttackSpec`,
 :class:`~repro.eval.campaign.PathSpec`, :class:`~repro.faultsim.models.
@@ -17,60 +22,27 @@ stable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Iterable, Tuple
 
+from ..errors import ReproError
 from ..eval.campaign import AttackSpec, PathSpec, RunSpec
 from ..eval.common import VictimConfig
+from ..faultsim.models import FaultSpec
 from .protocol import ServeError
 
 __all__ = ["decode_run", "encode_run"]
 
+#: The RunSpec fields a run travels as: all but the process-local drill.
+_WIRE_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec)
+                     if f.name != "chaos")
 
-def _encode_attack(attack: Any) -> dict:
-    if not isinstance(attack, AttackSpec):
+
+def _declarative(name: str, value: Any, kind: type) -> None:
+    if not isinstance(value, kind):
         raise ServeError(
-            f"only declarative AttackSpec attacks can be submitted "
-            f"(got {type(attack).__name__}); raw schedules do not "
-            f"digest stably across processes")
-    data = dataclasses.asdict(attack)
-    if attack.windows is not None:
-        data["windows"] = [list(w) for w in attack.windows]
-    return data
-
-
-def _decode_attack(data: dict) -> AttackSpec:
-    windows = data.get("windows")
-    return AttackSpec(
-        freq_mhz=data.get("freq_mhz"),
-        tx_dbm=data["tx_dbm"],
-        windows=tuple(tuple(w) for w in windows)
-        if windows is not None else None)
-
-
-def _encode_path(path: Any) -> dict:
-    if not isinstance(path, PathSpec):
-        raise ServeError(
-            f"only declarative PathSpec paths can be submitted "
-            f"(got {type(path).__name__})")
-    return dataclasses.asdict(path)
-
-
-def _encode_fault(fault: Any) -> Optional[dict]:
-    if fault is None:
-        return None
-    from ..faultsim.models import FaultSpec
-    if not isinstance(fault, FaultSpec):
-        raise ServeError(
-            f"only FaultSpec faults can be submitted "
-            f"(got {type(fault).__name__})")
-    return dataclasses.asdict(fault)
-
-
-def _decode_fault(data: Optional[dict]):
-    if data is None:
-        return None
-    from ..faultsim.models import FaultSpec
-    return FaultSpec(**data)
+            f"only declarative {kind.__name__} {name}s can be submitted "
+            f"(got {type(value).__name__}); raw objects do not digest "
+            f"stably across processes")
 
 
 def encode_run(run: RunSpec) -> dict:
@@ -79,38 +51,50 @@ def encode_run(run: RunSpec) -> dict:
     if run.chaos is not None:
         raise ServeError("chaos drills are process-local and cannot be "
                          "submitted to a server")
-    return {
-        "victim": dataclasses.asdict(run.victim),
-        "attack": _encode_attack(run.attack),
-        "path": _encode_path(run.path),
-        "duration_s": run.duration_s,
-        "sim_overrides": [[key, value]
-                          for key, value in run.sim_overrides],
-        "mode": run.mode,
-        "target_completions": run.target_completions,
-        "batch_window_s": run.batch_window_s,
-        "max_sim_s": run.max_sim_s,
-        "fault": _encode_fault(run.fault),
-        "telemetry": run.telemetry,
-    }
+    _declarative("attack", run.attack, AttackSpec)
+    _declarative("path", run.path, PathSpec)
+    if run.fault is not None:
+        _declarative("fault", run.fault, FaultSpec)
+    data = dataclasses.asdict(run)
+    del data["chaos"]
+    return data
+
+
+def _pairs(items: Iterable, what: str) -> Tuple[Tuple[Any, Any], ...]:
+    """A JSON list of two-element lists as a tuple of pairs."""
+    pairs = tuple(tuple(item) for item in items)
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{what} must be pairs, got {items!r}")
+    return pairs
+
+
+def _decode_attack(data: dict) -> AttackSpec:
+    attack = AttackSpec(**data)
+    if attack.windows is None:
+        return attack
+    return dataclasses.replace(
+        attack, windows=_pairs(attack.windows, "attack windows"))
+
+
+#: How each field whose JSON spelling is not its value is rebuilt.
+_DECODERS = {
+    "victim": lambda data: VictimConfig(**data),
+    "attack": _decode_attack,
+    "path": lambda data: PathSpec(**data),
+    "fault": lambda data: None if data is None else FaultSpec(**data),
+    "sim_overrides": lambda data: _pairs(data, "sim_overrides entries"),
+}
 
 
 def decode_run(data: dict) -> RunSpec:
-    """The inverse of :func:`encode_run`, digest-preserving."""
+    """The inverse of :func:`encode_run`, digest-preserving.  Any run
+    that cannot be built is one ``malformed run submission`` error."""
     try:
-        return RunSpec(
-            victim=VictimConfig(**data["victim"]),
-            attack=_decode_attack(data["attack"]),
-            path=PathSpec(**data["path"]),
-            duration_s=data.get("duration_s"),
-            sim_overrides=tuple((key, value) for key, value
-                                in data.get("sim_overrides", [])),
-            mode=data.get("mode", "fixed"),
-            target_completions=data.get("target_completions", 0),
-            batch_window_s=data.get("batch_window_s", 0.05),
-            max_sim_s=data.get("max_sim_s", 20.0),
-            fault=_decode_fault(data.get("fault")),
-            telemetry=data.get("telemetry", False),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ServeError(f"malformed run submission: {exc}")
+        parts = {}
+        for name in _WIRE_FIELDS:
+            if name in data:
+                decode = _DECODERS.get(name)
+                parts[name] = decode(data[name]) if decode else data[name]
+        return RunSpec(**parts)
+    except (TypeError, ValueError, ReproError) as exc:
+        raise ServeError(f"malformed run submission: {exc}") from None

@@ -11,6 +11,7 @@ from repro.eval import (
     CampaignError,
     CampaignRunner,
     ExperimentSpec,
+    PathSpec,
     VictimConfig,
     forward_progress,
     remote_tone,
@@ -66,6 +67,58 @@ class TestExpansion:
     def test_runspec_is_picklable(self):
         for _, run in _grid_spec().expand():
             assert pickle.loads(pickle.dumps(run)) == run
+
+    def test_every_axis_kind_expands_to_the_pinned_digests(self):
+        """Each point's ``run_digest``, its baseline key and the run its
+        silent baseline executes, over a sweep that uses every axis kind
+        on a spec that sets every run-level field.  The literals were
+        recorded with the earlier hand-written resolver and baseline key,
+        before both read ``RunSpec``'s fields by name."""
+        from repro.emi import RemotePath
+        from repro.eval import ChaosSpec
+        from repro.faultsim.models import FaultSpec
+        from repro.store import content_digest, run_digest
+
+        spec = ExperimentSpec(
+            name="every-axis",
+            victim=VictimConfig(duration_s=0.01),
+            attack=AttackSpec.tone(tx_dbm=35.0),
+            path=PathSpec.remote(distance_m=4.0),
+            duration_s=0.02,
+            sim_overrides={"quantum": 32},
+            mode="batch", target_completions=2, batch_window_s=0.01,
+            max_sim_s=0.5, telemetry=True, backend="threaded",
+            sweep={
+                "victim": [VictimConfig(duration_s=0.01),
+                           VictimConfig(workload="crc16", duration_s=0.03)],
+                "victim.scheme": ["gecko"],
+                "backend": ["interpreter", "threaded"],
+                "attack": [AttackSpec.tone(tx_dbm=30.0),
+                           AttackSpec.bursts(((0.1, 0.4),), freq_mhz=27.0)],
+                "attack.freq_mhz": [35.0],
+                "path": [PathSpec.remote(distance_m=2.0), PathSpec.dpi("P1")],
+                "path.walls": [2],
+                "sim.sleep_min_s": [1e-3],
+                "duration_s": [None, 0.05],
+                "fault": [None, FaultSpec(model="reg_flip", target=4, bit=3,
+                                          trigger_step=100)],
+                "chaos": [None, ChaosSpec("raise")],
+                "*": [{"attack.tx_dbm": 20.0,
+                       "path": RemotePath(distance_m=3.0)},
+                      {"victim.capacitance": 2e-3, "sim.quantum": 16,
+                       "duration_s": 0.04}],
+            })
+        grid = [run for _, run in spec.expand()]
+        keys = [run.baseline_key() for run in grid]
+        assert len(grid) == 256
+        assert len(set(keys)) == 16
+        assert content_digest([run_digest(run) for run in grid]) == \
+            "497d8eec68d5b3d8dd6a46a175b2c9c5d17abece2f7a5991721e0e1f5bbfabf6"
+        assert content_digest([content_digest(key) for key in keys]) == \
+            "e35f13948761fe0be74eb3e04106579241837ead3579b87691d7de6da8c6bbda"
+        assert content_digest([run_digest(run.silenced())
+                               for run in grid]) == \
+            "34231e80f0fbba9d04bda501c07277c7c48281a76c5c93c5881d10d74a906b78"
 
 
 class TestCaches:

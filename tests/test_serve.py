@@ -6,6 +6,8 @@ tiny real campaigns through them — submission, dedup, caching,
 streaming, and the `--via-store` dispatcher path are all end-to-end.
 """
 
+import dataclasses
+import json
 import multiprocessing
 import os
 import subprocess
@@ -24,6 +26,7 @@ from repro.eval import (
 )
 from repro.eval.campaign import CampaignError, PathSpec, RunSpec
 from repro.eval.resilient import SIM_ERROR, TIMEOUT, RetryPolicy
+from repro.faultsim.models import FaultSpec
 from repro.serve import (
     CampaignServer,
     FairScheduler,
@@ -97,6 +100,50 @@ def _run_spec(**overrides) -> RunSpec:
     return RunSpec(**defaults)
 
 
+def _every_field_run() -> RunSpec:
+    """A run whose every field, and every field of its parts, is off its
+    default (``chaos`` aside: it never travels)."""
+    return RunSpec(
+        victim=VictimConfig(
+            device_name="TI-MSP430FR2433", monitor_kind="comp",
+            workload="crc16", scheme="gecko", capacitance=22e-6,
+            supply_w=None, outage_period_s=0.05, outage_duty=0.3,
+            outage_power_w=8e-3, duration_s=0.25, sleep_min_s=1e-3,
+            quantum=32, region_budget=400, v_on=3.0, v_backup=2.2,
+            v_off=1.9, cap_v_max=3.6, cap_leakage_a_per_f=1e-3,
+            cap_v_init=2.5, workload_source="void main() { }",
+            backend="threaded"),
+        attack=AttackSpec(freq_mhz=27.0, tx_dbm=30.0,
+                          windows=((0.1, 0.4), (0.5, 0.9))),
+        path=PathSpec(kind="dpi", distance_m=2.0, walls=1, point="P1"),
+        duration_s=0.3,
+        sim_overrides=(("max_slices", 10_000), ("quantum", 16)),
+        mode="batch", target_completions=5, batch_window_s=0.02,
+        max_sim_s=2.0,
+        fault=FaultSpec(model="reg_flip", target=4, bit=7, trigger_step=100,
+                        trigger_time_s=0.01, region="region:3"),
+        telemetry=True)
+
+
+def _default(f: dataclasses.Field):
+    """A dataclass field's default value."""
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return f.default
+
+
+#: A run part that fails to build, one of each kind: the submission gets
+#: the malformed-run error line, never a dropped connection.
+_MALFORMED = {
+    "unknown fault model": {"fault": {"model": "zap",
+                                      "trigger_time_s": 0.01}},
+    "fault without its trigger": {"fault": {"model": "reg_flip"}},
+    "override not a pair": {"sim_overrides": [["quantum", 32, 1]]},
+    "attack not an object": {"attack": "tone"},
+    "window not a pair": {"attack": {"tx_dbm": 35.0, "windows": [[0.1]]}},
+}
+
+
 class TestCodec:
     def test_roundtrip_preserves_the_digest(self):
         run = _run_spec(
@@ -109,7 +156,6 @@ class TestCodec:
         assert run_digest(decoded) == run_digest(run)
 
     def test_fault_travels(self):
-        from repro.faultsim.models import FaultSpec
         run = _run_spec(fault=FaultSpec(model="reg_flip", target="r4",
                                         bit=3, trigger_step=100))
         decoded = decode_run(encode_run(run))
@@ -130,6 +176,43 @@ class TestCodec:
     def test_malformed_submission_refused(self):
         with pytest.raises(ServeError, match="malformed"):
             decode_run({"attack": {"tx_dbm": 1.0}})
+
+    @pytest.mark.parametrize("kind", sorted(_MALFORMED))
+    def test_malformed_parts_refused(self, kind):
+        data = {**encode_run(_run_spec()), **_MALFORMED[kind]}
+        with pytest.raises(ServeError, match="malformed run submission"):
+            decode_run(data)
+
+    def test_every_field_survives_the_round_trip(self):
+        run = _every_field_run()
+        for value, kind in ((run, RunSpec), (run.victim, VictimConfig),
+                            (run.attack, AttackSpec), (run.path, PathSpec),
+                            (run.fault, FaultSpec)):
+            for f in dataclasses.fields(kind):
+                if f.name != "chaos":
+                    assert getattr(value, f.name) != _default(f), f.name
+        decoded = decode_run(json.loads(json.dumps(encode_run(run))))
+        assert decoded == run
+        assert run_digest(decoded) == run_digest(run)
+
+    def test_left_out_keys_take_the_field_defaults(self):
+        assert decode_run({"victim": {}}) == RunSpec(victim=VictimConfig())
+        full = encode_run(_every_field_run())
+        for f in dataclasses.fields(RunSpec):
+            if f.name in ("victim", "chaos"):
+                continue
+            partial = {k: v for k, v in full.items() if k != f.name}
+            assert getattr(decode_run(partial), f.name) == _default(f), \
+                f.name
+        for part, kind in (("victim", VictimConfig), ("attack", AttackSpec),
+                           ("path", PathSpec), ("fault", FaultSpec)):
+            for f in dataclasses.fields(kind):
+                if part == "fault" and f.name in ("model", "trigger_step"):
+                    continue        # a reg_flip FaultSpec requires both
+                nested = {k: v for k, v in full[part].items() if k != f.name}
+                decoded = getattr(decode_run({**full, part: nested}), part)
+                assert getattr(decoded, f.name) == _default(f), \
+                    f"{part}.{f.name}"
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +391,26 @@ class TestServer:
         assert srv.stats.executed == 1
         assert not srv.store.contains(run_digest(good))
         assert srv.store.contains(run_digest(other))
+
+    def test_each_malformed_kind_gets_the_error_line(self, server):
+        """A run that fails to build is refused with the one malformed-run
+        line, and the same connection then answers a ``ping``."""
+        _, client = server
+        sock = connect(client.address, timeout=30.0)
+        reader = sock.makefile("r")
+        try:
+            for kind, bad in _MALFORMED.items():
+                send_message(sock, {"op": "submit", "runs": [
+                    {**encode_run(_fast_run()), **bad}]})
+                answer = recv_message(reader)
+                assert answer is not None, kind
+                assert answer["ok"] is False, kind
+                assert "malformed run submission" in answer["error"], kind
+                send_message(sock, {"op": "ping"})
+                assert recv_message(reader)["pong"], kind
+        finally:
+            reader.close()
+            sock.close()
 
     def test_no_client_can_plant_a_result(self, server):
         """``submit`` is the only way into the store: the old store ops
